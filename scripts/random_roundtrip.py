@@ -13,7 +13,7 @@ import sys
 from collections import defaultdict
 
 from ietrewind.core import inverse, is_irreducible_pair, make_pair
-from ietrewind.rauzy import c_completeness, rauzy_step_pair, simulate_pair
+from ietrewind.rauzy import simulate_pair, walk_until_complete
 from ietrewind.recovery import recover_pair, uniqueness_threshold
 
 
@@ -24,17 +24,6 @@ def random_pair(rng, n):
         cand = make_pair(tuple(range(1, n + 1)), tuple(row1))
         if is_irreducible_pair(cand):
             return cand
-
-
-def walk(start, rng, target):
-    state, types, winners = start, [], []
-    while True:
-        t = rng.randint(0, 1)
-        state, _, record = rauzy_step_pair(state, t)
-        types.append(t)
-        winners.append(record.winner)
-        if c_completeness(winners, start.alphabet)[0] >= target:
-            return types
 
 
 def main(argv=None) -> int:
@@ -52,7 +41,7 @@ def main(argv=None) -> int:
     for _ in range(args.trials):
         n = rng.randint(args.min_n, args.max_n)
         start = random_pair(rng, n)
-        types = walk(start, rng, uniqueness_threshold(n))
+        types, _ = walk_until_complete(start, rng, uniqueness_threshold(n))
         path = simulate_pair(start, types)
         pop, _ = recover_pair(path.moves, alphabet=start.alphabet)
         lengths[n].append(len(types))

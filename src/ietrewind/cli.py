@@ -14,21 +14,16 @@ from .core import (
     perm_from_obj,
     perm_to_obj,
 )
-from .lifting import delta, relabel
-from .matrices import elementary, identity, matmul
+from .matrices import winner_row_matrix
 from .oracle import brute_force_initial_pairs, brute_force_initial_perms, forward_simulate
 from .rauzy import (
     MalformedMatrix,
     MoveRecord,
     NonIrreducible,
-    c_completeness,
-    decode_A,
-    rauzy_step_pair,
-    rauzy_step_perm,
     simulate_pair,
     simulate_perm,
-    type0_loser_counts,
     type1_matrix,
+    walk_until_complete,
 )
 from .recovery import (
     AllEmpty,
@@ -36,16 +31,22 @@ from .recovery import (
     Unrealizable,
     agrees,
     agrees_perm,
+    decode_perm_matrices,
     enumerate_agreeing,
     enumerate_agreeing_perms,
     enumerate_starting,
     recover_pair,
-    recover_perm,
+    recover_perm_moves,
 )
 from .sharpness import BadN, build_ambiguous_path
-from .zorich import MixedTypeBlock, ZorichPath, accelerate, breakup, extract_move
+from .zorich import MixedTypeBlock, accelerate, extract_move
 
-MAX_RANDOM_MOVES = 100_000
+# Kept importable: perfbench/trace_child.py wraps these names in this module.
+from .lifting import relabel  # noqa: F401
+from .matrices import matmul  # noqa: F401
+from .rauzy import c_completeness, decode_A, rauzy_step_pair, rauzy_step_perm  # noqa: F401
+from .recovery import recover_perm  # noqa: F401
+from .zorich import breakup  # noqa: F401
 
 
 class InputError(ValueError):
@@ -55,58 +56,48 @@ class InputError(ValueError):
 # --- path files ------------------------------------------------------------
 
 def _serialize_moves(moves, position):
-    out = []
-    for m in moves:
-        out.append(
-            {
-                "winner": m.winner,
-                "losers": sorted(m.losers, key=position.__getitem__),
-                "type": m.type_tag,
-                "k": m.k,
-                "power": m.power,
-            }
-        )
-    return out
+    return [
+        {
+            "winner": m.winner,
+            "losers": sorted(m.losers, key=position.__getitem__),
+            "type": m.type_tag,
+            "k": m.k,
+            "power": m.power,
+        }
+        for m in moves
+    ]
 
 
 def _parse_moves(items):
-    out = []
-    for item in items:
-        out.append(
-            MoveRecord(
-                item["winner"],
-                frozenset(item["losers"]),
-                type_tag=item.get("type"),
-                k=item.get("k"),
-                power=item.get("power", 1),
-            )
+    return [
+        MoveRecord(
+            item["winner"],
+            frozenset(item["losers"]),
+            type_tag=item.get("type"),
+            k=item.get("k"),
+            power=item.get("power", 1),
         )
-    return out
+        for item in items
+    ]
 
 
-def _check_pair_consistency(moves, matrices, index):
-    for j, (record, mat) in enumerate(zip(moves, matrices), 1):
-        move = extract_move(mat, index)
-        if move.winner != record.winner or move.losers != frozenset(record.losers):
+def _check_records(flavor, moves, decoded):
+    """Each move record against the decoded move of its matrix."""
+    for j, (record, move) in enumerate(zip(moves, decoded), 1):
+        if flavor == "permutation":
+            t, move = move
+            if record.type_tag is not None and record.type_tag != t:
+                raise InputError(f"matrix {j} disagrees with its move record")
+            if t == 1:
+                if (record.k, record.power) != move:
+                    raise InputError(f"matrix {j} disagrees with its move record")
+                continue
+        elif move.winner != record.winner:
+            raise InputError(f"matrix {j} disagrees with its move record")
+        if move.losers != frozenset(record.losers):
             raise InputError(f"matrix {j} disagrees with its move record")
         if move.steps != record.power:
             raise InputError(f"matrix {j} bundles {move.steps} moves, record says {record.power}")
-
-
-def _check_perm_consistency(moves, matrices):
-    for j, (record, mat) in enumerate(zip(moves, matrices), 1):
-        t, k, p = decode_A(mat)
-        if record.type_tag is not None and record.type_tag != t:
-            raise InputError(f"matrix {j} disagrees with its move record")
-        if t == 1:
-            if record.k != k or record.power != p:
-                raise InputError(f"matrix {j} disagrees with its move record")
-        else:
-            counts = type0_loser_counts(mat)
-            if frozenset(record.losers) != frozenset(counts):
-                raise InputError(f"matrix {j} disagrees with its move record")
-            if record.power != sum(counts.values()):
-                raise InputError(f"matrix {j} bundles {sum(counts.values())} moves, record says {record.power}")
 
 
 def load_path_file(obj: dict) -> dict:
@@ -131,13 +122,16 @@ def load_path_file(obj: dict) -> dict:
     matrices = tuple(tuple(tuple(int(v) for v in row) for row in m) for m in obj.get("matrices", []))
     if not moves and not matrices:
         raise InputError("a path file needs moves or matrices")
+    if moves and matrices and len(moves) != len(matrices):
+        raise InputError("moves and matrices must align one to one")
+    # the one decode of the matrices: ZorichMoves, or (moves, n) for permutations
+    decoded = None
+    if matrices and flavor == "pair":
+        decoded = [extract_move(mat, index) for mat in matrices]
+    elif matrices:
+        decoded = decode_perm_matrices(matrices)
     if moves and matrices:
-        if len(moves) != len(matrices):
-            raise InputError("moves and matrices must align one to one")
-        if flavor == "pair":
-            _check_pair_consistency(moves, matrices, index)
-        else:
-            _check_perm_consistency(moves, matrices)
+        _check_records(flavor, moves, decoded if flavor == "pair" else decoded[0])
     start = None
     if obj.get("start") is not None:
         start = pair_from_obj(obj["start"]) if flavor == "pair" else perm_from_obj(obj["start"])
@@ -151,6 +145,7 @@ def load_path_file(obj: dict) -> dict:
         "index": index,
         "moves": moves,
         "matrices": matrices,
+        "decoded": decoded,
         "grouping": tuple(obj["grouping"]) if obj.get("grouping") else None,
         "start": start,
     }
@@ -228,37 +223,6 @@ def parse_script(text):
     return types, grouping
 
 
-def _random_types_until(start, flavor, rng, target):
-    """Walk randomly until the winner sequence has `target` complete stretches."""
-    types = []
-    winners = []
-    if flavor == "pair":
-        state = start
-        alphabet = start.alphabet
-        while len(types) < MAX_RANDOM_MOVES:
-            t = rng.randint(0, 1)
-            state, _, record = rauzy_step_pair(state, t)
-            types.append(t)
-            winners.append(record.winner)
-            if c_completeness(winners, alphabet)[0] >= target:
-                return types
-    else:
-        state = start
-        n = start.n
-        tau = tuple(range(1, n + 1))
-        while len(types) < MAX_RANDOM_MOVES:
-            t = rng.randint(0, 1)
-            k = state.image.index(n) + 1
-            winners.append(tau[n - 1] if t == 0 else tau[k - 1])
-            state, _, _ = rauzy_step_perm(state, t)
-            if t == 1:
-                tau = relabel(tau, delta(k, n))
-            types.append(t)
-            if c_completeness(winners, tau)[0] >= target:
-                return types
-    raise InputError(f"no {target}-complete path within {MAX_RANDOM_MOVES} moves")
-
-
 def cmd_simulate(args) -> int:
     obj = _read_json(args.start)
     if "image" in obj:
@@ -276,7 +240,7 @@ def cmd_simulate(args) -> int:
     else:
         rng = random.Random(args.seed)
         if args.until_c_complete is not None:
-            types = _random_types_until(start, flavor, rng, args.until_c_complete)
+            types, _ = walk_until_complete(start, rng, args.until_c_complete)
         elif args.length is not None:
             types = [rng.randint(0, 1) for _ in range(args.length)]
         else:
@@ -312,13 +276,8 @@ def cmd_simulate(args) -> int:
 # --- recover ---------------------------------------------------------------
 
 def _unit_pair_moves(data):
-    if data["matrices"]:
-        units = []
-        for mat in data["matrices"]:
-            for factor in breakup(mat, data["index"]):
-                move = extract_move(factor, data["index"])
-                units.append((move.winner, move.losers))
-        return units
+    if data["decoded"] is not None:
+        return [unit for move in data["decoded"] for unit in move.units()]
     for m in data["moves"]:
         if m.power != len(m.losers):
             raise InputError("grouped move records need their matrices to unpack")
@@ -326,25 +285,17 @@ def _unit_pair_moves(data):
 
 
 def _perm_matrices(data):
-    if data["matrices"]:
-        return data["matrices"]
     n = len(data["index"])
     mats = []
     for record in data["moves"]:
         if record.type_tag == 1:
             if record.k is None:
                 raise InputError("type-1 records need k to rebuild matrices")
-            mat = identity(n)
-            for _ in range(record.power):
-                mat = matmul(mat, type1_matrix(n, record.k))
-            mats.append(mat)
+            mats.append(type1_matrix(n, record.k, record.power))
         elif record.type_tag == 0:
             if record.power != len(record.losers):
                 raise InputError("grouped type-0 records need their matrices to unpack")
-            mat = identity(n)
-            for loser in sorted(record.losers):
-                mat = matmul(mat, elementary(n, n - 1, loser - 1))
-            mats.append(mat)
+            mats.append(winner_row_matrix(n, n - 1, {loser - 1: 1 for loser in sorted(record.losers)}))
         else:
             raise InputError("permutation records need explicit types to rebuild matrices")
     return tuple(mats)
@@ -380,8 +331,9 @@ def _recover_report(data, trace=False):
                 for p in result[2]
             ]
         return report, pop, types, units
-    mats = _perm_matrices(data)
-    result = recover_perm(mats, trace=trace)
+    mats = data["matrices"] or _perm_matrices(data)
+    moves, n = data["decoded"] or decode_perm_matrices(mats)
+    result = recover_perm_moves(moves, n, trace=trace)
     blocks = result[0] if trace else result
     unique = all(len(b) == 1 for b in blocks)
     image = None

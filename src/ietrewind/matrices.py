@@ -6,25 +6,26 @@ checks are literal equalities with +1/-1.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 Matrix = tuple  # tuple[tuple[int, ...], ...]
-
-
-def freeze(rows: Iterable[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(v) for v in row) for row in rows)
 
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def elementary(n: int, row: int, col: int) -> Matrix:
-    """Identity plus a single extra 1 at (row, col); indices 0-based."""
+def winner_row_matrix(n: int, row: int, counts: Mapping[int, int]) -> Matrix:
+    """Identity plus ``counts`` (column -> count) on one row; indices 0-based."""
     return tuple(
-        tuple((1 if i == j else 0) + (1 if (i, j) == (row, col) else 0) for j in range(n))
+        tuple((1 if i == j else 0) + (counts.get(j, 0) if i == row else 0) for j in range(n))
         for i in range(n)
     )
+
+
+def elementary(n: int, row: int, col: int) -> Matrix:
+    """Identity plus a single extra 1 at (row, col); indices 0-based."""
+    return winner_row_matrix(n, row, {col: 1})
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -55,6 +55,11 @@ def forward_simulate(pair: Pair, moves, types) -> bool:
     types = list(types)
     if len(types) != len(seq):
         raise ValueError("one type per move required")
+    return _replay(pair, seq, types)
+
+
+def _replay(pair: Pair, seq, types) -> bool:
+    # forward_simulate on a record already cleaned, with one type per move
     rows = [list(pair.row0), list(pair.row1)]
     for (winner, losers), t in zip(seq, types):
         if t not in (0, 1):
@@ -96,7 +101,7 @@ def _scan_pair_rows(args):
                 if prune and cand.row(ts[0])[-1] != seq[0][0]:
                     continue
                 checked += 1
-                if forward_simulate(cand, seq, ts):
+                if _replay(cand, seq, ts):
                     found.append((cand, ts))
     return checked, found
 

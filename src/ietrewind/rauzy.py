@@ -8,6 +8,7 @@ position-indexed matrix (permutation flavor).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -16,7 +17,8 @@ from .core import (
     is_irreducible_pair,
     is_irreducible_perm,
 )
-from .matrices import Matrix, elementary, entry_sum, matmul
+from .matrices import Matrix, elementary, entry_sum, identity
+from .matrices import matmul  # noqa: F401  (kept importable: perfbench/trace_child.py wraps rauzy.matmul)
 
 
 class NonIrreducible(Exception):
@@ -91,23 +93,36 @@ def rauzy_step_pair(pair: Pair, t: int):
     return new_pair, theta, record
 
 
-def type1_matrix(n: int, k: int) -> Matrix:
-    """The visitation matrix of a type-1 move made at state position k."""
+def type1_matrix(n: int, k: int, p: int = 1) -> Matrix:
+    """The visitation matrix of p type-1 moves made at state position k.
+
+    Each move keeps columns 1..k, rotates columns k+1..n one place right and
+    adds column k into column k+1.  So row k counts, for each column j > k,
+    the moves whose added unit has rotated on to j, and rows below k hold
+    the rotation by p places.  ``p = 0`` gives the identity.
+    """
     if not 1 <= k <= n - 1:
         raise ValueError("k must lie in 1..n-1")
+    p = operator.index(p)
+    if p < 0:
+        raise ValueError("the power must be non-negative")
+    m = n - k
     return tuple(
         tuple(
-            1
-            if (
-                (i == j and i <= k)
-                or (j == i + 1 and i >= k)
-                or (i == n and j == k + 1)
-            )
-            else 0
+            (1 if i == j else 0) if i < k or j < k
+            else (1 if j == k else (p + n - j) // m) if i == k
+            else (1 if j > k and (j - i - p) % m == 0 else 0)
             for j in range(1, n + 1)
         )
         for i in range(1, n + 1)
     )
+
+
+def type1_shift(labels, k: int, p: int = 1) -> tuple:
+    """Position labels after p type-1 moves at k: slots k+1..n rotate p places right."""
+    labels = tuple(labels)
+    cut = len(labels) - p % (len(labels) - k)
+    return labels[:k] + labels[cut:] + labels[k:cut]
 
 
 def rauzy_step_perm(perm: Permutation, t: int):
@@ -201,24 +216,18 @@ def decode_A(a: Matrix):
 
     Returns (0, None, 1) for a type-0 product (reading the loser counts off
     the last row is the caller's business), or (1, k, p) when the matrix is
-    the p-th power of the type-1 matrix at position k.
+    the p-th power of the type-1 matrix at position k.  Rows above k never
+    change, and each type-1 move adds one to the entry sum, so k and p are
+    read off the matrix and checked against one closed-form power.
     """
     mat = _check_square(a)
     n = len(mat)
     if _is_type0_product(mat):
         return 0, None, 1
-    total = entry_sum(mat)
-    for k in range(1, n):
-        base = type1_matrix(n, k)
-        power = base
-        p = 1
-        while True:
-            if power == mat:
-                return 1, k, p
-            if entry_sum(power) >= total:
-                break
-            power = matmul(power, base)
-            p += 1
+    k = next((i for i, (row, unit) in enumerate(zip(mat, identity(n)), 1) if row != unit), n)
+    p = entry_sum(mat) - n
+    if k < n and p > 0 and mat == type1_matrix(n, k, p):
+        return 1, k, p
     raise MalformedMatrix("neither a type-0 product nor a type-1 power")
 
 
@@ -251,3 +260,33 @@ def c_completeness(winners, alphabet):
             boundaries.append(i)
             seen = set()
     return len(boundaries), tuple(boundaries)
+
+
+MAX_WALK_MOVES = 100_000
+
+
+def walk_until_complete(start, rng, target: int):
+    """Random moves from a Pair or Permutation until ``target`` complete stretches.
+
+    Each step draws its type with ``rng.randint(0, 1)``; at least one step is
+    taken.  Returns (types, winners), the winners in the start's labels (for
+    a permutation, the position labels that each type-1 move shifts).
+    Stretches are counted as the walk goes, as :func:`c_completeness` counts
+    them.  Raises ValueError once ``MAX_WALK_MOVES`` moves fall short.
+    """
+    is_pair = isinstance(start, Pair)
+    labels = tuple(range(1, start.n + 1))
+    state, types, winners, seen, stretches = start, [], [], set(), 0
+    while len(types) < MAX_WALK_MOVES:
+        t = rng.randint(0, 1)
+        state, _, record = (rauzy_step_pair if is_pair else rauzy_step_perm)(state, t)
+        winners.append(record.winner if is_pair else labels[record.winner - 1])
+        if record.k is not None:
+            labels = type1_shift(labels, record.k)
+        types.append(t)
+        seen.add(winners[-1])
+        if len(seen) == start.n:
+            stretches, seen = stretches + 1, set()
+        if stretches >= target:
+            return types, winners
+    raise ValueError(f"no {target}-complete path within {MAX_WALK_MOVES} moves")

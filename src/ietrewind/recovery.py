@@ -19,12 +19,11 @@ from .core import (
     Permutation,
     is_irreducible_pair,
     is_irreducible_perm,
-    perm_power,
     sorted_symbols,
 )
-from .lifting import delta
-from .rauzy import MoveRecord, decode_A
-from .zorich import breakup
+from .rauzy import MoveRecord, decode_A, type1_shift
+from .zorich import extract_move
+from .zorich import breakup  # noqa: F401  (kept importable: perfbench/trace_child.py wraps recovery.breakup)
 
 
 class AllEmpty(Exception):
@@ -279,26 +278,23 @@ def recover_pair(moves, alphabet=None, trace: bool = False):
     return pop, tuple(types)
 
 
-def _unit_items_from_matrices(matrices):
-    """Chronological list of (source index, kind, payload) recovery items."""
-    items = []
-    n = None
-    for idx, raw in enumerate(matrices, 1):
+def decode_perm_matrices(matrices):
+    """Decode each permutation-flavor product matrix once; returns (moves, n).
+
+    A move is ``(1, (k, p))`` for the p-th power of the type-1 matrix at
+    position k, or ``(0, move)`` with ``move`` the :class:`ZorichMove` of a
+    type-0 product (winner n, losers by position).
+    """
+    moves, n = [], None
+    for raw in matrices:
         mat = tuple(tuple(int(v) for v in row) for row in raw)
         if n is None:
             n = len(mat)
         elif len(mat) != n:
             raise ValueError("matrices must share one size")
         t, k, p = decode_A(mat)
-        if t == 1:
-            items.append((idx, "shift", (k, p)))
-        else:
-            for factor in breakup(mat):
-                losers = frozenset(
-                    j + 1 for j, v in enumerate(factor[n - 1]) if j != n - 1 and v
-                )
-                items.append((idx, "cycle", losers))
-    return items, n
+        moves.append((1, (k, p)) if t == 1 else (0, extract_move(mat)))
+    return moves, n
 
 
 def recover_perm(matrices, trace: bool = False):
@@ -307,29 +303,37 @@ def recover_perm(matrices, trace: bool = False):
     Returns the ordered partition of positions (blocks map to consecutive
     value runs), or with ``trace`` a pair (blocks, history) where history
     runs from the seed backwards to the start, one entry per recovery item
-    (type-0 products contribute one item per unit factor).
+    (type-0 products contribute one item per unit move).
     """
-    items, n = _unit_items_from_matrices(matrices)
+    moves, n = decode_perm_matrices(matrices)
+    return recover_perm_moves(moves, n, trace=trace)
+
+
+def recover_perm_moves(moves, n: int, trace: bool = False):
+    """:func:`recover_perm` on moves decoded by :func:`decode_perm_matrices`."""
+    # one item per type-1 block, (k, p); one per unit move of a type-0 block, its losers
+    items = [
+        (src, t, item)
+        for src, (t, payload) in enumerate(moves, 1)
+        for item in ([payload] if t == 1 else [losers for _, losers in payload.units()])
+    ]
     if not items:
         raise ValueError("empty matrix record")
     if n < 3:
         raise ValueError("need size at least three")
-    universe = frozenset(range(1, n + 1))
-
-    src, kind, payload = items[-1]
-    if kind == "shift":
-        k, _ = payload
-        blocks = star((universe - {k}, frozenset((k,))))
-    else:
-        blocks = star((universe - payload, payload))
+    _, t, item = items[-1]
+    last = frozenset((item[0],)) if t == 1 else item
+    blocks = star((frozenset(range(1, n + 1)) - last, last))
     history = [blocks]
-    for src, kind, payload in reversed(items[:-1]):
-        if kind == "shift":
-            k, p = payload
-            shift = perm_power(delta(k, n), p)
-            blocks = tuple(frozenset(shift.image[v - 1] for v in b) for b in blocks)
+    for src, t, item in reversed(items[:-1]):
+        if t == 1:
+            k, p = item
+            shift = type1_shift(range(1, n + 1), k, p)
+            blocks = tuple(frozenset(shift[v - 1] for v in b) for b in blocks)
+            # n holds position k throughout a type-1 run
+            blocks = _winner_row_rewind(blocks, k, src)
         else:
-            blocks = _loser_row_rewind(blocks, n, payload, src)
+            blocks = _loser_row_rewind(blocks, n, item, src)
         history.append(blocks)
     if trace:
         return blocks, history

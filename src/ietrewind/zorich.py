@@ -1,17 +1,29 @@
 """Grouping runs of moves into product matrices and reading them back.
 
 A same-winner run of pair moves multiplies out to identity plus a winner row
-whose off-diagonal entries take at most two values M-1 and M; that shape is
-what :func:`extract_move` validates and :func:`breakup` re-factors into
-unit-entry matrices (full loser set first, repeated M-1 times, then the
-maximal losers once).
+holding each loser's count; the counts take at most two values M-1 and M.
+:func:`accelerate` builds that row straight from the moves, :func:`extract_move`
+reads it back as a :class:`ZorichMove`, and :meth:`ZorichMove.units` lists the
+unit moves it bundles (full loser set first, repeated M-1 times, then the
+maximal losers once).  A permutation-flavor type-1 run is a closed-form power
+of the type-1 matrix.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .matrices import Matrix, identity, mat_product
-from .rauzy import MalformedMatrix, MoveRecord, RauzyPath, _check_square, decode_A, type0_loser_counts
+from .matrices import Matrix, mat_product, winner_row_matrix
+from .rauzy import (
+    MalformedMatrix,
+    MoveRecord,
+    RauzyPath,
+    _check_square,
+    decode_A,
+    type0_loser_counts,
+    type1_matrix,
+    type1_shift,
+)
 
 
 class MixedTypeBlock(Exception):
@@ -52,17 +64,24 @@ class ZorichMove:
         """Number of elementary moves the matrix bundles."""
         return self.max_count * len(self.losers_max) + (self.max_count - 1) * len(self.losers_min)
 
+    def units(self) -> list:
+        """The bundled unit moves as (winner, losers), oldest first."""
+        return [(self.winner, self.losers)] * (self.max_count - 1) + [(self.winner, self.losers_max)]
+
 
 def accelerate(path: RauzyPath, grouping) -> ZorichPath:
-    """Multiply the path's matrices blockwise.
+    """The product of the path's matrices over each block, built from its moves.
 
     Pair-flavor blocks must share one winner; permutation-flavor blocks one
-    type.  ``grouping`` lists the block lengths and must cover the path.
+    type.  ``grouping`` lists the block lengths and must cover the path.  A
+    winner never loses, so a block's product is the identity plus its loser
+    counts on the winner row; a type-1 block keeps n at position k.
     """
     lengths = tuple(int(g) for g in grouping)
     if any(g <= 0 for g in lengths) or sum(lengths) != len(path.moves):
         raise ValueError("grouping must consist of positive lengths covering the path")
     mats, records = [], []
+    position = {s: i for i, s in enumerate(path.index)}
     pos = 0
     for length in lengths:
         block = path.moves[pos:pos + length]
@@ -72,8 +91,12 @@ def accelerate(path: RauzyPath, grouping) -> ZorichPath:
         else:
             if len({m.type_tag for m in block}) != 1:
                 raise MixedTypeBlock(f"block at move {pos + 1} mixes types")
-        mats.append(mat_product(path.matrices[pos:pos + length], path.n))
         first = block[0]
+        if path.flavor == "permutation" and first.type_tag == 1:
+            mats.append(type1_matrix(path.n, first.k, length))
+        else:
+            counts = Counter(position[s] for m in block for s in m.losers)
+            mats.append(winner_row_matrix(path.n, position[first.winner], counts))
         losers = frozenset().union(*(m.losers for m in block))
         records.append(
             MoveRecord(first.winner, losers, type_tag=first.type_tag, k=first.k, power=length)
@@ -111,41 +134,26 @@ def extract_move(matrix: Matrix, legend=None) -> ZorichMove:
 def breakup(matrix: Matrix, legend=None) -> list:
     """Refactor a product matrix into unit-entry factors, oldest first.
 
-    The full-loser-set factor repeats max_count - 1 times and the factor for
-    the maximal losers closes the block; their ordered product returns the
-    input exactly.
+    One factor per :meth:`ZorichMove.units` entry; their ordered product
+    returns the input exactly.
     """
     mat = _check_square(matrix)
     n = len(mat)
     legend = tuple(legend) if legend is not None else tuple(range(1, n + 1))
-    move = extract_move(mat, legend)
-    if move.max_count == 1:
-        return [mat]
     pos = {s: j for j, s in enumerate(legend)}
-    w = pos[move.winner]
-
-    def factor(losers):
-        cols = {pos[s] for s in losers}
-        return tuple(
-            tuple((1 if i == j else 0) + (1 if (i == w and j in cols) else 0) for j in range(n))
-            for i in range(n)
-        )
-
-    return [factor(move.losers)] * (move.max_count - 1) + [factor(move.losers_max)]
+    return [
+        winner_row_matrix(n, pos[winner], {pos[s]: 1 for s in losers})
+        for winner, losers in extract_move(mat, legend).units()
+    ]
 
 
 def winners_with_multiplicity(path: ZorichPath) -> list:
     """(winner, elementary-move count) per block, winners in start labels."""
-    out = []
     if path.flavor == "pair":
-        for mat in path.matrices:
-            move = extract_move(mat, path.index)
-            out.append((move.winner, move.steps))
-        return out
+        return [(m.winner, m.steps) for m in (extract_move(mat, path.index) for mat in path.matrices)]
     # Permutation flavor: positions are relabeled by every type-1 move, so
     # track the labeling to report winners consistently.
-    from .lifting import delta  # local import; lifting imports this module
-
+    out = []
     n = path.n
     tau = list(path.index)
     for mat in path.matrices:
@@ -154,18 +162,13 @@ def winners_with_multiplicity(path: ZorichPath) -> list:
             out.append((tau[n - 1], sum(type0_loser_counts(mat).values())))
         else:
             out.append((tau[k - 1], p))
-            shift = delta(k, n)
-            for _ in range(p):
-                tau = [tau[v - 1] for v in shift.image]
+            tau = type1_shift(tau, k, p)
     return out
 
 
 def expand_winners(path: ZorichPath) -> list:
     """The elementary-move winner sequence, block winners repeated."""
-    out = []
-    for winner, count in winners_with_multiplicity(path):
-        out.extend([winner] * count)
-    return out
+    return [winner for winner, count in winners_with_multiplicity(path) for _ in range(count)]
 
 
 def verify_breakup(matrix: Matrix, legend=None) -> bool:

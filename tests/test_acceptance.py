@@ -15,7 +15,7 @@ from ietrewind.core import (
 from ietrewind.lifting import lift_zorich_path
 from ietrewind.matrices import determinant, mat_product
 from ietrewind.oracle import brute_force_initial_pairs, forward_simulate
-from ietrewind.rauzy import c_completeness, rauzy_step_pair, rauzy_step_perm, simulate_pair, simulate_perm
+from ietrewind.rauzy import c_completeness, simulate_pair, simulate_perm, walk_until_complete
 from ietrewind.recovery import (
     enumerate_agreeing,
     enumerate_agreeing_perms,
@@ -50,35 +50,6 @@ def _random_irreducible_perm(rng, n):
             return cand
 
 
-def _pair_walk_until_complete(start, rng, target):
-    state, types, winners = start, [], []
-    while True:
-        t = rng.randint(0, 1)
-        state, _, record = rauzy_step_pair(state, t)
-        types.append(t)
-        winners.append(record.winner)
-        if c_completeness(winners, start.alphabet)[0] >= target:
-            return types, winners
-
-
-def _perm_walk_until_complete(start, rng, target):
-    from ietrewind.lifting import delta, relabel
-
-    n = start.n
-    state, types, winners = start, [], []
-    tau = tuple(range(1, n + 1))
-    while True:
-        t = rng.randint(0, 1)
-        k = state.image.index(n) + 1
-        winners.append(tau[n - 1] if t == 0 else tau[k - 1])
-        state, _, _ = rauzy_step_perm(state, t)
-        if t == 1:
-            tau = relabel(tau, delta(k, n))
-        types.append(t)
-        if c_completeness(winners, tuple(range(1, n + 1)))[0] >= target:
-            return types, winners
-
-
 # Shared surveys, generated once and reused across criteria.
 _G: dict = {}
 
@@ -93,7 +64,7 @@ def _settling_survey():
             n = rng.randint(3, 8)
             start = _random_irreducible_pair(rng, n)
             target = uniqueness_threshold(n)
-            types, winners = _pair_walk_until_complete(start, rng, target)
+            types, winners = walk_until_complete(start, rng, target)
             path = simulate_pair(start, types)
             pop, _, history = recover_pair(path.moves, alphabet=start.alphabet, trace=True)
             _, boundaries = c_completeness(winners, start.alphabet)
@@ -102,7 +73,7 @@ def _settling_survey():
             n = rng.randint(3, 8)
             start = _random_irreducible_perm(rng, n)
             target = uniqueness_threshold(n)
-            types, _ = _perm_walk_until_complete(start, rng, target)
+            types, _ = walk_until_complete(start, rng, target)
             path = simulate_perm(start, types)
             blocks = recover_perm(path.matrices)
             perm_runs.append((start, blocks))

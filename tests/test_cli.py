@@ -263,3 +263,68 @@ def test_sharpness_output_and_roundtrip(tmp_path):
 
     proc = _run("sharpness", "--n", "7")
     assert proc.returncode == 4
+
+
+def test_verify_grouped_perm_record_with_oracle(tmp_path):
+    start = tmp_path / "perm5.json"
+    start.write_text(json.dumps({"n": 5, "image": [4, 5, 3, 1, 2]}))
+    path_file = tmp_path / "grouped_perm.json"
+    script = "0x5,1,0,1x2,0x3,group(5,1,1,2,3)"
+    proc = _run("simulate", "--start", str(start), "--script", script, "--out", str(path_file))
+    assert proc.returncode == 0, proc.stderr
+    proc = _run("verify", str(path_file), "--oracle")
+    assert proc.returncode == 0, proc.stdout
+    out = _json_out(proc)
+    assert out["checks"] == {"start_agrees": True, "oracle_matches": True}
+    assert out["recovered"]["pi"] == [4, 5, 3, 1, 2]
+
+
+def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypatch):
+    from ietrewind import cli, lifting, matrices, rauzy, recovery
+
+    def no_products(*args):
+        raise AssertionError("a command multiplied matrices")
+
+    for module in (cli, lifting, matrices, rauzy):
+        monkeypatch.setattr(module, "matmul", no_products)
+    calls = {"extract_move": 0, "decode_A": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "extract_move", counted("extract_move", cli.extract_move))
+    monkeypatch.setattr(recovery, "decode_A", counted("decode_A", recovery.decode_A))
+
+    def run(*argv, out=tmp_path / "out.json"):
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    starts = {
+        "pair": {"alphabet": [1, 2, 3, 4, 5], "p0": [1, 2, 3, 4, 5], "p1": [5, 3, 1, 4, 2]},
+        "permutation": {"n": 5, "image": [5, 3, 1, 4, 2]},
+    }
+    script = "1x3,0x2,1,0x4,1x2,group(3,2,1,4,2)"
+    for flavor, obj in starts.items():
+        start = tmp_path / f"{flavor}.json"
+        start.write_text(json.dumps(obj))
+        run("simulate", "--start", str(start), "--seed", "4", "--until-c-complete", "2")
+        for argv in (["--script", script], ["--seed", "4", "--length", "40"]):
+            path_file = tmp_path / f"{flavor}-path.json"
+            data = run("simulate", "--start", str(start), *argv, out=path_file)
+            for command in (["recover", "--trace"], ["verify"], ["verify", "--oracle"]):
+                calls.update(extract_move=0, decode_A=0)
+                run(command[0], str(path_file), *command[1:])
+                if flavor == "pair":
+                    assert calls["extract_move"] == len(data["matrices"])
+                else:
+                    assert calls["decode_A"] == len(data["matrices"])
+        # a permutation record without matrices is rebuilt and decoded once
+        if flavor == "permutation":
+            del data["matrices"]
+            path_file.write_text(json.dumps(data))
+            calls.update(decode_A=0)
+            run("verify", str(path_file), "--oracle")
+            assert calls["decode_A"] == len(data["moves"])

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ietrewind.core import Permutation, lift_perm, make_pair, project
+from ietrewind.core import Permutation, lift_perm, make_pair, perm_power, project
+from ietrewind.lifting import delta
 from ietrewind.matrices import determinant, identity, matmul, mat_product
 from ietrewind.rauzy import (
     MalformedMatrix,
@@ -18,6 +22,8 @@ from ietrewind.rauzy import (
     simulate_perm,
     type0_loser_counts,
     type1_matrix,
+    type1_shift,
+    walk_until_complete,
 )
 
 
@@ -198,3 +204,62 @@ def test_visitation_product_counts_all_moves():
     # one off-diagonal unit per elementary move
     assert sum(sum(row) for row in total) - sum(total[i][i] for i in range(4)) >= len(types)
     assert determinant(total) in (-1, 1)
+
+
+def test_type1_matrix_powers_in_closed_form():
+    for n in range(3, 9):
+        for k in range(1, n):
+            assert type1_matrix(n, k, 0) == identity(n)
+            for p in range(1, 3 * n + 1):
+                power = mat_product([type1_matrix(n, k)] * p, n)
+                assert type1_matrix(n, k, p) == power
+                assert decode_A(power) == (1, k, p)
+    with pytest.raises(ValueError):
+        type1_matrix(4, 2, -1)
+
+
+def test_type1_shift_is_a_power_of_delta():
+    for n in range(2, 8):
+        for k in range(1, n):
+            for p in range(3 * n):
+                assert type1_shift(range(1, n + 1), k, p) == perm_power(delta(k, n), p).image
+
+
+def test_decode_A_rejects_a_large_entry_quickly():
+    mat = [list(row) for row in identity(6)]
+    mat[2][4] = 10**5
+    begin = time.perf_counter()
+    with pytest.raises(MalformedMatrix):
+        decode_A(mat)
+    assert time.perf_counter() - begin < 0.5
+
+
+@pytest.mark.parametrize(
+    "start", [make_pair((1, 2, 3, 4, 5), (5, 3, 1, 4, 2)), Permutation((4, 1, 5, 3, 2))]
+)
+def test_walk_until_complete_counts_as_c_completeness(start):
+    for seed in range(20):
+        target = seed % 4
+        types, winners = walk_until_complete(start, random.Random(seed), target)
+        assert len(types) == len(winners) >= 1
+        count, _ = c_completeness(winners, range(1, 6))
+        assert count >= target
+        assert len(types) == 1 or c_completeness(winners[:-1], range(1, 6))[0] < target
+        # the same draws give the same types
+        rng = random.Random(seed)
+        assert types == [rng.randint(0, 1) for _ in types]
+
+
+def test_walk_until_complete_labels_perm_winners_like_the_lifted_pair():
+    perm = Permutation((4, 1, 5, 3, 2))
+    types, winners = walk_until_complete(perm, random.Random(5), 3)
+    pair_path = simulate_pair(lift_perm(perm, (1, 2, 3, 4, 5)), types)
+    assert winners == [m.winner for m in pair_path.moves]
+
+
+def test_walk_until_complete_gives_up_at_the_cap(monkeypatch):
+    from ietrewind import rauzy
+
+    monkeypatch.setattr(rauzy, "MAX_WALK_MOVES", 10)
+    with pytest.raises(ValueError, match="no 50-complete path within 10 moves"):
+        walk_until_complete(Permutation((3, 2, 1)), random.Random(0), 50)

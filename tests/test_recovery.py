@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ietrewind.core import Pair, Permutation, inverse, is_irreducible_pair, is_irreducible_perm, make_pair
+from ietrewind.oracle import brute_force_initial_perms
 from ietrewind.rauzy import MoveRecord, c_completeness, simulate_pair, simulate_perm
+from ietrewind.zorich import accelerate
 from ietrewind.recovery import (
     AllEmpty,
     AlphabetMismatch,
@@ -257,7 +259,7 @@ def test_recover_perm_partial_trace():
     assert blocks == (_fs({2, 3, 5}), _fs({4}), _fs({1}))
     assert history == [
         (_fs({2, 4, 5}), _fs({1, 3})),
-        (_fs({2, 3, 4}), _fs({1, 5})),
+        (_fs({2, 3, 4}), _fs({5}), _fs({1})),
         (_fs({2, 3, 4}), _fs({5}), _fs({1})),
         (_fs({2, 3, 5}), _fs({4}), _fs({1})),
     ]
@@ -316,3 +318,50 @@ def test_recover_perm_always_admits_start(image, types):
     path = simulate_perm(start, types)
     blocks = recover_perm(path.matrices)
     assert agrees_perm(start, blocks)
+
+
+def _type_runs(types):
+    runs = []
+    for i, t in enumerate(types):
+        if i and t == types[i - 1]:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return runs
+
+
+def _grouped_perm_matrices(start, types):
+    return accelerate(simulate_perm(start, types), _type_runs(types)).matrices
+
+
+def test_recover_perm_pins_n_through_a_grouped_type1_run():
+    # A type-1 block at k keeps the value n at position k.  Without that pin
+    # recovery would also admit [5, 4, 3, 1, 2], which the oracle rejects.
+    start = Permutation((4, 5, 3, 1, 2))
+    types = [0] * 5 + [1, 0, 1, 1, 0, 0, 0]
+    mats = accelerate(simulate_perm(start, types), [5, 1, 1, 2, 3]).matrices
+    blocks = recover_perm(mats)
+    assert blocks == (_fs({4}), _fs({5}), _fs({3}), _fs({1}), _fs({2}))
+    assert enumerate_agreeing_perms(blocks) == brute_force_initial_perms(mats, 5) == [start]
+
+
+@given(st.integers(4, 6).flatmap(lambda n: st.tuples(
+    st.permutations(list(range(1, n + 1))), st.lists(st.integers(0, 1), min_size=1, max_size=3 * n)
+)))
+@settings(deadline=None, max_examples=60)
+def test_recover_perm_on_grouped_records_matches_oracle(case):
+    image, types = case
+    start = Permutation(tuple(image))
+    assume(is_irreducible_perm(start))
+    mats = _grouped_perm_matrices(start, types)
+    blocks = recover_perm(mats)
+    assert agrees_perm(start, blocks)
+    assert enumerate_agreeing_perms(blocks) == brute_force_initial_perms(mats, start.n)
+
+
+@given(st.permutations(list(range(1, 7))), st.lists(st.integers(0, 1), min_size=1, max_size=14))
+@settings(deadline=None, max_examples=120)
+def test_recover_perm_grouped_always_admits_start(image, types):
+    start = Permutation(tuple(image))
+    assume(is_irreducible_perm(start))
+    assert agrees_perm(start, recover_perm(_grouped_perm_matrices(start, types)))
