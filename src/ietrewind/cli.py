@@ -26,7 +26,6 @@ from .rauzy import (
     walk_until_complete,
 )
 from .recovery import (
-    AllEmpty,
     BoundExceeded,
     Unrealizable,
     agrees,
@@ -112,6 +111,8 @@ def load_path_file(obj: dict) -> dict:
             raise InputError("pair files need an alphabet")
         index = tuple(obj.get("index", alphabet))
         alphabet = tuple(alphabet)
+        if not len(index) == len(alphabet) == len(set(index)) or set(index) != set(alphabet):
+            raise InputError("index must list each alphabet symbol exactly once")
     else:
         n = obj.get("n")
         if not isinstance(n, int) or n < 2:
@@ -124,6 +125,8 @@ def load_path_file(obj: dict) -> dict:
         raise InputError("a path file needs moves or matrices")
     if moves and matrices and len(moves) != len(matrices):
         raise InputError("moves and matrices must align one to one")
+    if any(len(mat) != len(index) for mat in matrices):
+        raise InputError(f"matrices must have one row per symbol ({len(index)})")
     # the one decode of the matrices: ZorichMoves, or (moves, n) for permutations
     decoded = None
     if matrices and flavor == "pair":
@@ -495,7 +498,6 @@ def main(argv=None) -> int:
         NonIrreducible,
         BoundExceeded,
         BadN,
-        AllEmpty,
         KeyError,
         TypeError,
         ValueError,

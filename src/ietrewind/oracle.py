@@ -6,6 +6,7 @@ types, so the two sides can check each other.
 """
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -121,9 +122,9 @@ def brute_force_initial_pairs(moves, alphabet, prune: bool = True, jobs: int = 1
         raise ValueError("empty move record")
     assignments = _type_assignments(seq)
     row0s = list(permutations(sorted_symbols(alphabet)))
+    jobs = min(jobs, os.cpu_count() or 1, len(row0s))
     if jobs > 1:
-        chunks = [row0s[i::jobs] for i in range(jobs)]
-        work = [(alphabet, chunk, seq, assignments, prune) for chunk in chunks if chunk]
+        work = [(alphabet, row0s[i::jobs], seq, assignments, prune) for i in range(jobs)]
         checked = 0
         found = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:

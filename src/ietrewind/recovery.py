@@ -26,10 +26,6 @@ from .zorich import extract_move
 from .zorich import breakup  # noqa: F401  (kept importable: perfbench/trace_child.py wraps recovery.breakup)
 
 
-class AllEmpty(Exception):
-    """A block list collapsed entirely; the record is inconsistent."""
-
-
 class AlphabetMismatch(Exception):
     """Two objects built over different symbol sets were combined."""
 
@@ -59,14 +55,6 @@ def enumeration_bound(bound=None) -> int:
     if bound is not None:
         return int(bound)
     return int(os.environ.get(_ENUM_ENV, DEFAULT_ENUM_BOUND))
-
-
-def star(blocks) -> tuple:
-    """Drop empty blocks, freeze the rest; refuse to return nothing."""
-    out = tuple(frozenset(b) for b in blocks if b)
-    if not out:
-        raise AllEmpty("all blocks empty")
-    return out
 
 
 def _check_partition(blocks, universe: set):
@@ -148,67 +136,168 @@ def agrees_perm(perm: Permutation, blocks) -> bool:
 
 # --- the backward move ----------------------------------------------------
 
-def _winner_row_rewind(blocks, winner, step: int) -> tuple:
+class _Block:
+    """One block of an :class:`OrderedPartition`: its symbols and its neighbours."""
+
+    __slots__ = ("items", "prev", "next")
+
+    def __init__(self, items):
+        self.items = items
+        self.prev = self.next = None
+
+
+class OrderedPartition:
+    """Ordered-partition knowledge of one row, kept as a linked list of blocks.
+
+    A map from each symbol to its block lets a rewind step touch only the
+    blocks holding its winner and losers, so the step costs
+    O(|losers| + blocks touched) whatever the alphabet size.  The rewinds
+    below mutate the partition in place; :meth:`snapshot` freezes it into
+    the tuple-of-frozensets form the rest of the package reads.
+    """
+
+    __slots__ = ("_root", "_where", "_count")
+
+    def __init__(self, blocks):
+        self._root = root = _Block(None)
+        root.prev = root.next = root
+        self._where = {}
+        self._count = 0
+        for b in blocks:
+            if b:
+                self._append(self._adopt(set(b)))
+
+    def __len__(self) -> int:
+        """The number of blocks."""
+        return self._count
+
+    def __iter__(self):
+        """The blocks in row order, live: read them, do not change them."""
+        return self._blocks_from(self._root.next)
+
+    def snapshot(self) -> tuple:
+        return tuple(frozenset(b) for b in self)
+
+    def block_of(self, symbol):
+        """The block holding ``symbol``, live."""
+        return self._where[symbol].items
+
+    def blocks_after(self, symbol):
+        """The blocks to the right of ``symbol``'s block, in row order, live."""
+        return self._blocks_from(self._where[symbol].next)
+
+    def _blocks_from(self, node):
+        while node is not self._root:
+            yield node.items
+            node = node.next
+
+    def _adopt(self, items) -> _Block:
+        node = _Block(items)
+        for x in items:
+            self._where[x] = node
+        return node
+
+    def _unlink(self, node):
+        node.prev.next = node.next
+        node.next.prev = node.prev
+        self._count -= 1
+
+    def _insert_after(self, ref, node):
+        node.prev, node.next = ref, ref.next
+        ref.next.prev = node
+        ref.next = node
+        self._count += 1
+
+    def _append(self, node):
+        self._insert_after(self._root.prev, node)
+
+    def _take(self, node, part) -> _Block:
+        """Detach ``part`` (a fresh set, kept) of the block as a block of its own,
+        or the block itself when ``part`` is all of it."""
+        if len(part) == len(node.items):
+            self._unlink(node)
+            return node
+        node.items -= part
+        return self._adopt(part)
+
+    def _pin_after(self, node, symbol):
+        """Split ``symbol`` out of its block into a singleton right after it."""
+        if len(node.items) > 1:
+            node.items.discard(symbol)
+            self._insert_after(node, self._adopt({symbol}))
+
+
+def _winner_row_rewind(part: OrderedPartition, winner, step: int):
     """Before its move the winner sat at the far right of its own row."""
-    last = blocks[-1]
-    if winner not in last:
+    last = part._root.prev
+    if part._where.get(winner) is not last:
         raise Unrealizable(step, "winner not available at the right end of its row")
-    return star(blocks[:-1] + (last - {winner}, frozenset((winner,))))
+    part._pin_after(last, winner)
 
 
-def _loser_row_rewind(blocks, winner, losers, step: int) -> tuple:
+def _loser_row_rewind(part: OrderedPartition, winner, losers, step: int):
     """Rewind the loser row through one move.
 
     After the move the losers sit immediately to the right of the winner (in
     an order the move itself fixed); before it they formed the row's right
     end.  Undoing that pins the winner as a new singleton and sends the
     losers to the back, splitting whatever blocks they were drawn from.
+    Every loser must be a symbol of the partition.
     """
-    hits = [i for i, b in enumerate(blocks) if b & losers]
-    if not hits:
+    where = part._where
+    hit: dict = {}  # block -> the losers it holds
+    for x in losers:
+        node = where.get(x)
+        if node is None:
+            raise Unrealizable(step, "losers outside the alphabet")
+        if node in hit:
+            hit[node].add(x)
+        else:
+            hit[node] = {x}
+    if not hit:
         raise Unrealizable(step, "losers outside the alphabet")
-    lo, hi = hits[0], hits[-1]
-    if hits != list(range(lo, hi + 1)):
-        raise Unrealizable(step, "loser set scattered over non-adjacent blocks")
-    if lo == hi:
-        block = blocks[lo]
-        if winner in block:
-            return star(blocks[:lo] + (block - losers,) + blocks[lo + 1:] + (losers,))
-        if lo == 0 or winner not in blocks[lo - 1]:
+    lo = hi = next(iter(hit))
+    if len(hit) > 1:
+        while lo.prev in hit:
+            lo = lo.prev
+        while hi.next in hit:
+            hi = hi.next
+        run = [lo]
+        while run[-1] is not hi:
+            run.append(run[-1].next)
+        if len(run) != len(hit):
+            raise Unrealizable(step, "loser set scattered over non-adjacent blocks")
+    winner_node = where.get(winner)
+    if lo is hi:
+        if winner_node is lo:
+            part._append(part._take(lo, hit[lo]))
+            return
+        if winner_node is not lo.prev:
             raise Unrealizable(step, "winner not adjacent to the loser run")
-        return star(
-            blocks[:lo - 1]
-            + (blocks[lo - 1] - {winner}, frozenset((winner,)), block - losers)
-            + blocks[lo + 1:]
-            + (losers,)
-        )
+        part._pin_after(winner_node, winner)
+        part._append(part._take(lo, hit[lo]))
+        return
     # The run spans several blocks: interior ones must be swallowed whole,
     # and the fragments keep their block order behind the full blocks.
-    for i in range(lo + 1, hi):
-        if not blocks[i] <= losers:
+    interior = run[1:-1]
+    for node in interior:
+        if len(hit[node]) != len(node.items):
             raise Unrealizable(step, "block inside the loser run keeps a non-loser")
-    head, tail = blocks[lo], blocks[hi]
-    if winner in head:
-        return star(
-            blocks[:lo]
-            + (head - losers - {winner}, frozenset((winner,)), tail - losers)
-            + blocks[hi + 1:]
-            + (head & losers,)
-            + blocks[lo + 1:hi]
-            + (tail & losers,)
-        )
-    if not head <= losers:
-        raise Unrealizable(step, "leading block of the loser run keeps a non-loser")
-    if lo == 0 or winner not in blocks[lo - 1]:
-        raise Unrealizable(step, "winner not adjacent to the loser run")
-    return star(
-        blocks[:lo - 1]
-        + (blocks[lo - 1] - {winner}, frozenset((winner,)), tail - losers)
-        + blocks[hi + 1:]
-        + (head,)
-        + blocks[lo + 1:hi]
-        + (tail & losers,)
-    )
+    if winner_node is lo:
+        head = part._take(lo, hit[lo])
+        part._pin_after(lo, winner)
+    else:
+        if len(hit[lo]) != len(lo.items):
+            raise Unrealizable(step, "leading block of the loser run keeps a non-loser")
+        if winner_node is not lo.prev:
+            raise Unrealizable(step, "winner not adjacent to the loser run")
+        part._pin_after(winner_node, winner)
+        head = part._take(lo, hit[lo])
+    for node in interior:
+        part._unlink(node)
+    tail = part._take(hi, hit[hi])
+    for node in [head, *interior, tail]:
+        part._append(node)
 
 
 def _normalize_moves(moves) -> list:
@@ -255,23 +344,24 @@ def recover_pair(moves, alphabet=None, trace: bool = False):
 
     last_winner, last_losers = seq[-1]
     rows = [
-        star((universe - {last_winner}, frozenset((last_winner,)))),
-        star((universe - last_losers, last_losers)),
+        OrderedPartition((universe - {last_winner}, {last_winner})),
+        OrderedPartition((universe - last_losers, last_losers)),
     ]
     t = 0
     types = [0]
-    states = [(rows[0], rows[1])]
+    states = [(rows[0].snapshot(), rows[1].snapshot())] if trace else None
     for j in range(len(seq) - 2, -1, -1):
         winner, losers = seq[j]
         if winner != seq[j + 1][0]:
             t = 1 - t
         step = j + 1
-        rows[t] = _winner_row_rewind(rows[t], winner, step)
-        rows[1 - t] = _loser_row_rewind(rows[1 - t], winner, losers, step)
+        _winner_row_rewind(rows[t], winner, step)
+        _loser_row_rewind(rows[1 - t], winner, losers, step)
         types.append(t)
-        states.append((rows[0], rows[1]))
+        if trace:
+            states.append((rows[0].snapshot(), rows[1].snapshot()))
     types.reverse()
-    pop = PartiallyOrderedPair(alphabet, rows[0], rows[1])
+    pop = PartiallyOrderedPair(alphabet, rows[0].snapshot(), rows[1].snapshot())
     if trace:
         history = [PartiallyOrderedPair(alphabet, q0, q1) for q0, q1 in states]
         return pop, tuple(types), history
@@ -322,19 +412,21 @@ def recover_perm_moves(moves, n: int, trace: bool = False):
     if n < 3:
         raise ValueError("need size at least three")
     _, t, item = items[-1]
-    last = frozenset((item[0],)) if t == 1 else item
-    blocks = star((frozenset(range(1, n + 1)) - last, last))
-    history = [blocks]
+    last = {item[0]} if t == 1 else item
+    part = OrderedPartition((set(range(1, n + 1)) - last, last))
+    history = [part.snapshot()] if trace else None
     for src, t, item in reversed(items[:-1]):
         if t == 1:
             k, p = item
             shift = type1_shift(range(1, n + 1), k, p)
-            blocks = tuple(frozenset(shift[v - 1] for v in b) for b in blocks)
+            part = OrderedPartition([{shift[v - 1] for v in b} for b in part])
             # n holds position k throughout a type-1 run
-            blocks = _winner_row_rewind(blocks, k, src)
+            _winner_row_rewind(part, k, src)
         else:
-            blocks = _loser_row_rewind(blocks, n, item, src)
-        history.append(blocks)
+            _loser_row_rewind(part, n, item, src)
+        if trace:
+            history.append(part.snapshot())
+    blocks = part.snapshot()
     if trace:
         return blocks, history
     return blocks

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .rauzy import MoveRecord, c_completeness
 from .recovery import (
+    OrderedPartition,
     PartiallyOrderedPair,
     _loser_row_rewind,
     _winner_row_rewind,
@@ -82,13 +83,14 @@ class _Backward:
 
     ``push`` applies the recovery rewind for one elementary move, so an
     impossible construction step raises instead of producing a bogus path.
+    ``rows`` holds the two rows' :class:`OrderedPartition`, rewound in place.
     ``moves``/``types`` are in backward order: entry 0 is the final move.
     """
 
     def __init__(self, alphabet, rows=None):
         self.alphabet = tuple(alphabet)
         self.universe = frozenset(alphabet)
-        self.rows = [tuple(r) for r in rows] if rows is not None else None
+        self.rows = [OrderedPartition(r) for r in rows] if rows is not None else None
         self.moves: list = []
         self.types: list = []
 
@@ -99,32 +101,27 @@ class _Backward:
             # the recovery side assumes for it.
             assert t == 0
             self.rows = [None, None]
-            self.rows[t] = (
-                frozenset(self.universe - {winner}),
-                frozenset((winner,)),
-            )
-            self.rows[1 - t] = (
-                frozenset(self.universe - {loser}),
-                frozenset((loser,)),
-            )
+            self.rows[t] = OrderedPartition((self.universe - {winner}, {winner}))
+            self.rows[1 - t] = OrderedPartition((self.universe - {loser}, {loser}))
         else:
             if self.moves:
                 same_winner = winner == self.moves[-1][0]
                 same_type = t == self.types[-1]
                 assert same_winner == same_type, "winner change must flip the type"
-            self.rows[t] = _winner_row_rewind(self.rows[t], winner, step)
-            self.rows[1 - t] = _loser_row_rewind(
-                self.rows[1 - t], winner, frozenset((loser,)), step
-            )
+            _winner_row_rewind(self.rows[t], winner, step)
+            _loser_row_rewind(self.rows[1 - t], winner, frozenset((loser,)), step)
         self.moves.append((winner, loser))
         self.types.append(t)
 
+    def snapshot(self) -> tuple:
+        return self.rows[0].snapshot(), self.rows[1].snapshot()
+
     def pop_state(self) -> PartiallyOrderedPair:
-        return PartiallyOrderedPair(self.alphabet, self.rows[0], self.rows[1])
+        return PartiallyOrderedPair(self.alphabet, *self.snapshot())
 
     def settled_row(self) -> int:
         for t in (0, 1):
-            if all(len(b) == 1 for b in self.rows[t]):
+            if len(self.rows[t]) == len(self.alphabet):  # all blocks singletons
                 return t
         raise AssertionError("no fully settled row")
 
@@ -150,8 +147,8 @@ def _push_first_segment(builder: _Backward, n: int):
 
 def _push_refresh(builder: _Backward, r: int):
     """A complete stretch that returns to the exact same knowledge state."""
-    start = (builder.rows[0], builder.rows[1])
-    row = builder.rows[r]
+    start = builder.snapshot()
+    row = start[r]
     sing_positions = [i for i, b in enumerate(row) if len(b) == 1]
     hinge = _only(row[sing_positions[0]])
     both = builder.singleton_letters(r) & builder.singleton_letters(1 - r)
@@ -160,20 +157,21 @@ def _push_refresh(builder: _Backward, r: int):
         builder.push(hinge, letter, 1 - r)
         if letter in both:
             other = builder.rows[1 - r]
-            pos = other.index(frozenset((letter,)))
-            for blk in other[pos + 1:]:
-                assert len(blk) == 1
-                builder.push(letter, _only(blk), r)
-    assert (builder.rows[0], builder.rows[1]) == start
+            assert other.block_of(letter) == {letter}
+            after = list(other.blocks_after(letter))
+            assert all(len(blk) == 1 for blk in after)
+            for x in [_only(blk) for blk in after]:
+                builder.push(letter, x, r)
+    assert builder.snapshot() == start
 
 
 def _row_signature(builder: _Backward, r: int):
     """(singletons of row r in order, singletons of row 1-r after its block)."""
     s = [_only(b) for b in builder.rows[r] if len(b) == 1]
-    other = builder.rows[1 - r]
-    first = 1 if len(other[0]) > 1 else 0
     sig = []
-    for blk in other[first:]:
+    for i, blk in enumerate(builder.rows[1 - r]):
+        if i == 0 and len(blk) > 1:
+            continue
         assert len(blk) == 1
         sig.append(_only(blk))
     return s, sig
@@ -233,7 +231,7 @@ def build_ambiguous_path(n: int) -> SharpnessResult:
         r = builder.settled_row()
         _push_refresh(builder, r)
         checkpoints.append((f"refresh{i}", builder.pop_state()))
-        unresolved_block = builder.rows[1 - r][0]
+        unresolved_block = next(iter(builder.rows[1 - r]))
         u = len(unresolved_block)
         assert u >= 4
         position = {_only(b): p for p, b in enumerate(builder.rows[r])}

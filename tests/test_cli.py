@@ -239,6 +239,38 @@ def test_bad_inputs_exit_four(tmp_path, pair_start_file):
     assert "version" in _json_out(proc)["detail"]
 
 
+_PAIR_MATRIX_4 = [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+_TYPE1_4 = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]]  # type-1 at k=2, n=4
+
+
+@pytest.mark.parametrize(
+    "path_file, detail",
+    [
+        # a pair index that is not a permutation of the alphabet
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4], "index": [1, 2, 3, 9],
+          "matrices": [_PAIR_MATRIX_4]}, "index must list each alphabet symbol"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4], "index": [1, 2, 3, 9],
+          "moves": [{"winner": 1, "losers": [4], "type": 0, "k": None, "power": 1}]},
+         "index must list each alphabet symbol"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4], "index": [1, 2, 3, 3],
+          "matrices": [_PAIR_MATRIX_4]}, "index must list each alphabet symbol"),
+        # matrices of the wrong size for the file's n or alphabet
+        ({"version": 1, "flavor": "permutation", "n": 6, "matrices": [_TYPE1_4]},
+         "one row per symbol"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4, 5], "matrices": [_PAIR_MATRIX_4]},
+         "one row per symbol"),
+    ],
+)
+def test_malformed_path_files_exit_four(tmp_path, path_file, detail):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(path_file))
+    proc = _run("recover", str(bad))
+    assert proc.returncode == 4, proc.stderr
+    out = _json_out(proc)
+    assert out["error"] == "bad input"
+    assert detail in out["detail"]
+
+
 def test_sharpness_output_and_roundtrip(tmp_path):
     a = _run("sharpness", "--n", "8")
     b = _run("sharpness", "--n", "8")

@@ -1,11 +1,13 @@
 """Brute-force cross-checks for the reverse algorithms."""
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ietrewind import oracle
 from ietrewind.core import Permutation, inverse, is_irreducible_pair, is_irreducible_perm, make_pair
 from ietrewind.oracle import (
     brute_force_initial_pairs,
@@ -116,6 +118,24 @@ def test_brute_force_parallel_and_unpruned_agree():
     full = brute_force_initial_pairs(moves, (1, 2, 3, 4), prune=False)
     assert base.realizers == par.realizers == full.realizers
     assert full.candidates_checked > base.candidates_checked
+
+
+def test_brute_force_jobs_are_clamped(monkeypatch):
+    path = simulate_pair(make_pair((1, 2, 3, 4), (4, 3, 2, 1)), [0, 1, 0, 0])
+    workers = []
+
+    def recording_pool(max_workers):
+        workers.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", recording_pool)
+    one = brute_force_initial_pairs(path.moves, (1, 2, 3, 4))
+    for cpus, pools in ((2, [2]), (None, [])):
+        workers.clear()
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+        three = brute_force_initial_pairs(path.moves, (1, 2, 3, 4), jobs=3)
+        assert (three.candidates_checked, three.realizers) == (one.candidates_checked, one.realizers)
+        assert workers == pools
 
 
 def test_brute_force_pair_bound():

@@ -1,6 +1,8 @@
 """Backward reconstruction from move records and visitation matrices."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -9,12 +11,13 @@ from ietrewind.oracle import brute_force_initial_perms
 from ietrewind.rauzy import MoveRecord, c_completeness, simulate_pair, simulate_perm
 from ietrewind.zorich import accelerate
 from ietrewind.recovery import (
-    AllEmpty,
     AlphabetMismatch,
     BoundExceeded,
+    OrderedPartition,
     PartiallyOrderedPair,
     Unrealizable,
     _loser_row_rewind,
+    _winner_row_rewind,
     agrees,
     agrees_perm,
     enumerate_agreeing,
@@ -23,7 +26,6 @@ from ietrewind.recovery import (
     enumeration_bound,
     recover_pair,
     recover_perm,
-    star,
     uncertainty_profile,
     uniqueness_threshold,
 )
@@ -187,42 +189,167 @@ def test_unrealizable_winner_branch():
     assert "winner not available" in exc.value.reason
 
 
+def _loser_rewound(blocks, winner, losers, step):
+    part = OrderedPartition(blocks)
+    _loser_row_rewind(part, winner, losers, step)
+    return part.snapshot()
+
+
 def test_loser_rewind_case_split():
     # single block, winner inside: losers peel off to the back
-    got = _loser_row_rewind((_fs({1, 2, 3}),), 1, _fs({2, 3}), 1)
+    got = _loser_rewound((_fs({1, 2, 3}),), 1, _fs({2, 3}), 1)
     assert got == (_fs({1}), _fs({2, 3}))
     # single block, winner in the previous block
-    got = _loser_row_rewind((_fs({1, 4}), _fs({2, 3})), 1, _fs({2, 3}), 1)
+    got = _loser_rewound((_fs({1, 4}), _fs({2, 3})), 1, _fs({2, 3}), 1)
     assert got == (_fs({4}), _fs({1}), _fs({2, 3}))
     # spanning run, winner in the leading block
-    got = _loser_row_rewind((_fs({1, 2}), _fs({3}), _fs({4, 5})), 1, _fs({2, 3, 4}), 1)
+    got = _loser_rewound((_fs({1, 2}), _fs({3}), _fs({4, 5})), 1, _fs({2, 3, 4}), 1)
     assert got == (_fs({1}), _fs({5}), _fs({2}), _fs({3}), _fs({4}))
     # spanning run, whole leading block loses
-    got = _loser_row_rewind((_fs({6, 1}), _fs({2}), _fs({3, 4})), 6, _fs({2, 3}), 1)
+    got = _loser_rewound((_fs({6, 1}), _fs({2}), _fs({3, 4})), 6, _fs({2, 3}), 1)
     assert got == (_fs({1}), _fs({6}), _fs({4}), _fs({2}), _fs({3}))
 
 
 def test_loser_rewind_rejections():
     with pytest.raises(Unrealizable) as exc:
-        _loser_row_rewind((_fs({1}), _fs({2}), _fs({3}), _fs({4})), 2, _fs({1, 3}), 7)
+        _loser_rewound((_fs({1}), _fs({2}), _fs({3}), _fs({4})), 2, _fs({1, 3}), 7)
     assert "non-adjacent" in exc.value.reason and exc.value.step == 7
     with pytest.raises(Unrealizable) as exc:
-        _loser_row_rewind((_fs({1}), _fs({2}), _fs({3})), 1, _fs({3}), 2)
+        _loser_rewound((_fs({1}), _fs({2}), _fs({3})), 1, _fs({3}), 2)
     assert "not adjacent" in exc.value.reason
     with pytest.raises(Unrealizable) as exc:
-        _loser_row_rewind((_fs({1, 2}), _fs({3, 4}), _fs({5, 6})), 1, _fs({2, 3, 5}), 3)
+        _loser_rewound((_fs({1, 2}), _fs({3, 4}), _fs({5, 6})), 1, _fs({2, 3, 5}), 3)
     assert "keeps a non-loser" in exc.value.reason
     with pytest.raises(Unrealizable) as exc:
-        _loser_row_rewind((_fs({9}), _fs({1, 2}), _fs({3, 4})), 9, _fs({2, 3, 4}), 4)
+        _loser_rewound((_fs({9}), _fs({1, 2}), _fs({3, 4})), 9, _fs({2, 3, 4}), 4)
     assert "leading block" in exc.value.reason
     with pytest.raises(Unrealizable):
-        _loser_row_rewind((_fs({1}), _fs({2})), 1, _fs({7}), 5)
+        _loser_rewound((_fs({1}), _fs({2})), 1, _fs({7}), 5)
 
 
-def test_star_and_partition_validation():
-    assert star(({1, 2}, set(), {3})) == (_fs({1, 2}), _fs({3}))
-    with pytest.raises(AllEmpty):
-        star((set(), set()))
+# Reference copy of the rewind rules on tuples of frozensets, the form the
+# linked-block partition replaced.  Each step rebuilds the whole tuple.
+
+def _ref_star(blocks) -> tuple:
+    out = tuple(frozenset(b) for b in blocks if b)
+    assert out, "all blocks empty"
+    return out
+
+
+def _ref_winner_row_rewind(blocks, winner, step: int) -> tuple:
+    last = blocks[-1]
+    if winner not in last:
+        raise Unrealizable(step, "winner not available at the right end of its row")
+    return _ref_star(blocks[:-1] + (last - {winner}, frozenset((winner,))))
+
+
+def _ref_loser_row_rewind(blocks, winner, losers, step: int) -> tuple:
+    hits = [i for i, b in enumerate(blocks) if b & losers]
+    if not hits:
+        raise Unrealizable(step, "losers outside the alphabet")
+    lo, hi = hits[0], hits[-1]
+    if hits != list(range(lo, hi + 1)):
+        raise Unrealizable(step, "loser set scattered over non-adjacent blocks")
+    if lo == hi:
+        block = blocks[lo]
+        if winner in block:
+            return _ref_star(blocks[:lo] + (block - losers,) + blocks[lo + 1:] + (losers,))
+        if lo == 0 or winner not in blocks[lo - 1]:
+            raise Unrealizable(step, "winner not adjacent to the loser run")
+        return _ref_star(
+            blocks[:lo - 1]
+            + (blocks[lo - 1] - {winner}, frozenset((winner,)), block - losers)
+            + blocks[lo + 1:]
+            + (losers,)
+        )
+    for i in range(lo + 1, hi):
+        if not blocks[i] <= losers:
+            raise Unrealizable(step, "block inside the loser run keeps a non-loser")
+    head, tail = blocks[lo], blocks[hi]
+    if winner in head:
+        return _ref_star(
+            blocks[:lo]
+            + (head - losers - {winner}, frozenset((winner,)), tail - losers)
+            + blocks[hi + 1:]
+            + (head & losers,)
+            + blocks[lo + 1:hi]
+            + (tail & losers,)
+        )
+    if not head <= losers:
+        raise Unrealizable(step, "leading block of the loser run keeps a non-loser")
+    if lo == 0 or winner not in blocks[lo - 1]:
+        raise Unrealizable(step, "winner not adjacent to the loser run")
+    return _ref_star(
+        blocks[:lo - 1]
+        + (blocks[lo - 1] - {winner}, frozenset((winner,)), tail - losers)
+        + blocks[hi + 1:]
+        + (head,)
+        + blocks[lo + 1:hi]
+        + (tail & losers,)
+    )
+
+
+def _random_partition(rng, n):
+    symbols = list(range(1, n + 1))
+    rng.shuffle(symbols)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    return tuple(_fs(symbols[a:b]) for a, b in zip([0] + cuts, cuts + [n]))
+
+
+def _random_step(rng, blocks, n):
+    """A winner and a loser set over 1..n, half the time a plausible run."""
+    if rng.random() < 0.5:
+        winner = rng.randint(1, n)
+        others = [x for x in range(1, n + 1) if x != winner]
+        return winner, _fs(rng.sample(others, rng.randint(1, len(others))))
+    row = [x for b in blocks for x in rng.sample(sorted(b), len(b))]
+    i = rng.randint(1, n - 1)
+    j = rng.randint(i + 1, n)
+    return row[i - 1], _fs(row[i:j])
+
+
+def test_linked_rewind_matches_the_tuple_rules():
+    # Seeded walks: each step rewinds the winner row or the loser row in both
+    # forms; snapshots and every (step, reason) must agree, and a rejected
+    # step must leave the partition as it was.
+    rng = random.Random(20221)
+    reasons, accepted = set(), 0
+    for _ in range(10000):
+        n = rng.randint(3, 9)
+        ref = _random_partition(rng, n)
+        part = OrderedPartition(ref)
+        for step in range(1, 13):
+            winner, losers = _random_step(rng, ref, n)
+            on_winner_row = rng.random() < 0.3
+            try:
+                if on_winner_row:
+                    expected = _ref_winner_row_rewind(ref, winner, step)
+                else:
+                    expected = _ref_loser_row_rewind(ref, winner, losers, step)
+            except Unrealizable as want:
+                with pytest.raises(Unrealizable) as got:
+                    if on_winner_row:
+                        _winner_row_rewind(part, winner, step)
+                    else:
+                        _loser_row_rewind(part, winner, losers, step)
+                assert (got.value.step, got.value.reason) == (want.step, want.reason)
+                assert part.snapshot() == ref
+                reasons.add(want.reason)
+                break
+            if on_winner_row:
+                _winner_row_rewind(part, winner, step)
+            else:
+                _loser_row_rewind(part, winner, losers, step)
+            assert part.snapshot() == expected
+            assert len(part) == len(expected)
+            ref = expected
+            accepted += 1
+    assert accepted > 10000
+    assert len(reasons) == 5  # every rejection but foreign losers
+
+
+def test_partition_validation():
+    assert OrderedPartition(({1, 2}, set(), {3})).snapshot() == (_fs({1, 2}), _fs({3}))
     with pytest.raises(ValueError):
         PartiallyOrderedPair((1, 2, 3), (_fs({1, 2}), _fs({2, 3})), (_fs({1, 2, 3}),))
     with pytest.raises(ValueError):

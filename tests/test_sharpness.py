@@ -1,6 +1,8 @@
 """The ambiguity construction and its end-state toolkit."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from ietrewind.core import inverse
@@ -104,6 +106,20 @@ def test_construction_sweep(n, depth, length, unresolved):
     winners = [m.winner for m in result.moves]
     stretches, _ = c_completeness(winners, tuple(range(1, n + 1)))
     assert stretches == depth
+
+
+def test_construction_scales_to_256_letters():
+    # A rewind step touches only the blocks of its winner and loser, so the
+    # 200k-move record for n=256 builds in a few seconds; when every step
+    # rebuilt all n blocks it took 14-16 s.
+    begin = time.perf_counter()
+    result = build_ambiguous_path(256)
+    elapsed = time.perf_counter() - begin
+    assert (result.depth, len(result.moves), result.unresolved) == (7, 200293, 2)
+    assert elapsed < 8.0
+    pop, types = recover_pair(result.moves, alphabet=result.start.alphabet)
+    assert pop == result.start
+    assert types == tuple(m.type_tag for m in result.moves)
 
 
 def test_construction_rejects_small_alphabets():
