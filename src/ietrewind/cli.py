@@ -5,6 +5,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import chain
 
 from .core import (
     Pair,
@@ -14,15 +15,14 @@ from .core import (
     perm_from_obj,
     perm_to_obj,
 )
-from .matrices import winner_row_matrix
 from .oracle import brute_force_initial_pairs, brute_force_initial_perms, forward_simulate
 from .rauzy import (
     MalformedMatrix,
     MoveRecord,
     NonIrreducible,
+    record_matrix,
     simulate_pair,
     simulate_perm,
-    type1_matrix,
     walk_until_complete,
 )
 from .recovery import (
@@ -38,7 +38,7 @@ from .recovery import (
     recover_perm_moves,
 )
 from .sharpness import BadN, build_ambiguous_path
-from .zorich import MixedTypeBlock, accelerate, extract_move
+from .zorich import MixedTypeBlock, ZorichMove, accelerate, extract_move
 
 # Kept importable: perfbench/trace_child.py wraps these names in this module.
 from .lifting import relabel  # noqa: F401
@@ -80,26 +80,60 @@ def _parse_moves(items):
     ]
 
 
-def _check_records(flavor, moves, decoded):
-    """Each move record against the decoded move of its matrix."""
-    for j, (record, move) in enumerate(zip(moves, decoded), 1):
-        if flavor == "permutation":
-            t, move = move
-            if record.type_tag is not None and record.type_tag != t:
+def _parse_matrix(raw, n: int):
+    """One path-file matrix as a tuple of int tuples: n rows of n JSON integers."""
+    if not isinstance(raw, list) or len(raw) != n:
+        raise InputError(f"matrices must have one row per symbol ({n})")
+    mat = tuple(map(tuple, raw))
+    if any(len(row) != n for row in mat) or not {int}.issuperset(map(type, chain.from_iterable(mat))):
+        raise MalformedMatrix(f"matrix rows must each hold {n} integers")
+    return mat
+
+
+def _record_move(item, flavor, symbols):
+    """The move of a record read without its matrix: (k, p) or a unit ZorichMove."""
+    winner, losers = item["winner"], frozenset(item["losers"])
+    t, k, power = item.get("type"), item.get("k"), item.get("power", 1)
+    if winner not in symbols or not losers <= symbols:
+        outside = next(s for s in (winner, *losers) if s not in symbols)
+        raise InputError(f"move names {outside!r}, which is not a symbol of the file")
+    if not losers or winner in losers or (k is not None and t != 1):
+        raise InputError("a move needs losers other than its winner, and k only with type 1")
+    n = len(symbols)
+    if flavor == "permutation" and t == 1:
+        if type(k) is not int or not 1 <= k < n or type(power) is not int or power < 1:
+            raise InputError("type-1 records need k in 1..n-1 and a positive power")
+        return k, power
+    if flavor == "permutation" and (t != 0 or winner != n):
+        raise InputError("without matrices, permutation records need a type, and type 0 the winner n")
+    if power != len(losers):
+        raise InputError("grouped move records need their matrices to unpack")
+    return ZorichMove(winner, losers, 1, losers)
+
+
+def _check_records(flavor, records, moves):
+    """Each move record against the move decoded from its matrix."""
+    for j, (record, move) in enumerate(zip(records, moves), 1):
+        t = 0 if isinstance(move, ZorichMove) else 1
+        if flavor == "permutation" and record.type_tag not in (None, t):
+            raise InputError(f"matrix {j} disagrees with its move record")
+        if t == 1:
+            if (record.k, record.power) != move:
                 raise InputError(f"matrix {j} disagrees with its move record")
-            if t == 1:
-                if (record.k, record.power) != move:
-                    raise InputError(f"matrix {j} disagrees with its move record")
-                continue
-        elif move.winner != record.winner:
+        elif (flavor == "pair" and move.winner != record.winner) or move.losers != record.losers:
             raise InputError(f"matrix {j} disagrees with its move record")
-        if move.losers != frozenset(record.losers):
-            raise InputError(f"matrix {j} disagrees with its move record")
-        if move.steps != record.power:
+        elif move.steps != record.power:
             raise InputError(f"matrix {j} bundles {move.steps} moves, record says {record.power}")
 
 
 def load_path_file(obj: dict) -> dict:
+    """Read a version-1 path file, checking and decoding each entry once.
+
+    ``moves`` has one move per entry, as both recoveries read them: decoded
+    from the matrices if there are any (the records are checked against
+    them), else from the records; a :class:`ZorichMove`, or ``(k, p)`` for
+    a type-1 power.
+    """
     if not isinstance(obj, dict) or obj.get("version") != 1:
         raise InputError("expected a version-1 path file")
     flavor = obj.get("flavor")
@@ -119,36 +153,34 @@ def load_path_file(obj: dict) -> dict:
             raise InputError("permutation files need a size n")
         index = tuple(range(1, n + 1))
         alphabet = index
-    moves = _parse_moves(obj.get("moves", []))
-    matrices = tuple(tuple(tuple(int(v) for v in row) for row in m) for m in obj.get("matrices", []))
-    if not moves and not matrices:
+    n = len(index)
+    records = obj.get("moves", [])
+    raw = obj.get("matrices", [])
+    if not records and not raw:
         raise InputError("a path file needs moves or matrices")
-    if moves and matrices and len(moves) != len(matrices):
+    if records and raw and len(records) != len(raw):
         raise InputError("moves and matrices must align one to one")
-    if any(len(mat) != len(index) for mat in matrices):
-        raise InputError(f"matrices must have one row per symbol ({len(index)})")
-    # the one decode of the matrices: ZorichMoves, or (moves, n) for permutations
-    decoded = None
-    if matrices and flavor == "pair":
-        decoded = [extract_move(mat, index) for mat in matrices]
-    elif matrices:
-        decoded = decode_perm_matrices(matrices)
-    if moves and matrices:
-        _check_records(flavor, moves, decoded if flavor == "pair" else decoded[0])
+    matrices = tuple(_parse_matrix(m, n) for m in raw)
+    if not matrices:
+        symbols = set(index)
+        moves = [_record_move(item, flavor, symbols) for item in records]
+    else:
+        moves = [extract_move(m, index) for m in matrices] if flavor == "pair" else decode_perm_matrices(matrices)[0]
+        _check_records(flavor, _parse_moves(records), moves)
     start = None
     if obj.get("start") is not None:
         start = pair_from_obj(obj["start"]) if flavor == "pair" else perm_from_obj(obj["start"])
         if flavor == "pair" and tuple(start.alphabet) != alphabet:
             raise InputError("start and file alphabets differ")
-        if flavor == "permutation" and start.n != len(index):
+        if flavor == "permutation" and start.n != n:
             raise InputError("start size and n differ")
     return {
         "flavor": flavor,
         "alphabet": alphabet,
         "index": index,
+        "records": records,
         "moves": moves,
         "matrices": matrices,
-        "decoded": decoded,
         "grouping": tuple(obj["grouping"]) if obj.get("grouping") else None,
         "start": start,
     }
@@ -278,89 +310,51 @@ def cmd_simulate(args) -> int:
 
 # --- recover ---------------------------------------------------------------
 
-def _unit_pair_moves(data):
-    if data["decoded"] is not None:
-        return [unit for move in data["decoded"] for unit in move.units()]
-    for m in data["moves"]:
-        if m.power != len(m.losers):
-            raise InputError("grouped move records need their matrices to unpack")
-    return [(m.winner, frozenset(m.losers)) for m in data["moves"]]
-
-
-def _perm_matrices(data):
-    n = len(data["index"])
-    mats = []
-    for record in data["moves"]:
-        if record.type_tag == 1:
-            if record.k is None:
-                raise InputError("type-1 records need k to rebuild matrices")
-            mats.append(type1_matrix(n, record.k, record.power))
-        elif record.type_tag == 0:
-            if record.power != len(record.losers):
-                raise InputError("grouped type-0 records need their matrices to unpack")
-            mats.append(winner_row_matrix(n, n - 1, {loser - 1: 1 for loser in sorted(record.losers)}))
-        else:
-            raise InputError("permutation records need explicit types to rebuild matrices")
-    return tuple(mats)
-
-
 def _blocks_obj(blocks, position):
     return [sorted(b, key=position.__getitem__) for b in blocks]
 
 
 def _recover_report(data, trace=False):
+    """The report, the knowledge, the pair types, and the agreeing starts (or None)."""
     position = {s: i for i, s in enumerate(data["index"])}
+    types = None
     if data["flavor"] == "pair":
-        units = _unit_pair_moves(data)
-        result = recover_pair(units, alphabet=data["alphabet"], trace=trace)
-        pop, types = result[0], result[1]
-        unique = pop.is_settled()
-        try:
-            count = len(enumerate_starting(pop))
-        except BoundExceeded:
-            count = None
+        result = recover_pair(data["moves"], alphabet=data["alphabet"], trace=trace)
+        knowledge, types = result[0], result[1]
+        unique = knowledge.is_settled()
         report = {
             "flavor": "pair",
-            "Q0": _blocks_obj(pop.q0, position),
-            "Q1": _blocks_obj(pop.q1, position),
+            "Q0": _blocks_obj(knowledge.q0, position),
+            "Q1": _blocks_obj(knowledge.q1, position),
             "types": list(types),
             "unique": unique,
-            "pair": pair_to_obj(pop.settled_pair()) if unique else None,
-            "count": count,
+            "pair": pair_to_obj(knowledge.settled_pair()) if unique else None,
         }
         if trace:
             report["trace"] = [
                 {"Q0": _blocks_obj(p.q0, position), "Q1": _blocks_obj(p.q1, position)}
                 for p in result[2]
             ]
-        return report, pop, types, units
-    mats = data["matrices"] or _perm_matrices(data)
-    moves, n = data["decoded"] or decode_perm_matrices(mats)
-    result = recover_perm_moves(moves, n, trace=trace)
-    blocks = result[0] if trace else result
-    unique = all(len(b) == 1 for b in blocks)
-    image = None
-    if unique:
-        img = [0] * len(data["index"])
-        value = 1
-        for b in blocks:
-            img[next(iter(b)) - 1] = value
-            value += 1
-        image = img
+        enumerate_starts = enumerate_starting
+    else:
+        result = recover_perm_moves(data["moves"], len(data["index"]), trace=trace)
+        knowledge = result[0] if trace else result
+        unique = all(len(b) == 1 for b in knowledge)
+        image = None
+        if unique:
+            image = [0] * len(knowledge)
+            for value, (slot,) in enumerate(knowledge, 1):
+                image[slot - 1] = value
+        report = {"flavor": "permutation", "Q": _blocks_obj(knowledge, position), "unique": unique, "pi": image}
+        if trace:
+            report["trace"] = [_blocks_obj(b, position) for b in result[1]]
+        enumerate_starts = enumerate_agreeing_perms
     try:
-        count = len(enumerate_agreeing_perms(blocks))
+        starts = enumerate_starts(knowledge)
     except BoundExceeded:
-        count = None
-    report = {
-        "flavor": "permutation",
-        "Q": _blocks_obj(blocks, position),
-        "unique": unique,
-        "pi": image,
-        "count": count,
-    }
-    if trace:
-        report["trace"] = [_blocks_obj(b, position) for b in result[1]]
-    return report, blocks, None, mats
+        starts = None
+    report["count"] = None if starts is None else len(starts)
+    return report, knowledge, types, starts
 
 
 def cmd_recover(args) -> int:
@@ -374,13 +368,15 @@ def cmd_recover(args) -> int:
 
 def cmd_verify(args) -> int:
     data = load_path_file(_read_json(args.path))
-    report, recovered, types, evidence = _recover_report(data)
+    report, recovered, types, starts = _recover_report(data)
+    if args.oracle and starts is None:
+        raise BoundExceeded("the oracle needs the agreeing starts, which are over the enumeration bound")
     checks = {}
+    start = data["start"]
     if data["flavor"] == "pair":
-        start = data["start"]
         if start is not None:
             checks["start_agrees"] = agrees(start, recovered) or agrees(inverse(start), recovered)
-            stored = [m.type_tag for m in data["moves"]]
+            stored = [item.get("type") for item in data["records"]]
             if (
                 not data["grouping"]
                 and all(t is not None for t in stored)
@@ -389,18 +385,18 @@ def cmd_verify(args) -> int:
                 flipped = [1 - t for t in types]
                 checks["types_agree"] = stored in (list(types), flipped)
         if args.oracle:
-            oracle = brute_force_initial_pairs(evidence, data["alphabet"], jobs=args.jobs)
-            expected = {(p.row0, p.row1) for p in enumerate_starting(recovered)}
+            units = [unit for move in data["moves"] for unit in move.units()]
+            oracle = brute_force_initial_pairs(units, data["alphabet"], jobs=args.jobs)
             got = {(p.row0, p.row1) for p, _ in oracle.realizers}
-            checks["oracle_matches"] = got == expected
+            checks["oracle_matches"] = got == {(p.row0, p.row1) for p in starts}
     else:
-        start = data["start"]
         if start is not None:
             checks["start_agrees"] = agrees_perm(start, recovered)
         if args.oracle:
-            found = brute_force_initial_perms(evidence, len(data["index"]))
-            expected = enumerate_agreeing_perms(recovered)
-            checks["oracle_matches"] = [p.image for p in found] == [p.image for p in expected]
+            index = data["index"]
+            evidence = data["matrices"] or [record_matrix(r, index) for r in _parse_moves(data["records"])]
+            found = brute_force_initial_perms(evidence, len(index))
+            checks["oracle_matches"] = [p.image for p in found] == [p.image for p in starts]
     ok = all(checks.values()) if checks else True
     out = {"ok": ok, "checks": checks, "recovered": report}
     _emit(out, args.out)

@@ -2,7 +2,8 @@
 
 A move of type t takes the last symbol of row t as winner and the last
 symbol of the other row as loser; the loser is reinserted immediately after
-the winner in its own row.  Each move emits the unimodular matrix
+the winner in its own row.  Each move is logged as a :class:`MoveRecord`;
+:func:`record_matrix` renders a record as its unimodular visitation matrix,
 ``identity + E(winner, loser)`` (pair flavor) or the corresponding
 position-indexed matrix (permutation flavor).
 """
@@ -17,7 +18,7 @@ from .core import (
     is_irreducible_pair,
     is_irreducible_perm,
 )
-from .matrices import Matrix, elementary, entry_sum, identity
+from .matrices import Matrix, entry_sum, identity, winner_row_matrix
 from .matrices import matmul  # noqa: F401  (kept importable: perfbench/trace_child.py wraps rauzy.matmul)
 
 
@@ -55,7 +56,7 @@ class MoveRecord:
 
 @dataclass(frozen=True)
 class RauzyPath:
-    """A simulated path: one matrix and one record per elementary move.
+    """A simulated path: one record per elementary move.
 
     ``index`` is the matrix legend (alphabet symbols for pair flavor, the
     tuple 1..n otherwise); ``states`` holds the visited states including the
@@ -66,16 +67,20 @@ class RauzyPath:
     index: tuple
     start: object
     moves: tuple
-    matrices: tuple
     states: tuple | None = None
 
     @property
     def n(self) -> int:
         return len(self.index)
 
+    @property
+    def matrices(self) -> tuple:
+        """One visitation matrix per move, rendered by :func:`record_matrix`."""
+        return tuple(record_matrix(m, self.index) for m in self.moves)
+
 
 def rauzy_step_pair(pair: Pair, t: int):
-    """One move of type t on a pair; returns (new pair, matrix, record)."""
+    """One move of type t on a pair; returns (new pair, record)."""
     if t not in (0, 1):
         raise ValueError("move type must be 0 or 1")
     if not is_irreducible_pair(pair):
@@ -86,11 +91,7 @@ def rauzy_step_pair(pair: Pair, t: int):
     other = rows[1 - t]
     cut = other.index(winner) + 1
     rows[1 - t] = other[:cut] + (loser,) + other[cut:-1]
-    new_pair = Pair(pair.alphabet, rows[0], rows[1])
-    pos = {s: i for i, s in enumerate(pair.alphabet)}
-    theta = elementary(pair.n, pos[winner], pos[loser])
-    record = MoveRecord(winner, frozenset((loser,)), type_tag=t)
-    return new_pair, theta, record
+    return Pair(pair.alphabet, rows[0], rows[1]), MoveRecord(winner, frozenset((loser,)), type_tag=t)
 
 
 def type1_matrix(n: int, k: int, p: int = 1) -> Matrix:
@@ -126,7 +127,7 @@ def type1_shift(labels, k: int, p: int = 1) -> tuple:
 
 
 def rauzy_step_perm(perm: Permutation, t: int):
-    """One move of type t on a permutation; returns (new perm, matrix, record)."""
+    """One move of type t on a permutation; returns (new perm, record)."""
     if t not in (0, 1):
         raise ValueError("move type must be 0 or 1")
     if not is_irreducible_perm(perm):
@@ -136,41 +137,44 @@ def rauzy_step_perm(perm: Permutation, t: int):
     if t == 0:
         last = img[-1]
         new = tuple(v if v <= last else (last + 1 if v == n else v + 1) for v in img)
-        loser = img.index(n) + 1
-        mat = elementary(n, n - 1, loser - 1)
-        record = MoveRecord(n, frozenset((loser,)), type_tag=0)
-        return Permutation(new), mat, record
+        return Permutation(new), MoveRecord(n, frozenset((img.index(n) + 1,)), type_tag=0)
     k = img.index(n) + 1
     new = img[:k] + (img[-1],) + img[k:-1]
-    record = MoveRecord(k, frozenset((n,)), type_tag=1, k=k)
-    return Permutation(new), type1_matrix(n, k), record
+    return Permutation(new), MoveRecord(k, frozenset((n,)), type_tag=1, k=k)
+
+
+def record_matrix(record: MoveRecord, index) -> Matrix:
+    """The visitation matrix of a unit record (each loser loses once) or of a
+    type-1 power, legend ``index``; other grouped records fix no loser counts."""
+    n = len(index)
+    if record.k is not None:
+        return type1_matrix(n, record.k, record.power)
+    if record.power != len(record.losers):
+        raise ValueError("a grouped record does not fix its loser counts")
+    position = {s: i for i, s in enumerate(index)}
+    return winner_row_matrix(n, position[record.winner], {position[s]: 1 for s in record.losers})
+
+
+def _simulate(flavor, index, step, start, types) -> RauzyPath:
+    state, moves, states = start, [], [start]
+    for t in types:
+        state, record = step(state, t)
+        moves.append(record)
+        states.append(state)
+    return RauzyPath(flavor, index, start, tuple(moves), tuple(states))
 
 
 def simulate_pair(start: Pair, types) -> RauzyPath:
-    state = start
-    moves, mats, states = [], [], [start]
-    for t in types:
-        state, theta, record = rauzy_step_pair(state, t)
-        moves.append(record)
-        mats.append(theta)
-        states.append(state)
-    return RauzyPath("pair", start.alphabet, start, tuple(moves), tuple(mats), tuple(states))
+    return _simulate("pair", start.alphabet, rauzy_step_pair, start, types)
 
 
 def simulate_perm(start: Permutation, types) -> RauzyPath:
-    state = start
-    moves, mats, states = [], [], [start]
-    for t in types:
-        state, mat, record = rauzy_step_perm(state, t)
-        moves.append(record)
-        mats.append(mat)
-        states.append(state)
-    index = tuple(range(1, start.n + 1))
-    return RauzyPath("permutation", index, start, tuple(moves), tuple(mats), tuple(states))
+    return _simulate("permutation", tuple(range(1, start.n + 1)), rauzy_step_perm, start, types)
 
 
 def _check_square(a) -> Matrix:
-    mat = tuple(tuple(int(v) for v in row) for row in a)
+    """``a`` as square, non-empty row tuples; entries are left to the caller."""
+    mat = tuple(map(tuple, a))
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise MalformedMatrix("matrix must be square and non-empty")
@@ -279,7 +283,7 @@ def walk_until_complete(start, rng, target: int):
     state, types, winners, seen, stretches = start, [], [], set(), 0
     while len(types) < MAX_WALK_MOVES:
         t = rng.randint(0, 1)
-        state, _, record = (rauzy_step_pair if is_pair else rauzy_step_perm)(state, t)
+        state, record = (rauzy_step_pair if is_pair else rauzy_step_perm)(state, t)
         winners.append(record.winner if is_pair else labels[record.winner - 1])
         if record.k is not None:
             labels = type1_shift(labels, record.k)

@@ -22,7 +22,7 @@ from .core import (
     sorted_symbols,
 )
 from .rauzy import MoveRecord, decode_A, type1_shift
-from .zorich import extract_move
+from .zorich import ZorichMove, extract_move
 from .zorich import breakup  # noqa: F401  (kept importable: perfbench/trace_child.py wraps recovery.breakup)
 
 
@@ -300,49 +300,51 @@ def _loser_row_rewind(part: OrderedPartition, winner, losers, step: int):
         part._append(node)
 
 
-def _normalize_moves(moves) -> list:
+def _unit_moves(moves) -> list:
+    """(entry, winner, losers) per unit move, entries numbered from 1."""
     out = []
-    for m in moves:
+    for src, m in enumerate(moves, 1):
+        if isinstance(m, ZorichMove):
+            for winner, losers in m.units():
+                out.append((src, winner, losers))
+            continue
         if isinstance(m, MoveRecord):
             if m.power != len(m.losers):
-                raise ValueError(
-                    "move records must be unit-normalized first (power == loser count)"
-                )
-            out.append((m.winner, frozenset(m.losers)))
-        else:
-            winner, losers = m
-            losers = frozenset(losers)
-            if not losers:
-                raise ValueError("losers must be non-empty")
-            if winner in losers:
-                raise ValueError("the winner cannot also lose")
-            out.append((winner, losers))
+                raise ValueError("move records must be unit-normalized first (power == loser count)")
+            m = (m.winner, m.losers)
+        winner, losers = m
+        losers = frozenset(losers)
+        if not losers or winner in losers:
+            raise ValueError("a move needs losers, and its winner cannot also lose")
+        out.append((src, winner, losers))
     return out
 
 
 def recover_pair(moves, alphabet=None, trace: bool = False):
-    """Rebuild knowledge of the starting pair from (winner, loser set) moves.
+    """Rebuild knowledge of the starting pair from its chronological moves.
 
-    Moves are chronological and unit-normalized (each loser loses once).
-    Returns (knowledge, types) where types fixes the last move's type to 0;
-    the true start, or its inverse, agrees with the knowledge.  With
-    ``trace`` a third element lists the knowledge states from the seed
-    backwards to the start.
+    Moves are unit moves, (winner, loser set) or unit :class:`MoveRecord`,
+    or :class:`ZorichMove` blocks, whose unit moves are rewound in turn; an
+    :class:`Unrealizable` step is the 1-based index of the failing entry.
+    Returns (knowledge, types), one type per unit move, where types fixes
+    the last move's type to 0; the true start, or its inverse, agrees with
+    the knowledge.  With ``trace`` a third element lists the knowledge
+    states from the seed backwards to the start.
     """
-    seq = _normalize_moves(moves)
+    seq = _unit_moves(moves)
     if not seq:
         raise ValueError("empty move record")
     if alphabet is None:
-        alphabet = sorted_symbols(set().union(*(losers for _, losers in seq), {w for w, _ in seq}))
+        alphabet = sorted_symbols(set().union(*(losers for _, _, losers in seq), {w for _, w, _ in seq}))
     alphabet = tuple(alphabet)
     universe = set(alphabet)
     if len(universe) < 3:
         raise ValueError("need at least three symbols")
-    for j, (winner, losers) in enumerate(seq, 1):
+    for step, winner, losers in seq:
         if winner not in universe or not losers <= universe:
-            raise AlphabetMismatch(f"step {j}: symbols outside the alphabet")
+            raise AlphabetMismatch(f"step {step}: symbols outside the alphabet")
 
-    last_winner, last_losers = seq[-1]
+    _, last_winner, last_losers = seq[-1]
     rows = [
         OrderedPartition((universe - {last_winner}, {last_winner})),
         OrderedPartition((universe - last_losers, last_losers)),
@@ -351,10 +353,9 @@ def recover_pair(moves, alphabet=None, trace: bool = False):
     types = [0]
     states = [(rows[0].snapshot(), rows[1].snapshot())] if trace else None
     for j in range(len(seq) - 2, -1, -1):
-        winner, losers = seq[j]
-        if winner != seq[j + 1][0]:
+        step, winner, losers = seq[j]
+        if winner != seq[j + 1][1]:
             t = 1 - t
-        step = j + 1
         _winner_row_rewind(rows[t], winner, step)
         _loser_row_rewind(rows[1 - t], winner, losers, step)
         types.append(t)
@@ -371,19 +372,18 @@ def recover_pair(moves, alphabet=None, trace: bool = False):
 def decode_perm_matrices(matrices):
     """Decode each permutation-flavor product matrix once; returns (moves, n).
 
-    A move is ``(1, (k, p))`` for the p-th power of the type-1 matrix at
-    position k, or ``(0, move)`` with ``move`` the :class:`ZorichMove` of a
-    type-0 product (winner n, losers by position).
+    A move is ``(k, p)`` for the p-th power of the type-1 matrix at position
+    k, or the :class:`ZorichMove` of a type-0 product (winner n, losers by
+    position).
     """
     moves, n = [], None
-    for raw in matrices:
-        mat = tuple(tuple(int(v) for v in row) for row in raw)
+    for mat in matrices:
         if n is None:
             n = len(mat)
         elif len(mat) != n:
             raise ValueError("matrices must share one size")
         t, k, p = decode_A(mat)
-        moves.append((1, (k, p)) if t == 1 else (0, extract_move(mat)))
+        moves.append((k, p) if t == 1 else extract_move(mat))
     return moves, n
 
 
@@ -400,23 +400,24 @@ def recover_perm(matrices, trace: bool = False):
 
 
 def recover_perm_moves(moves, n: int, trace: bool = False):
-    """:func:`recover_perm` on moves decoded by :func:`decode_perm_matrices`."""
-    # one item per type-1 block, (k, p); one per unit move of a type-0 block, its losers
-    items = [
-        (src, t, item)
-        for src, (t, payload) in enumerate(moves, 1)
-        for item in ([payload] if t == 1 else [losers for _, losers in payload.units()])
-    ]
+    """:func:`recover_perm` on moves as :func:`decode_perm_matrices` gives them."""
+    # one item per type-1 block, its (k, p); one per unit move of a type-0 block, its losers
+    items = []
+    for src, move in enumerate(moves, 1):
+        if isinstance(move, ZorichMove):
+            items.extend((src, losers) for _, losers in move.units())
+        else:
+            items.append((src, move))
     if not items:
         raise ValueError("empty matrix record")
     if n < 3:
         raise ValueError("need size at least three")
-    _, t, item = items[-1]
-    last = {item[0]} if t == 1 else item
+    _, item = items[-1]
+    last = {item[0]} if isinstance(item, tuple) else item
     part = OrderedPartition((set(range(1, n + 1)) - last, last))
     history = [part.snapshot()] if trace else None
-    for src, t, item in reversed(items[:-1]):
-        if t == 1:
+    for src, item in reversed(items[:-1]):
+        if isinstance(item, tuple):
             k, p = item
             shift = type1_shift(range(1, n + 1), k, p)
             part = OrderedPartition([{shift[v - 1] for v in b} for b in part])

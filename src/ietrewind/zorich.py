@@ -20,8 +20,8 @@ from .rauzy import (
     RauzyPath,
     _check_square,
     decode_A,
+    record_matrix,
     type0_loser_counts,
-    type1_matrix,
     type1_shift,
 )
 
@@ -57,7 +57,7 @@ class ZorichMove:
     losers: frozenset
     max_count: int
     losers_max: frozenset
-    losers_min: frozenset
+    losers_min: frozenset = frozenset()
 
     @property
     def steps(self) -> int:
@@ -92,15 +92,14 @@ def accelerate(path: RauzyPath, grouping) -> ZorichPath:
             if len({m.type_tag for m in block}) != 1:
                 raise MixedTypeBlock(f"block at move {pos + 1} mixes types")
         first = block[0]
-        if path.flavor == "permutation" and first.type_tag == 1:
-            mats.append(type1_matrix(path.n, first.k, length))
+        losers = frozenset().union(*(m.losers for m in block))
+        record = MoveRecord(first.winner, losers, type_tag=first.type_tag, k=first.k, power=length)
+        if record.k is not None:
+            mats.append(record_matrix(record, path.index))
         else:
             counts = Counter(position[s] for m in block for s in m.losers)
             mats.append(winner_row_matrix(path.n, position[first.winner], counts))
-        losers = frozenset().union(*(m.losers for m in block))
-        records.append(
-            MoveRecord(first.winner, losers, type_tag=first.type_tag, k=first.k, power=length)
-        )
+        records.append(record)
         pos += length
     return ZorichPath(path.flavor, path.index, tuple(mats), lengths, tuple(records))
 

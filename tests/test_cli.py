@@ -221,6 +221,21 @@ def test_unrealizable_record_exits_two(tmp_path):
     assert out["step"] == 1
     assert "winner not available" in out["reason"]
 
+    # a grouped file names the failing file entry, not a count of unit moves
+    start = tmp_path / "start4.json"
+    start.write_text(json.dumps({"alphabet": [1, 2, 3, 4], "p0": [1, 2, 3, 4], "p1": [4, 3, 2, 1]}))
+    grouped = tmp_path / "grouped.json"
+    script = "1x5,0,1x2,0x2,group(5,1,2,2)"
+    assert _run("simulate", "--start", str(start), "--script", script, "--out", str(grouped)).returncode == 0
+    data = json.loads(grouped.read_text())
+    del data["moves"]
+    # entry 1 bundles two unit moves of the rewind; entry 2 now claims winner 2 over loser 3
+    data["matrices"][1] = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    grouped.write_text(json.dumps(data))
+    proc = _run("recover", str(grouped))
+    assert proc.returncode == 2
+    assert _json_out(proc)["step"] == 2
+
 
 def test_bad_inputs_exit_four(tmp_path, pair_start_file):
     proc = _run("simulate", "--start", pair_start_file, "--script", "2x3")
@@ -259,6 +274,19 @@ _TYPE1_4 = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]]  # type-1 at
          "one row per symbol"),
         ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4, 5], "matrices": [_PAIR_MATRIX_4]},
          "one row per symbol"),
+        # records read without matrices that name a symbol outside the file
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "moves": [{"winner": 4, "losers": [9], "type": 0}, {"winner": 4, "losers": [3], "type": 0}]},
+         "names 9"),
+        ({"version": 1, "flavor": "permutation", "n": 6, "moves": [{"winner": 6, "losers": [9], "type": 0}]},
+         "names 9"),
+        # matrix entries that are not JSON integers (each once read as the 1 it replaces)
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "matrices": [[[1, 0, 0, 1.9]] + _PAIR_MATRIX_4[1:]]}, "integers"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "matrices": [[[True, 0, 0, 1]] + _PAIR_MATRIX_4[1:]]}, "integers"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "matrices": [[[1, 0, 0, "1"]] + _PAIR_MATRIX_4[1:]]}, "integers"),
     ],
 )
 def test_malformed_path_files_exit_four(tmp_path, path_file, detail):
@@ -312,14 +340,14 @@ def test_verify_grouped_perm_record_with_oracle(tmp_path):
 
 
 def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypatch):
-    from ietrewind import cli, lifting, matrices, rauzy, recovery
+    from ietrewind import cli, lifting, matrices, rauzy, recovery, zorich
 
     def no_products(*args):
         raise AssertionError("a command multiplied matrices")
 
     for module in (cli, lifting, matrices, rauzy):
         monkeypatch.setattr(module, "matmul", no_products)
-    calls = {"extract_move": 0, "decode_A": 0}
+    calls = {"extract_move": 0, "decode_A": 0, "parse": 0, "render": 0, "enumerate": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -327,8 +355,23 @@ def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypat
             return fn(*args, **kwargs)
         return wrapper
 
+    def copies_no_row(fn):
+        def wrapper(a):
+            mat = fn(a)
+            assert all(row is given for row, given in zip(mat, a)), "a parsed matrix was read again"
+            return mat
+        return wrapper
+
     monkeypatch.setattr(cli, "extract_move", counted("extract_move", cli.extract_move))
     monkeypatch.setattr(recovery, "decode_A", counted("decode_A", recovery.decode_A))
+    monkeypatch.setattr(cli, "_parse_matrix", counted("parse", cli._parse_matrix))
+    render = counted("render", rauzy.record_matrix)
+    for module in (rauzy, cli):
+        monkeypatch.setattr(module, "record_matrix", render)
+    for module in (rauzy, zorich):
+        monkeypatch.setattr(module, "_check_square", copies_no_row(module._check_square))
+    for name in ("enumerate_starting", "enumerate_agreeing_perms"):
+        monkeypatch.setattr(cli, name, counted("enumerate", getattr(cli, name)))
 
     def run(*argv, out=tmp_path / "out.json"):
         assert cli.main([*argv, "--out", str(out)]) == 0
@@ -342,21 +385,30 @@ def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypat
     for flavor, obj in starts.items():
         start = tmp_path / f"{flavor}.json"
         start.write_text(json.dumps(obj))
-        run("simulate", "--start", str(start), "--seed", "4", "--until-c-complete", "2")
+        for argv in (["--until-c-complete", "2"], ["--length", "40"]):
+            # an ungrouped simulate renders each matrix it writes once
+            calls.update(render=0)
+            data = run("simulate", "--start", str(start), "--seed", "4", *argv)
+            assert calls["render"] == len(data["matrices"])
         for argv in (["--script", script], ["--seed", "4", "--length", "40"]):
             path_file = tmp_path / f"{flavor}-path.json"
             data = run("simulate", "--start", str(start), *argv, out=path_file)
             for command in (["recover", "--trace"], ["verify"], ["verify", "--oracle"]):
-                calls.update(extract_move=0, decode_A=0)
+                calls.update(extract_move=0, decode_A=0, parse=0, render=0, enumerate=0)
                 run(command[0], str(path_file), *command[1:])
+                assert calls["parse"] == len(data["matrices"])
+                assert calls["render"] == 0
+                assert calls["enumerate"] == 1
                 if flavor == "pair":
                     assert calls["extract_move"] == len(data["matrices"])
                 else:
                     assert calls["decode_A"] == len(data["matrices"])
-        # a permutation record without matrices is rebuilt and decoded once
+        # a permutation record without matrices is read from its records, and
+        # its matrices are rendered only as the oracle's evidence
         if flavor == "permutation":
             del data["matrices"]
             path_file.write_text(json.dumps(data))
-            calls.update(decode_A=0)
+            calls.update(decode_A=0, render=0)
             run("verify", str(path_file), "--oracle")
-            assert calls["decode_A"] == len(data["moves"])
+            assert calls["decode_A"] == 0
+            assert calls["render"] == len(data["moves"])

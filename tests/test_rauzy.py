@@ -18,6 +18,7 @@ from ietrewind.rauzy import (
     is_complete,
     rauzy_step_pair,
     rauzy_step_perm,
+    record_matrix,
     simulate_pair,
     simulate_perm,
     type0_loser_counts,
@@ -29,7 +30,8 @@ from ietrewind.rauzy import (
 
 def test_pair_step_type0_moves_loser_behind_winner():
     pair = make_pair((1, 2, 3), (3, 2, 1))
-    nxt, theta, record = rauzy_step_pair(pair, 0)
+    nxt, record = rauzy_step_pair(pair, 0)
+    theta = record_matrix(record, pair.alphabet)
     # winner 3 (right end of row 0) defeats 1 (right end of row 1)
     assert record.winner == 3 and record.losers == frozenset({1})
     assert nxt.row0 == (1, 2, 3)
@@ -39,7 +41,8 @@ def test_pair_step_type0_moves_loser_behind_winner():
 
 def test_pair_step_type1_mirror():
     pair = make_pair((1, 2, 3), (3, 2, 1))
-    nxt, theta, record = rauzy_step_pair(pair, 1)
+    nxt, record = rauzy_step_pair(pair, 1)
+    theta = record_matrix(record, pair.alphabet)
     assert record.winner == 1 and record.losers == frozenset({3})
     assert nxt.row0 == (1, 3, 2)
     assert nxt.row1 == (3, 2, 1)
@@ -58,8 +61,8 @@ def test_perm_steps_match_projected_pair_steps():
         for t in (0, 1):
             perm = Permutation(image)
             pair = lift_perm(perm, tuple(range(1, len(image) + 1)))
-            stepped_perm, _, _ = rauzy_step_perm(perm, t)
-            stepped_pair, _, _ = rauzy_step_pair(pair, t)
+            stepped_perm, _ = rauzy_step_perm(perm, t)
+            stepped_pair, _ = rauzy_step_pair(pair, t)
             assert project(stepped_pair) == stepped_perm
 
 
@@ -87,8 +90,8 @@ def test_simulate_pair_shapes_and_states():
 def test_decode_theta_round_trip():
     pair = make_pair((1, 2, 3, 4), (4, 3, 2, 1))
     for t in (0, 1):
-        _, theta, record = rauzy_step_pair(pair, t)
-        winner, loser = decode_theta(theta, pair.alphabet)
+        _, record = rauzy_step_pair(pair, t)
+        winner, loser = decode_theta(record_matrix(record, pair.alphabet), pair.alphabet)
         assert winner == record.winner
         assert frozenset({loser}) == record.losers
 

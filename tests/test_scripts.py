@@ -1,4 +1,5 @@
-"""The experiment scripts under ``scripts/`` run to completion at small sizes."""
+"""The experiment scripts under ``scripts/`` run to completion at small sizes,
+and the benchmark's tracer still finds every name it wraps."""
 from __future__ import annotations
 
 import importlib.util
@@ -6,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"scripts_{name}", _SCRIPTS / f"{name}.py")
+def _load(path):
+    spec = importlib.util.spec_from_file_location(f"loaded_{path.parent.name}_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -24,6 +25,15 @@ def _load(name):
     ],
 )
 def test_script_exits_zero(name, argv, capsys):
-    assert _load(name).main(argv) == 0
+    assert _load(_ROOT / "scripts" / f"{name}.py").main(argv) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0].split()[0] == "n"
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/trace_child.py replaces these attributes to time the CLI's layers
+    tracer = _load(_ROOT / "perfbench" / "trace_child.py")
+    wrapped = [(module, attr) for module, attr, *_ in tracer.SPANS + tracer.COUNTERS]
+    assert wrapped
+    for module, attr in wrapped:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} is gone"
