@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from itertools import chain
 
@@ -141,10 +142,10 @@ def load_path_file(obj: dict) -> dict:
         raise InputError("flavor must be 'pair' or 'permutation'")
     if flavor == "pair":
         alphabet = obj.get("alphabet")
-        if not alphabet:
-            raise InputError("pair files need an alphabet")
-        index = tuple(obj.get("index", alphabet))
-        alphabet = tuple(alphabet)
+        index = obj.get("index", alphabet)
+        if not alphabet or not isinstance(alphabet, list) or not isinstance(index, list):
+            raise InputError("pair files need an alphabet, and an index if any, as JSON arrays")
+        index, alphabet = tuple(index), tuple(alphabet)
         if not len(index) == len(alphabet) == len(set(index)) or set(index) != set(alphabet):
             raise InputError("index must list each alphabet symbol exactly once")
     else:
@@ -225,6 +226,9 @@ def _split_tokens(text):
     return [t.strip() for t in out if t.strip()]
 
 
+_SCRIPT_MOVE = re.compile(r"([01])(?:x([0-9]+))?")
+
+
 def parse_script(text):
     """Move script: comma-separated '0', '1', '1x6', plus one 'group(4,2)'."""
     types = []
@@ -239,18 +243,11 @@ def parse_script(text):
             except ValueError as exc:
                 raise InputError(f"bad group token: {token}") from exc
             continue
-        base, _, reps = token.partition("x")
-        if base not in ("0", "1"):
+        move = _SCRIPT_MOVE.fullmatch(token)
+        count = int(move[2] or 1) if move else 0
+        if count <= 0:
             raise InputError(f"bad script token: {token}")
-        count = 1
-        if reps:
-            try:
-                count = int(reps)
-            except ValueError as exc:
-                raise InputError(f"bad script token: {token}") from exc
-            if count <= 0:
-                raise InputError(f"bad script token: {token}")
-        types.extend([int(base)] * count)
+        types.extend([int(move[1])] * count)
     if not types:
         raise InputError("the script names no moves")
     if grouping is not None and sum(grouping) != len(types):
@@ -296,7 +293,7 @@ def cmd_simulate(args) -> int:
         "index": list(index),
         "start": pair_to_obj(start) if flavor == "pair" else perm_to_obj(start),
         "moves": _serialize_moves(moves, position),
-        "matrices": [[list(row) for row in m] for m in matrices],
+        "matrices": matrices,
     }
     if flavor == "pair":
         out["alphabet"] = list(start.alphabet)

@@ -167,8 +167,16 @@ def pair_to_obj(pair: Pair) -> dict:
     }
 
 
+def _array(obj: dict, key: str) -> tuple:
+    """``obj[key]`` as a tuple; it must be a JSON array (a list), not a string."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON array")
+    return tuple(value)
+
+
 def pair_from_obj(obj: dict) -> Pair:
-    return Pair(tuple(obj["alphabet"]), tuple(obj["p0"]), tuple(obj["p1"]))
+    return Pair(_array(obj, "alphabet"), _array(obj, "p0"), _array(obj, "p1"))
 
 
 def perm_to_obj(perm: Permutation) -> dict:
@@ -176,7 +184,7 @@ def perm_to_obj(perm: Permutation) -> dict:
 
 
 def perm_from_obj(obj: dict) -> Permutation:
-    image = tuple(obj["image"])
+    image = _array(obj, "image")
     n = obj.get("n")
     if n is not None and n != len(image):
         raise ValueError("declared n disagrees with the image length")

@@ -1,16 +1,17 @@
 """Translating permutation-flavor paths into labeled pair-flavor paths.
 
 A labeling tau attaches symbols to positions.  Under induction the labeling
-drifts: a type-1 move at position k composes tau with the cycle-like shift
-``delta(k, n)``, a type-0 move leaves it alone.  Conjugating each
-permutation-flavor matrix by the labeling matrices on both sides recovers
-the symbol-indexed matrix of the lifted pair path.
+drifts: p type-1 moves at position k rotate slots k+1..n p places right
+(tau composed with ``delta(k, n)`` p times), a type-0 move leaves it alone.
+Relabelling a permutation-flavor matrix's rows by the labeling before the
+move and its columns by the one after gives the symbol-indexed matrix of the
+lifted pair path: the conjugate Psi_tau . A . Psi*_tau', without products.
 """
 from __future__ import annotations
 
-from .core import Permutation, perm_power, sorted_symbols
-from .matrices import Matrix, matmul, transpose
-from .rauzy import decode_A
+from .core import Permutation, sorted_symbols
+from .matrices import Matrix, matmul  # noqa: F401  (matmul kept importable: perfbench/trace_child.py wraps it)
+from .rauzy import decode_A, type1_shift
 from .zorich import ZorichPath
 
 
@@ -53,17 +54,24 @@ def psi_matrix(tau, legend) -> Matrix:
 
 
 def lift_step(matrix: Matrix, tau, legend, t: int, k: int | None = None, power: int = 1):
-    """Conjugate one permutation-flavor matrix into symbol indexing.
+    """Relabel one permutation-flavor matrix into symbol indexing.
 
-    Returns (theta, next_tau) where theta = Psi_tau . matrix . Psi*_next_tau
-    and next_tau is the labeling after the move(s).
+    Returns (theta, next_tau), next_tau the labeling after the move(s) and
+    theta[a][b] the entry at a's tau-position and b's next_tau-position,
+    which is Psi_tau . matrix . Psi*_next_tau.
     """
+    tau, legend = tuple(tau), tuple(legend)
     n = len(tau)
+    if len(legend) != n or set(legend) != set(tau):
+        raise ValueError("legend must order exactly the labeling's symbols")
     if t == 0:
-        nxt = tuple(tau)
+        nxt = tau
+    elif not 1 <= k <= n - 1:
+        raise BadK(f"shift index {k} outside 1..{n - 1}")
     else:
-        nxt = relabel(tau, perm_power(delta(k, n), power))
-    theta = matmul(matmul(psi_matrix(tau, legend), matrix), transpose(psi_matrix(nxt, legend)))
+        nxt = type1_shift(tau, k, power)
+    cols = [nxt.index(b) for b in legend]
+    theta = tuple(tuple(matrix[tau.index(a)][j] for j in cols) for a in legend)
     return theta, nxt
 
 

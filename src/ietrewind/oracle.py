@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -124,6 +123,8 @@ def brute_force_initial_pairs(moves, alphabet, prune: bool = True, jobs: int = 1
     row0s = list(permutations(sorted_symbols(alphabet)))
     jobs = min(jobs, os.cpu_count() or 1, len(row0s))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         work = [(alphabet, row0s[i::jobs], seq, assignments, prune) for i in range(jobs)]
         checked = 0
         found = []
@@ -174,23 +175,11 @@ def _perm_realizes(image, mats, n):
                     row[loser - 1] += row[n - 1]
             else:
                 image, k = _step1(image)
-                step = [
-                    [
-                        1
-                        if (
-                            (i == j and i <= k)
-                            or (j == i + 1 and i >= k)
-                            or (i == n and j == k + 1)
-                        )
-                        else 0
-                        for j in range(1, n + 1)
-                    ]
-                    for i in range(1, n + 1)
-                ]
-                prod = [
-                    [sum(prod[i][l] * step[l][j] for l in range(n)) for j in range(n)]
-                    for i in range(n)
-                ]
+                # right-multiplying by the type-1 step matrix keeps columns
+                # 1..k, writes column k plus column n into column k + 1 and
+                # shifts columns k+1..n-1 one place right
+                for row in prod:
+                    row[k:] = [row[k - 1] + row[n - 1]] + row[k:n - 1]
             frozen = tuple(tuple(row) for row in prod)
             if frozen == target:
                 break
@@ -203,7 +192,7 @@ def brute_force_initial_perms(matrices, n: int) -> list:
     """Every irreducible permutation whose forward replay yields the matrices."""
     if n > PERM_BRUTE_LIMIT:
         raise BoundExceeded(f"brute force capped at size {PERM_BRUTE_LIMIT}")
-    mats = [tuple(tuple(int(v) for v in row) for row in m) for m in matrices]
+    mats = [tuple(map(tuple, m)) for m in matrices]
     for m in mats:
         if len(m) != n or any(len(row) != n for row in m):
             raise ValueError("matrix sizes must match n")

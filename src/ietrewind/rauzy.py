@@ -139,8 +139,7 @@ def rauzy_step_perm(perm: Permutation, t: int):
         new = tuple(v if v <= last else (last + 1 if v == n else v + 1) for v in img)
         return Permutation(new), MoveRecord(n, frozenset((img.index(n) + 1,)), type_tag=0)
     k = img.index(n) + 1
-    new = img[:k] + (img[-1],) + img[k:-1]
-    return Permutation(new), MoveRecord(k, frozenset((n,)), type_tag=1, k=k)
+    return Permutation(type1_shift(img, k)), MoveRecord(k, frozenset((n,)), type_tag=1, k=k)
 
 
 def record_matrix(record: MoveRecord, index) -> Matrix:

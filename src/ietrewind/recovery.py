@@ -11,8 +11,9 @@ permutation flavors (the permutation flavor plays it with the fixed winner
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import accumulate, chain, permutations, product
 
 from .core import (
     Pair,
@@ -441,17 +442,16 @@ def _row_orders(blocks):
         yield tuple(chain.from_iterable(combo))
 
 
-def enumerate_agreeing(pop: PartiallyOrderedPair, irreducible_only: bool = True, bound=None) -> list:
-    """All pairs agreeing with the knowledge, in a fixed deterministic order."""
+def enumerate_agreeing(pop: PartiallyOrderedPair, bound=None) -> list:
+    """All irreducible pairs agreeing with the knowledge, in a fixed deterministic order."""
     if pop.n > enumeration_bound(bound):
         raise BoundExceeded(f"alphabet size {pop.n} over the enumeration bound")
     out = []
     for r0 in _row_orders(pop.q0):
         for r1 in _row_orders(pop.q1):
             cand = Pair(pop.alphabet, r0, r1)
-            if irreducible_only and not is_irreducible_pair(cand):
-                continue
-            out.append(cand)
+            if is_irreducible_pair(cand):
+                out.append(cand)
     return out
 
 
@@ -463,7 +463,7 @@ def enumerate_starting(pop: PartiallyOrderedPair, bound=None) -> list:
     """
     out = []
     seen = set()
-    for cand in enumerate_agreeing(pop, irreducible_only=True, bound=bound):
+    for cand in enumerate_agreeing(pop, bound=bound):
         for p in (cand, cand.inverse()):
             key = (p.row0, p.row1)
             if key not in seen:
@@ -472,8 +472,8 @@ def enumerate_starting(pop: PartiallyOrderedPair, bound=None) -> list:
     return out
 
 
-def enumerate_agreeing_perms(blocks, irreducible_only: bool = True, bound=None) -> list:
-    """All permutations agreeing with an ordered partition of positions."""
+def enumerate_agreeing_perms(blocks, bound=None) -> list:
+    """All irreducible permutations agreeing with an ordered partition of positions."""
     n = sum(len(b) for b in blocks)
     if n > enumeration_bound(bound):
         raise BoundExceeded(f"size {n} over the enumeration bound")
@@ -490,9 +490,8 @@ def enumerate_agreeing_perms(blocks, irreducible_only: bool = True, bound=None) 
         for pos, val in chain.from_iterable(combo):
             image[pos - 1] = val
         cand = Permutation(tuple(image))
-        if irreducible_only and not is_irreducible_perm(cand):
-            continue
-        out.append(cand)
+        if is_irreducible_perm(cand):
+            out.append(cand)
     out.sort(key=lambda p: p.image)
     return out
 
@@ -520,24 +519,18 @@ def uncertainty_profile(history, boundaries, steps_per_move=None):
     total_moves = len(history)
     n = history[0].n
     if steps_per_move is None:
-        cumulative = list(range(total_moves + 1))
+        cumulative = range(total_moves + 1)
+    elif len(steps_per_move) != total_moves:
+        raise ValueError("steps_per_move must align with the trace")
     else:
-        cumulative = [0]
-        for s in steps_per_move:
-            cumulative.append(cumulative[-1] + s)
-        if len(steps_per_move) != total_moves:
-            raise ValueError("steps_per_move must align with the trace")
-
-    def move_of_step(step):
-        for m in range(1, total_moves + 1):
-            if cumulative[m] >= step:
-                return m
-        raise ValueError("step beyond the path")
-
+        cumulative = list(accumulate(steps_per_move, initial=0))
     profile = []
     previous_end = 0
     for b in boundaries:
-        start_move = move_of_step(previous_end + 1)
+        # the first move whose steps reach past the previous stretch
+        start_move = bisect_left(cumulative, previous_end + 1, 1)
+        if start_move > total_moves:
+            raise ValueError("step beyond the path")
         pop = history[total_moves - start_move]
         profile.append((pop.uncertainty(0), pop.uncertainty(1)))
         previous_end = b

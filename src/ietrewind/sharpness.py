@@ -303,7 +303,7 @@ def halving_path(witness: PivotWitness, r: int):
 def has_definitive_positions(pop: PartiallyOrderedPair, bound=None) -> dict:
     """Letters inside unresolved blocks that every agreeing pair places at
     one same position anyway, by row."""
-    candidates = enumerate_agreeing(pop, irreducible_only=True, bound=bound)
+    candidates = enumerate_agreeing(pop, bound=bound)
     if not candidates:
         raise PreconditionFailed("no irreducible pair agrees with the knowledge")
     out = {}

@@ -238,9 +238,10 @@ def test_unrealizable_record_exits_two(tmp_path):
 
 
 def test_bad_inputs_exit_four(tmp_path, pair_start_file):
-    proc = _run("simulate", "--start", pair_start_file, "--script", "2x3")
-    assert proc.returncode == 4
-    assert "bad script token" in _json_out(proc)["detail"]
+    for script in ("2x3", "1x", "1x1_0", "1x+2", "1x 3"):
+        proc = _run("simulate", "--start", pair_start_file, "--script", script)
+        assert proc.returncode == 4, script
+        assert "bad script token" in _json_out(proc)["detail"]
 
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
@@ -287,6 +288,14 @@ _TYPE1_4 = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]]  # type-1 at
           "matrices": [[[True, 0, 0, 1]] + _PAIR_MATRIX_4[1:]]}, "integers"),
         ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
           "matrices": [[[1, 0, 0, "1"]] + _PAIR_MATRIX_4[1:]]}, "integers"),
+        # strings where JSON arrays belong (each once split into one-character symbols)
+        ({"version": 1, "flavor": "pair", "alphabet": "abcd",
+          "moves": [{"winner": "d", "losers": ["c"], "type": 0}]}, "JSON arrays"),
+        ({"version": 1, "flavor": "pair", "alphabet": ["a", "b", "c", "d"], "index": "abcd",
+          "moves": [{"winner": "d", "losers": ["c"], "type": 0}]}, "JSON arrays"),
+        ({"version": 1, "flavor": "pair", "alphabet": ["a", "b", "c", "d"],
+          "start": {"alphabet": ["a", "b", "c", "d"], "p0": "abcd", "p1": ["d", "c", "b", "a"]},
+          "moves": [{"winner": "d", "losers": ["a"], "type": 0}]}, "p0 must be a JSON array"),
     ],
 )
 def test_malformed_path_files_exit_four(tmp_path, path_file, detail):
@@ -297,6 +306,19 @@ def test_malformed_path_files_exit_four(tmp_path, path_file, detail):
     out = _json_out(proc)
     assert out["error"] == "bad input"
     assert detail in out["detail"]
+
+
+def test_simulate_start_rows_must_be_arrays(tmp_path):
+    # the rows were once split into one-character symbols
+    start = tmp_path / "strings.json"
+    start.write_text(json.dumps({"alphabet": ["a", "b", "c", "d"], "p0": "abcd", "p1": "dcba"}))
+    proc = _run("simulate", "--start", str(start), "--script", "0")
+    assert proc.returncode == 4
+    assert _json_out(proc)["detail"] == "p0 must be a JSON array"
+    start.write_text(json.dumps({"n": 4, "image": "4321"}))
+    proc = _run("simulate", "--start", str(start), "--script", "0")
+    assert proc.returncode == 4
+    assert _json_out(proc)["detail"] == "image must be a JSON array"
 
 
 def test_sharpness_output_and_roundtrip(tmp_path):

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from ietrewind.core import Permutation, identity_perm, is_irreducible_perm, lift_perm, perm_power
 from ietrewind.lifting import BadK, delta, lift_step, lift_zorich_path, psi_matrix, relabel, sigma
-from ietrewind.matrices import identity, matmul, transpose
-from ietrewind.rauzy import simulate_pair, simulate_perm
+from ietrewind.matrices import identity, matmul, transpose, winner_row_matrix
+from ietrewind.rauzy import simulate_pair, simulate_perm, type1_matrix
 from ietrewind.zorich import ZorichPath, accelerate, extract_move
 
 # Visitation matrices of a hand-checked five-symbol permutation path:
@@ -113,6 +113,39 @@ def test_lift_step_identity_labeling_is_transparent():
     theta, nxt = lift_step(_A2, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), 0)
     assert theta == _A2
     assert nxt == (1, 2, 3, 4, 5)
+
+
+@st.composite
+def _lift_cases(draw):
+    n = draw(st.integers(3, 7))
+    tau = tuple(draw(st.permutations(["a", "b", "c", 4, 5, 6, 7][:n])))
+    legend = tuple(draw(st.permutations(tau)))
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1))
+        matrix = winner_row_matrix(n, n - 1, dict(enumerate(counts)))
+        return matrix, tau, legend, 0, None, 1
+    k = draw(st.integers(1, n - 1))
+    p = draw(st.integers(n - k + 1, 3 * (n - k) + 1))
+    return type1_matrix(n, k, p), tau, legend, 1, k, p
+
+
+@given(_lift_cases())
+@settings(deadline=None, max_examples=150)
+def test_lift_step_equals_the_psi_conjugate(case):
+    # reference: the dense conjugate Psi_tau . A . Psi*_tau', tau' stepped by delta powers
+    matrix, tau, legend, t, k, p = case
+    nxt = tau if t == 0 else relabel(tau, perm_power(delta(k, len(tau)), p))
+    want = matmul(matmul(psi_matrix(tau, legend), matrix), transpose(psi_matrix(nxt, legend)))
+    assert lift_step(matrix, tau, legend, t, k, p) == (want, nxt)
+
+
+def test_lift_step_keeps_its_errors():
+    with pytest.raises(BadK):
+        lift_step(_A1, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), 1, 5)
+    with pytest.raises(BadK):
+        lift_step(_A1, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), 1, 0)
+    with pytest.raises(ValueError):
+        lift_step(_A2, (1, 2, 3, 4, 5), (1, 2, 3, 4, 9), 0)
 
 
 def test_lift_rejects_pair_flavor_and_bad_tau():

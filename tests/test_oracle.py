@@ -1,6 +1,9 @@
 """Brute-force cross-checks for the reverse algorithms."""
 from __future__ import annotations
 
+import concurrent.futures
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 
@@ -128,7 +131,7 @@ def test_brute_force_jobs_are_clamped(monkeypatch):
         workers.append(max_workers)
         return ProcessPoolExecutor(max_workers=max_workers)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     one = brute_force_initial_pairs(path.moves, (1, 2, 3, 4))
     for cpus, pools in ((2, [2]), (None, [])):
         workers.clear()
@@ -136,6 +139,14 @@ def test_brute_force_jobs_are_clamped(monkeypatch):
         three = brute_force_initial_pairs(path.moves, (1, 2, 3, 4), jobs=3)
         assert (three.candidates_checked, three.realizers) == (one.candidates_checked, one.realizers)
         assert workers == pools
+
+
+def test_process_pool_is_imported_only_for_parallel_runs():
+    # the command line pays for multiprocessing only when --jobs asks for it
+    probe = "import sys, ietrewind.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_brute_force_pair_bound():

@@ -157,6 +157,37 @@ def test_eight_symbol_uncertainty_profile():
     assert uncertainty_profile(history, boundaries, steps) == [(2, 3), (7, 7)]
 
 
+class _TraceEntry:
+    """Stands in for a trace entry: its uncertainties name its place in the trace."""
+
+    def __init__(self, place, n):
+        self.place, self.n = place, n
+
+    def uncertainty(self, t):
+        return 2 * self.place + t
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=12), st.data())
+@settings(deadline=None, max_examples=100)
+def test_uncertainty_profile_reads_the_move_where_each_stretch_starts(steps, data):
+    history = [_TraceEntry(place, 5) for place in range(len(steps))]
+    total = sum(steps)
+    boundaries = sorted(data.draw(st.sets(st.integers(1, total), max_size=total)))
+    want, previous_end = [], 0
+    for b in boundaries:
+        # the first move (1-based) whose steps reach past the previous stretch
+        move = next(m for m in range(1, len(steps) + 1) if sum(steps[:m]) > previous_end)
+        want.append((2 * (len(steps) - move), 2 * (len(steps) - move) + 1))
+        previous_end = b
+    assert uncertainty_profile(history, boundaries, steps) == want + [(4, 4)]
+    if steps == [1] * len(steps):
+        assert uncertainty_profile(history, boundaries) == want + [(4, 4)]
+    with pytest.raises(ValueError, match="beyond the path"):
+        uncertainty_profile(history, boundaries + [total, total + 1], steps)
+    with pytest.raises(ValueError, match="align"):
+        uncertainty_profile(history, boundaries, steps + [1])
+
+
 def test_move_record_normalization():
     records = [
         MoveRecord(1, _fs({2, 3}), power=2),
