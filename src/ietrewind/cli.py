@@ -7,6 +7,7 @@ import random
 import re
 import sys
 from itertools import chain
+from operator import itemgetter
 
 from .core import (
     Pair,
@@ -68,16 +69,18 @@ def _serialize_moves(moves, position):
     ]
 
 
+def _record_fields(item):
+    """A record's winner, losers, type, k and power; losers must be a JSON array, power an integer."""
+    losers, power = item["losers"], item.get("power", 1)
+    if not isinstance(losers, list) or type(power) is not int:
+        raise InputError("a move record needs its losers as a JSON array and its power as an integer")
+    return item["winner"], frozenset(losers), item.get("type"), item.get("k"), power
+
+
 def _parse_moves(items):
     return [
-        MoveRecord(
-            item["winner"],
-            frozenset(item["losers"]),
-            type_tag=item.get("type"),
-            k=item.get("k"),
-            power=item.get("power", 1),
-        )
-        for item in items
+        MoveRecord(winner, losers, type_tag=t, k=k, power=power)
+        for winner, losers, t, k, power in map(_record_fields, items)
     ]
 
 
@@ -93,8 +96,7 @@ def _parse_matrix(raw, n: int):
 
 def _record_move(item, flavor, symbols):
     """The move of a record read without its matrix: (k, p) or a unit ZorichMove."""
-    winner, losers = item["winner"], frozenset(item["losers"])
-    t, k, power = item.get("type"), item.get("k"), item.get("power", 1)
+    winner, losers, t, k, power = _record_fields(item)
     if winner not in symbols or not losers <= symbols:
         outside = next(s for s in (winner, *losers) if s not in symbols)
         raise InputError(f"move names {outside!r}, which is not a symbol of the file")
@@ -102,7 +104,7 @@ def _record_move(item, flavor, symbols):
         raise InputError("a move needs losers other than its winner, and k only with type 1")
     n = len(symbols)
     if flavor == "permutation" and t == 1:
-        if type(k) is not int or not 1 <= k < n or type(power) is not int or power < 1:
+        if type(k) is not int or not 1 <= k < n or power < 1:
             raise InputError("type-1 records need k in 1..n-1 and a positive power")
         return k, power
     if flavor == "permutation" and (t != 0 or winner != n):
@@ -187,15 +189,6 @@ def load_path_file(obj: dict) -> dict:
     }
 
 
-def _emit(obj, out_path):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if out_path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _read_json(path):
     try:
         if path == "-":
@@ -206,6 +199,92 @@ def _read_json(path):
         raise InputError(f"not valid JSON: {exc}") from exc
     except OSError as exc:
         raise InputError(str(exc)) from exc
+
+
+# --- output ----------------------------------------------------------------
+#
+# Every output is json.dumps(obj, sort_keys=True, indent=2) plus a newline.
+# ``indent`` makes that call run Python's pure-Python encoder, which costs
+# most of ``simulate`` and ``sharpness``.  So a top-level ``matrices`` or
+# ``moves`` array of the shape those commands write is laid out at its known
+# depth from compact C-encoder text or one template per record; any other
+# value goes through json.dumps itself.
+
+_MATRIX_LAYOUT = (  # compact separator -> its indent-2 form, replaced in this order
+    (",", ",\n        "),
+    ("]],\n        [[", "\n      ]\n    ],\n    [\n      [\n        "),
+    ("],\n        [", "\n      ],\n      [\n        "),
+)
+_MOVE_KEYS = frozenset(("k", "losers", "power", "type", "winner"))
+_MOVE = (
+    '{\n      "k": %s,\n      "losers": [\n        %s\n      ],\n'
+    '      "power": %s,\n      "type": %s,\n      "winner": %s\n    }'
+)
+_ARRAYS = {list, tuple}
+_SCALARS = {int, str, type(None)}  # no two values of these types are equal with different JSON
+
+
+def _matrices_json(mats):
+    """A top-level list of non-empty integer matrices as indent=2 lays it out, else None."""
+    if type(mats) not in _ARRAYS or not mats or not _ARRAYS.issuperset(map(type, mats)) or not all(mats):
+        return None
+    rows = list(chain.from_iterable(mats))
+    if not _ARRAYS.issuperset(map(type, rows)) or not all(rows):
+        return None
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+        return None
+    text = json.dumps(mats, separators=(",", ":"))  # "[[[1,0],[0,1]],[[...]]]"
+    for compact, indented in _MATRIX_LAYOUT:
+        text = text.replace(compact, indented)
+    return "[\n    [\n      [\n        " + text[3:-3] + "\n      ]\n    ]\n  ]"
+
+
+def _moves_json(moves):
+    """A top-level list of move records as indent=2 lays it out, else None."""
+    if type(moves) not in _ARRAYS or not moves or set(map(type, moves)) != {dict}:
+        return None
+    if set(map(frozenset, moves)) != {_MOVE_KEYS}:
+        return None
+    scalars = list(map(itemgetter("k", "power", "type", "winner"), moves))
+    losers = list(map(itemgetter("losers"), moves))
+    if not _ARRAYS.issuperset(map(type, losers)) or not all(losers):
+        return None
+    values = [*chain.from_iterable(scalars), *chain.from_iterable(losers)]
+    if not _SCALARS.issuperset(map(type, values)):
+        return None
+    text = {v: json.dumps(v) for v in set(values)}.__getitem__
+    sep = ",\n        "
+    records = [
+        _MOVE % (text(k), sep.join(map(text, b)), text(power), text(t), text(winner))
+        for (k, power, t, winner), b in zip(scalars, losers)
+    ]
+    return "[\n    " + ",\n    ".join(records) + "\n  ]"
+
+
+_BULK = {"matrices": _matrices_json, "moves": _moves_json}
+
+
+def _dumps(obj):
+    """``json.dumps(obj, sort_keys=True, indent=2)``, with the bulk arrays laid out directly."""
+    if type(obj) is not dict or _BULK.keys().isdisjoint(obj) or set(map(type, obj)) != {str}:
+        return json.dumps(obj, sort_keys=True, indent=2)
+    items = []
+    for key in sorted(obj):
+        render = _BULK.get(key)
+        text = render(obj[key]) if render else None
+        if text is None:
+            text = json.dumps(obj[key], sort_keys=True, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+def _emit(obj, out_path):
+    text = _dumps(obj) + "\n"
+    if out_path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 # --- simulate --------------------------------------------------------------
@@ -227,6 +306,7 @@ def _split_tokens(text):
 
 
 _SCRIPT_MOVE = re.compile(r"([01])(?:x([0-9]+))?")
+_SCRIPT_COUNT = re.compile(r"[0-9]+")
 
 
 def parse_script(text):
@@ -237,11 +317,10 @@ def parse_script(text):
         if token.startswith("group(") and token.endswith(")"):
             if grouping is not None:
                 raise InputError("only one group(...) token is allowed")
-            inner = token[len("group("):-1]
-            try:
-                grouping = [int(x) for x in inner.split(",")] if inner.strip() else []
-            except ValueError as exc:
-                raise InputError(f"bad group token: {token}") from exc
+            sizes = [x.strip() for x in token[len("group("):-1].split(",")]
+            if not all(_SCRIPT_COUNT.fullmatch(x) and int(x) > 0 for x in sizes):
+                raise InputError(f"bad group token: {token}")
+            grouping = [int(x) for x in sizes]
             continue
         move = _SCRIPT_MOVE.fullmatch(token)
         count = int(move[2] or 1) if move else 0

@@ -6,21 +6,26 @@ checks are literal equalities with +1/-1.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 Matrix = tuple  # tuple[tuple[int, ...], ...]
 
 
+@lru_cache(maxsize=64)
 def identity(n: int) -> Matrix:
+    """The n x n identity, cached per n; its rows are shared, immutable tuples."""
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def winner_row_matrix(n: int, row: int, counts: Mapping[int, int]) -> Matrix:
-    """Identity plus ``counts`` (column -> count) on one row; indices 0-based."""
-    return tuple(
-        tuple((1 if i == j else 0) + (counts.get(j, 0) if i == row else 0) for j in range(n))
-        for i in range(n)
-    )
+    """Identity plus ``counts`` (column -> count) on row ``row``; indices 0-based, ``row`` < n.
+
+    Only that row is built: the others are the shared rows of ``identity(n)``.
+    """
+    rows = list(identity(n))
+    rows[row] = tuple((1 if j == row else 0) + counts.get(j, 0) for j in range(n))
+    return tuple(rows)
 
 
 def elementary(n: int, row: int, col: int) -> Matrix:

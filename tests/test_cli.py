@@ -242,6 +242,10 @@ def test_bad_inputs_exit_four(tmp_path, pair_start_file):
         proc = _run("simulate", "--start", pair_start_file, "--script", script)
         assert proc.returncode == 4, script
         assert "bad script token" in _json_out(proc)["detail"]
+    for script in ("1x10,group(1_0)", "1x3,group(+3)", "1x3,group(1,0,2)", "1x2,group()"):
+        proc = _run("simulate", "--start", pair_start_file, "--script", script)
+        assert proc.returncode == 4, script
+        assert "bad group token" in _json_out(proc)["detail"]
 
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
@@ -296,6 +300,16 @@ _TYPE1_4 = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]]  # type-1 at
         ({"version": 1, "flavor": "pair", "alphabet": ["a", "b", "c", "d"],
           "start": {"alphabet": ["a", "b", "c", "d"], "p0": "abcd", "p1": ["d", "c", "b", "a"]},
           "moves": [{"winner": "d", "losers": ["a"], "type": 0}]}, "p0 must be a JSON array"),
+        # losers given as a string (once split into "a" and "b"), and a boolean power (once read as 1)
+        ({"version": 1, "flavor": "pair", "alphabet": ["a", "b", "c", "d"],
+          "moves": [{"winner": "d", "losers": "ab", "type": 0, "power": 2}]}, "losers as a JSON array"),
+        ({"version": 1, "flavor": "pair", "alphabet": ["a", "b", "c", "d"],
+          "moves": [{"winner": "d", "losers": ["a"], "type": 0, "power": True}]}, "power as an integer"),
+        # the same two beside the matrix they describe
+        ({"version": 1, "flavor": "pair", "alphabet": ["a", "b", "c", "d"], "matrices": [_PAIR_MATRIX_4],
+          "moves": [{"winner": "a", "losers": "d", "type": 0}]}, "losers as a JSON array"),
+        ({"version": 1, "flavor": "pair", "alphabet": ["a", "b", "c", "d"], "matrices": [_PAIR_MATRIX_4],
+          "moves": [{"winner": "a", "losers": ["d"], "type": 0, "power": True}]}, "power as an integer"),
     ],
 )
 def test_malformed_path_files_exit_four(tmp_path, path_file, detail):

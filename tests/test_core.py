@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -32,6 +34,7 @@ from ietrewind.matrices import (
     matmul,
     mat_product,
     transpose,
+    winner_row_matrix,
 )
 
 
@@ -174,6 +177,27 @@ def _det_by_expansion(m):
 def test_determinant_matches_cofactor_expansion(rows):
     mat = tuple(tuple(r) for r in rows)
     assert determinant(mat) == _det_by_expansion(mat)
+
+
+def _winner_row_matrix_per_entry(n, row, counts):
+    # the definition winner_row_matrix had before it shared identity rows
+    return tuple(
+        tuple((1 if i == j else 0) + (counts.get(j, 0) if i == row else 0) for j in range(n))
+        for i in range(n)
+    )
+
+
+def test_winner_row_matrix_matches_the_per_entry_definition():
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        row = rng.randrange(n)
+        columns = rng.sample(range(n), rng.randint(0, n))  # may include the winner's own column
+        counts = {j: rng.randint(0, 50) for j in columns}
+        for mapping in (counts, Counter(counts)):
+            got = winner_row_matrix(n, row, mapping)
+            assert got == _winner_row_matrix_per_entry(n, row, mapping)
+            assert all(got[i] is identity(n)[i] for i in range(n) if i != row)
 
 
 def test_determinant_of_singular_and_permuted():

@@ -1,0 +1,178 @@
+"""The writer of every command output against ``json.dumps(indent=2)``.
+
+``cli._emit`` lays the bulk ``matrices`` and ``moves`` arrays out itself; the
+bytes must stay exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
+for every output the commands write, whatever the pair symbols are.
+"""
+from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import assume, given, settings, strategies as st
+
+from ietrewind import cli
+from ietrewind.core import Permutation, is_irreducible_pair, is_irreducible_perm, make_pair
+
+# strings that look like the JSON around them, plus non-ASCII and a NUL
+_TRICKY = ['"', "\\", ",", '", "', "[", "]", "{", "}", ": ", "\n", "é", "☃", "\u0000", "1"]
+_SYMBOL = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.sampled_from(_TRICKY),
+    st.lists(st.sampled_from(_TRICKY + ["a", " "]), min_size=1, max_size=4).map("".join),
+)
+
+
+def _written(argv):
+    """Run a command in-process; its exit code and each (object, bytes) it wrote."""
+    seen = []
+    real = cli._emit
+
+    def emit(obj, out_path):
+        real(obj, out_path)
+        seen.append((obj, Path(out_path).read_bytes()))
+
+    cli._emit = emit
+    try:
+        code = cli.main(argv)
+    finally:
+        cli._emit = real
+    return code, seen
+
+
+def _assert_stdlib_bytes(seen):
+    for obj, written in seen:
+        assert written == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _runs(types):
+    """Lengths of the maximal same-type runs: one winner per run for pairs, one type for permutations."""
+    runs = []
+    for prev, t in zip([None, *types], types):
+        if t == prev:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return runs
+
+
+_TYPES = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(1, 40)), min_size=1, max_size=6
+).map(lambda runs: [t for t, length in runs for _ in range(length)])
+
+
+def _simulate_both(work, start, types):
+    """Ungrouped and grouped ``simulate`` of ``types``; each checked, and the written files."""
+    start_file = work / "start.json"
+    start_file.write_text(json.dumps(start))
+    moves = ",".join(map(str, types))
+    files = []
+    for name, script in (("plain", moves), ("grouped", f"{moves},group({','.join(map(str, _runs(types)))})")):
+        out = work / f"{name}.json"
+        code, seen = _written(["simulate", "--start", str(start_file), "--script", script, "--out", str(out)])
+        assert code == 0
+        _assert_stdlib_bytes(seen)
+        (obj, _), = seen
+        # the laid-out paths were taken, not the json.dumps fallback
+        assert cli._moves_json(obj["moves"]) is not None
+        assert cli._matrices_json(obj["matrices"]) is not None
+        files.append((out, obj))
+    return files
+
+
+def _check_pair(alphabet, row1, types, outside):
+    """Simulate, recover and fail on one pair; the grouped simulate output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        files = _simulate_both(work, {"alphabet": alphabet, "p0": alphabet, "p1": row1}, types)
+        for out, _ in files:
+            code, seen = _written(["recover", str(out), "--trace", "--out", str(work / "report.json")])
+            assert code == 0
+            _assert_stdlib_bytes(seen)
+        # an error body that quotes a symbol
+        bad = work / "bad.json"
+        bad.write_text(json.dumps({
+            "version": 1, "flavor": "pair", "alphabet": alphabet,
+            "moves": [{"winner": alphabet[0], "losers": [outside], "type": 0}],
+        }))
+        code, seen = _written(["recover", str(bad), "--out", str(work / "error.json")])
+        assert code == 4 and seen[0][0]["error"] == "bad input"
+        _assert_stdlib_bytes(seen)
+    return files[1][1]
+
+
+def _check_perm(image, types):
+    """Simulate and recover one permutation; the grouped simulate output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        files = _simulate_both(work, {"n": len(image), "image": image}, types)
+        code, seen = _written(["recover", str(files[0][0]), "--trace", "--out", str(work / "report.json")])
+        assert code == 0
+        _assert_stdlib_bytes(seen)
+    return files[1][1]
+
+
+# ``recover`` enumerates the agreeing starts up to 9 symbols, (n-1)!^2 of
+# them after a short path, so the property stays at 6; the long-block test
+# below writes 12.
+@given(
+    st.lists(_SYMBOL, min_size=3, max_size=6, unique=True).flatmap(
+        lambda alphabet: st.tuples(st.just(alphabet), st.permutations(alphabet))
+    ),
+    _TYPES,
+    _SYMBOL,
+)
+@settings(deadline=None, max_examples=30)
+def test_pair_outputs_are_the_stdlib_bytes(rows, types, outside):
+    alphabet, row1 = rows
+    assume(outside not in alphabet)
+    assume(is_irreducible_pair(make_pair(alphabet, row1, alphabet)))
+    _check_pair(alphabet, list(row1), types, outside)
+
+
+@given(st.integers(3, 8).flatmap(lambda n: st.permutations(range(1, n + 1))), _TYPES)
+@settings(deadline=None, max_examples=30)
+def test_permutation_outputs_are_the_stdlib_bytes(image, types):
+    assume(is_irreducible_perm(Permutation(image)))
+    _check_perm(list(image), types)
+
+
+def test_long_blocks_are_the_stdlib_bytes():
+    # the winner leads the other row, so one type-0 run of 120 moves hands
+    # each of the 11 other symbols 10 or more losses in one record
+    alphabet = [7, "a", '"', "\\", ",", '", "', "[", "]", "{", "é", "\u0000", -3]
+    grouped = _check_pair(alphabet, [alphabet[-1], *alphabet[:-1]], [0] * 120 + [1, 0], "x")
+    (record, *_), (matrix, *_) = grouped["moves"], grouped["matrices"]
+    assert record["power"] == 120 and len(record["losers"]) == 11
+    assert min(matrix[-1][:-1]) >= 10
+    # a type-1 power of 30 at n=4
+    grouped = _check_perm([4, 3, 2, 1], [1] * 30 + [0] * 12)
+    assert grouped["moves"][0]["type"] == 1 and grouped["moves"][0]["power"] == 30
+
+
+def test_sharpness_output_is_the_stdlib_bytes(tmp_path):
+    out = tmp_path / "sharp.json"
+    code, seen = _written(["sharpness", "--n", "12", "--out", str(out)])
+    assert code == 0
+    _assert_stdlib_bytes(seen)
+    assert cli._moves_json(seen[0][0]["moves"]) is not None
+    code, seen = _written(["recover", str(out), "--trace", "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    _assert_stdlib_bytes(seen)
+
+
+def test_other_shapes_fall_back_to_the_stdlib():
+    # values a laid-out array cannot hold exactly go through json.dumps itself
+    cases = [
+        {"matrices": [], "moves": []},
+        {"matrices": [[[True, 0], [0, 1]]], "moves": [{"k": True, "losers": [1], "power": 1, "type": 0, "winner": 2}]},
+        {"matrices": [[["[", 0], [0, 1]]], "moves": [{"k": None, "losers": [], "power": 1, "type": 0, "winner": 2}]},
+        {"matrices": [[[1, [0]], [0, 1]]], "moves": [{"k": None, "losers": [1.0], "power": 1, "type": 0, "winner": 2}]},
+        {"matrices": [[[1, 0], []]], "moves": [{"losers": [1], "power": 1, "type": 0, "winner": 2}]},
+        {"matrices": [[5]], "moves": [{"k": None, "losers": "ab", "power": 1, "type": 0, "winner": 2, "x": 0}]},
+        {"moves": [{"k": None, "losers": [[1]], "power": 1, "type": 0, "winner": 2}]},
+        {"moves": 3, "a": {"b": [1, {"c": []}]}}, [1, 2], "x", {},
+    ]
+    for obj in cases:
+        assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
