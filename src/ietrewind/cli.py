@@ -70,11 +70,13 @@ def _serialize_moves(moves, position):
 
 
 def _record_fields(item):
-    """A record's winner, losers, type, k and power; losers must be a JSON array, power an integer."""
-    losers, power = item["losers"], item.get("power", 1)
+    """A record's winner, losers, type, k and power: losers a JSON array, power an integer, type 0, 1 or null."""
+    losers, t, power = item["losers"], item.get("type"), item.get("power", 1)
     if not isinstance(losers, list) or type(power) is not int:
         raise InputError("a move record needs its losers as a JSON array and its power as an integer")
-    return item["winner"], frozenset(losers), item.get("type"), item.get("k"), power
+    if t is not None and (type(t) is not int or t not in (0, 1)):
+        raise InputError("a move record's type must be 0, 1 or null")
+    return item["winner"], frozenset(losers), t, item.get("k"), power
 
 
 def _parse_moves(items):
@@ -353,6 +355,8 @@ def cmd_simulate(args) -> int:
         if args.until_c_complete is not None:
             types, _ = walk_until_complete(start, rng, args.until_c_complete)
         elif args.length is not None:
+            if args.length < 1:
+                raise InputError("--length must be at least 1")
             types = [rng.randint(0, 1) for _ in range(args.length)]
         else:
             raise InputError("give --script, or --seed with --length/--until-c-complete")

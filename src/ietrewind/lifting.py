@@ -12,7 +12,7 @@ from __future__ import annotations
 from .core import Permutation, sorted_symbols
 from .matrices import Matrix, matmul  # noqa: F401  (matmul kept importable: perfbench/trace_child.py wraps it)
 from .rauzy import decode_A, type1_shift
-from .zorich import ZorichPath
+from .zorich import ZorichPath, extract_move
 
 
 class BadK(Exception):
@@ -87,6 +87,8 @@ def lift_zorich_path(path: ZorichPath, tau=None):
     thetas = []
     for mat in path.matrices:
         t, k, p = decode_A(mat)
+        if t == 0:
+            extract_move(mat)  # decode_A leaves checking the type-0 row to its reader
         theta, current = lift_step(mat, current, legend, t, k, p)
         thetas.append(theta)
     lifted = ZorichPath("pair", legend, tuple(thetas), path.grouping, None)

@@ -28,11 +28,6 @@ def winner_row_matrix(n: int, row: int, counts: Mapping[int, int]) -> Matrix:
     return tuple(rows)
 
 
-def elementary(n: int, row: int, col: int) -> Matrix:
-    """Identity plus a single extra 1 at (row, col); indices 0-based."""
-    return winner_row_matrix(n, row, {col: 1})
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     cols = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)

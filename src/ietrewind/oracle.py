@@ -26,7 +26,7 @@ class RealizabilityReport:
 
 
 def _pull_loser(rows, t):
-    # one elementary move, mutating the row lists in place
+    # one move of type t, mutating the row lists in place
     winner = rows[t][-1]
     loser = rows[1 - t].pop()
     rows[1 - t].insert(rows[1 - t].index(winner) + 1, loser)

@@ -1,4 +1,4 @@
-"""Forward induction moves, their visitation matrices, and matrix decoders.
+"""Forward induction moves, their visitation matrices, and their classifier.
 
 A move of type t takes the last symbol of row t as winner and the last
 symbol of the other row as loser; the loser is reinserted immediately after
@@ -35,7 +35,7 @@ class MoveRecord:
     """One induction event.
 
     ``losers`` is the set of symbols that lose during the event and ``power``
-    the number of elementary moves it bundles (1 for a plain move).  ``k``
+    the number of single moves it bundles (1 for a plain move).  ``k``
     accompanies permutation-flavor type-1 moves only.
     """
 
@@ -56,7 +56,7 @@ class MoveRecord:
 
 @dataclass(frozen=True)
 class RauzyPath:
-    """A simulated path: one record per elementary move.
+    """A simulated path: one record per single move.
 
     ``index`` is the matrix legend (alphabet symbols for pair flavor, the
     tuple 1..n otherwise); ``states`` holds the visited states including the
@@ -180,67 +180,27 @@ def _check_square(a) -> Matrix:
     return mat
 
 
-def decode_theta(theta: Matrix, legend=None):
-    """Read (winner, loser) off a single pair-flavor move matrix."""
-    mat = _check_square(theta)
-    n = len(mat)
-    legend = tuple(legend) if legend is not None else tuple(range(1, n + 1))
-    hit = None
-    for i, row in enumerate(mat):
-        for j, v in enumerate(row):
-            if i == j:
-                if v != 1:
-                    raise MalformedMatrix("diagonal entries must all be 1")
-            elif v == 1:
-                if hit is not None:
-                    raise MalformedMatrix("more than one off-diagonal entry")
-                hit = (i, j)
-            elif v != 0:
-                raise MalformedMatrix("entries must be 0 or 1")
-    if hit is None:
-        raise MalformedMatrix("the identity matrix encodes no move")
-    return legend[hit[0]], legend[hit[1]]
-
-
-def _is_type0_product(mat: Matrix) -> bool:
-    n = len(mat)
-    for i in range(n - 1):
-        for j, v in enumerate(mat[i]):
-            if v != (1 if i == j else 0):
-                return False
-    last = mat[n - 1]
-    if last[n - 1] != 1 or any(v < 0 for v in last):
-        return False
-    return any(v > 0 for j, v in enumerate(last) if j != n - 1)
-
-
 def decode_A(a: Matrix):
     """Classify a permutation-flavor product matrix.
 
-    Returns (0, None, 1) for a type-0 product (reading the loser counts off
-    the last row is the caller's business), or (1, k, p) when the matrix is
-    the p-th power of the type-1 matrix at position k.  Rows above k never
-    change, and each type-1 move adds one to the entry sum, so k and p are
-    read off the matrix and checked against one closed-form power.
+    Returns (0, None, 1) when only the last row differs from the identity,
+    the shape of a type-0 product (:func:`ietrewind.zorich.extract_move`
+    reads and checks that row), or (1, k, p) when the matrix is the p-th
+    power of the type-1 matrix at position k.  Rows above k never change,
+    and each type-1 move adds one to the entry sum, so k and p are read off
+    the matrix and checked against one closed-form power.
     """
     mat = _check_square(a)
     n = len(mat)
-    if _is_type0_product(mat):
+    k = next((i for i, (row, unit) in enumerate(zip(mat, identity(n)), 1) if row != unit), None)
+    if k is None:
+        raise MalformedMatrix("the identity matrix encodes no move")
+    if k == n:
         return 0, None, 1
-    k = next((i for i, (row, unit) in enumerate(zip(mat, identity(n)), 1) if row != unit), n)
     p = entry_sum(mat) - n
-    if k < n and p > 0 and mat == type1_matrix(n, k, p):
+    if p > 0 and mat == type1_matrix(n, k, p):
         return 1, k, p
     raise MalformedMatrix("neither a type-0 product nor a type-1 power")
-
-
-def type0_loser_counts(a: Matrix) -> dict:
-    """Per-position visit counts read off the last row of a type-0 product."""
-    mat = _check_square(a)
-    n = len(mat)
-    if not _is_type0_product(mat):
-        raise MalformedMatrix("not a type-0 product matrix")
-    return {j + 1: v for j, v in enumerate(mat[n - 1]) if j != n - 1 and v}
 
 
 def is_complete(winners, alphabet) -> bool:

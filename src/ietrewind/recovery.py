@@ -14,6 +14,7 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, permutations, product
+from math import factorial, prod
 
 from .core import (
     Pair,
@@ -50,12 +51,22 @@ class Unrealizable(Exception):
 
 DEFAULT_ENUM_BOUND = 9
 _ENUM_ENV = "IET_REWIND_MAX_ENUM"
+MAX_CANDIDATES = 10**5  # row orders an enumeration may try, whatever the size bound
 
 
 def enumeration_bound(bound=None) -> int:
     if bound is not None:
         return int(bound)
     return int(os.environ.get(_ENUM_ENV, DEFAULT_ENUM_BOUND))
+
+
+def _check_bounds(n: int, bound, *partitions):
+    """Raise BoundExceeded past the size bound, or before trying more than MAX_CANDIDATES row orders."""
+    if n > enumeration_bound(bound):
+        raise BoundExceeded(f"size {n} over the enumeration bound")
+    count = prod(factorial(len(b)) for blocks in partitions for b in blocks)
+    if count > MAX_CANDIDATES:
+        raise BoundExceeded(f"{count} candidates over the enumeration bound of {MAX_CANDIDATES}")
 
 
 def _check_partition(blocks, universe: set):
@@ -444,8 +455,7 @@ def _row_orders(blocks):
 
 def enumerate_agreeing(pop: PartiallyOrderedPair, bound=None) -> list:
     """All irreducible pairs agreeing with the knowledge, in a fixed deterministic order."""
-    if pop.n > enumeration_bound(bound):
-        raise BoundExceeded(f"alphabet size {pop.n} over the enumeration bound")
+    _check_bounds(pop.n, bound, pop.q0, pop.q1)
     out = []
     for r0 in _row_orders(pop.q0):
         for r1 in _row_orders(pop.q1):
@@ -475,8 +485,7 @@ def enumerate_starting(pop: PartiallyOrderedPair, bound=None) -> list:
 def enumerate_agreeing_perms(blocks, bound=None) -> list:
     """All irreducible permutations agreeing with an ordered partition of positions."""
     n = sum(len(b) for b in blocks)
-    if n > enumeration_bound(bound):
-        raise BoundExceeded(f"size {n} over the enumeration bound")
+    _check_bounds(n, bound, blocks)
     per_block = []
     low = 1
     for block in blocks:
@@ -510,7 +519,7 @@ def uncertainty_profile(history, boundaries, steps_per_move=None):
     """(u0, u1) at the start of each complete stretch, most refined first.
 
     ``history`` is a recover_pair trace (seed first); ``boundaries`` the
-    1-based elementary-move indices closing each complete stretch, as
+    1-based single-move indices closing each complete stretch, as
     returned by c_completeness on the expanded winner sequence.  The final
     entry is the trivial initial uncertainty (n-1, n-1).
     """

@@ -81,7 +81,7 @@ def pivot_form(pop: PartiallyOrderedPair):
 class _Backward:
     """Builds a path last-move-first, checking each claim as it is made.
 
-    ``push`` applies the recovery rewind for one elementary move, so an
+    ``push`` applies the recovery rewind for one single move, so an
     impossible construction step raises instead of producing a bogus path.
     ``rows`` holds the two rows' :class:`OrderedPartition`, rewound in place.
     ``moves``/``types`` are in backward order: entry 0 is the final move.

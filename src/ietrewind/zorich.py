@@ -5,15 +5,16 @@ holding each loser's count; the counts take at most two values M-1 and M.
 :func:`accelerate` builds that row straight from the moves, :func:`extract_move`
 reads it back as a :class:`ZorichMove`, and :meth:`ZorichMove.units` lists the
 unit moves it bundles (full loser set first, repeated M-1 times, then the
-maximal losers once).  A permutation-flavor type-1 run is a closed-form power
-of the type-1 matrix.
+maximal losers once).  A permutation-flavor type-0 product is such a matrix
+with winner n, and :func:`extract_move` reads it too; a type-1 run is a
+closed-form power of the type-1 matrix.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 
-from .matrices import Matrix, mat_product, winner_row_matrix
+from .matrices import Matrix, winner_row_matrix
 from .rauzy import (
     MalformedMatrix,
     MoveRecord,
@@ -21,7 +22,6 @@ from .rauzy import (
     _check_square,
     decode_A,
     record_matrix,
-    type0_loser_counts,
     type1_shift,
 )
 
@@ -34,7 +34,7 @@ class MixedTypeBlock(Exception):
 class ZorichPath:
     """An accelerated path: one product matrix per block.
 
-    ``grouping`` stores the block lengths in elementary moves; ``moves``
+    ``grouping`` stores the block lengths in single moves; ``moves``
     optionally keeps one summary record per block.
     """
 
@@ -61,7 +61,7 @@ class ZorichMove:
 
     @property
     def steps(self) -> int:
-        """Number of elementary moves the matrix bundles."""
+        """Number of single moves the matrix bundles."""
         return self.max_count * len(self.losers_max) + (self.max_count - 1) * len(self.losers_min)
 
     def units(self) -> list:
@@ -105,7 +105,8 @@ def accelerate(path: RauzyPath, grouping) -> ZorichPath:
 
 
 def extract_move(matrix: Matrix, legend=None) -> ZorichMove:
-    """Validate and decompose a pair-flavor product matrix."""
+    """Validate and decompose a winner-row matrix: a pair-flavor unit or
+    block, or a permutation-flavor type-0 product."""
     mat = _check_square(matrix)
     n = len(mat)
     legend = tuple(legend) if legend is not None else tuple(range(1, n + 1))
@@ -122,8 +123,8 @@ def extract_move(matrix: Matrix, legend=None) -> ZorichMove:
         raise MalformedMatrix("the identity matrix encodes no move")
     i, off = winner_row
     top = max(v for _, v in off)
-    if any(v not in (top - 1, top) for _, v in off):
-        raise MalformedMatrix("off-diagonal entries must take at most two adjacent values")
+    if top < 1 or any(v not in (top - 1, top) for _, v in off):
+        raise MalformedMatrix("off-diagonal entries must be positive and take at most two adjacent values")
     losers = frozenset(legend[j] for j, _ in off)
     losers_max = frozenset(legend[j] for j, v in off if v == top)
     losers_min = frozenset() if top == 1 else losers - losers_max
@@ -133,21 +134,16 @@ def extract_move(matrix: Matrix, legend=None) -> ZorichMove:
 def breakup(matrix: Matrix, legend=None) -> list:
     """Refactor a product matrix into unit-entry factors, oldest first.
 
-    One factor per :meth:`ZorichMove.units` entry; their ordered product
-    returns the input exactly.
+    One factor per :meth:`ZorichMove.units` entry, rendered by
+    :func:`record_matrix`; their ordered product returns the input exactly.
     """
-    mat = _check_square(matrix)
-    n = len(mat)
-    legend = tuple(legend) if legend is not None else tuple(range(1, n + 1))
-    pos = {s: j for j, s in enumerate(legend)}
-    return [
-        winner_row_matrix(n, pos[winner], {pos[s]: 1 for s in losers})
-        for winner, losers in extract_move(mat, legend).units()
-    ]
+    index = tuple(legend) if legend is not None else tuple(range(1, len(matrix) + 1))
+    units = extract_move(matrix, index).units()
+    return [record_matrix(MoveRecord(w, losers, power=len(losers)), index) for w, losers in units]
 
 
 def winners_with_multiplicity(path: ZorichPath) -> list:
-    """(winner, elementary-move count) per block, winners in start labels."""
+    """(winner, single-move count) per block, winners in start labels."""
     if path.flavor == "pair":
         return [(m.winner, m.steps) for m in (extract_move(mat, path.index) for mat in path.matrices)]
     # Permutation flavor: positions are relabeled by every type-1 move, so
@@ -158,18 +154,8 @@ def winners_with_multiplicity(path: ZorichPath) -> list:
     for mat in path.matrices:
         t, k, p = decode_A(mat)
         if t == 0:
-            out.append((tau[n - 1], sum(type0_loser_counts(mat).values())))
+            out.append((tau[n - 1], extract_move(mat).steps))
         else:
             out.append((tau[k - 1], p))
             tau = type1_shift(tau, k, p)
     return out
-
-
-def expand_winners(path: ZorichPath) -> list:
-    """The elementary-move winner sequence, block winners repeated."""
-    return [winner for winner, count in winners_with_multiplicity(path) for _ in range(count)]
-
-
-def verify_breakup(matrix: Matrix, legend=None) -> bool:
-    mat = _check_square(matrix)
-    return mat_product(breakup(mat, legend), len(mat)) == mat

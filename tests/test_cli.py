@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,7 +107,7 @@ def test_recover_pair_partition(tmp_path, pair_start_file):
     proc = _run("recover", str(path_file))
     assert proc.returncode == 0
     out = _json_out(proc)
-    # elementary moves pin every loser position; only row 0 keeps a block
+    # ungrouped single moves pin every loser position; only row 0 keeps a block
     assert out["Q0"] == [[2, 3, 4, 5], [1]]
     assert out["Q1"] == [[1], [2], [3], [4], [5]]
     assert out["unique"] is False
@@ -246,6 +247,10 @@ def test_bad_inputs_exit_four(tmp_path, pair_start_file):
         proc = _run("simulate", "--start", pair_start_file, "--script", script)
         assert proc.returncode == 4, script
         assert "bad group token" in _json_out(proc)["detail"]
+    for length in ("0", "-3"):  # each once wrote a file with no moves
+        proc = _run("simulate", "--start", pair_start_file, "--seed", "1", "--length", length)
+        assert proc.returncode == 4, length
+        assert "--length must be at least 1" in _json_out(proc)["detail"]
 
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")
@@ -310,6 +315,18 @@ _TYPE1_4 = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]]  # type-1 at
           "moves": [{"winner": "a", "losers": "d", "type": 0}]}, "losers as a JSON array"),
         ({"version": 1, "flavor": "pair", "alphabet": ["a", "b", "c", "d"], "matrices": [_PAIR_MATRIX_4],
           "moves": [{"winner": "a", "losers": ["d"], "type": 0, "power": True}]}, "power as an integer"),
+        # a negative count, once read as a move
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3], "matrices": [[[1, -1, 0], [0, 1, 0], [0, 0, 1]]]},
+         "must be positive"),
+        # a type that is not 0, 1 or null (a string once accepted, true once read as 1), without and with matrices
+        ({"version": 1, "flavor": "pair", "alphabet": ["a", "b", "c", "d"],
+          "moves": [{"winner": "d", "losers": ["a"], "type": "zero"}]}, "type must be 0, 1 or null"),
+        ({"version": 1, "flavor": "pair", "alphabet": ["a", "b", "c", "d"], "matrices": [_PAIR_MATRIX_4],
+          "moves": [{"winner": "a", "losers": ["d"], "type": "zero"}]}, "type must be 0, 1 or null"),
+        ({"version": 1, "flavor": "permutation", "n": 4,
+          "moves": [{"winner": 2, "losers": [4], "type": True, "k": 2, "power": 1}]}, "type must be 0, 1 or null"),
+        ({"version": 1, "flavor": "permutation", "n": 4, "matrices": [_TYPE1_4],
+          "moves": [{"winner": 2, "losers": [4], "type": True, "k": 2, "power": 1}]}, "type must be 0, 1 or null"),
     ],
 )
 def test_malformed_path_files_exit_four(tmp_path, path_file, detail):
@@ -373,6 +390,19 @@ def test_verify_grouped_perm_record_with_oracle(tmp_path):
     out = _json_out(proc)
     assert out["checks"] == {"start_agrees": True, "oracle_matches": True}
     assert out["recovered"]["pi"] == [4, 5, 3, 1, 2]
+
+
+def test_recover_bounds_enumeration_by_its_candidates(tmp_path):
+    # one move over nine symbols leaves 8!·8! row pairs, which were once all tried
+    from ietrewind import cli
+
+    start, path, out = tmp_path / "start.json", tmp_path / "path.json", tmp_path / "out.json"
+    start.write_text(json.dumps({"alphabet": list(range(1, 10)), "p0": list(range(1, 10)), "p1": list(range(9, 0, -1))}))
+    assert cli.main(["simulate", "--start", str(start), "--script", "0", "--out", str(path)]) == 0
+    begin = time.perf_counter()
+    assert cli.main(["recover", str(path), "--out", str(out)]) == 0
+    assert time.perf_counter() - begin < 2
+    assert json.loads(out.read_text())["count"] is None
 
 
 def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypatch):

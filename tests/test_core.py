@@ -28,7 +28,6 @@ from ietrewind.core import (
 )
 from ietrewind.matrices import (
     determinant,
-    elementary,
     entry_sum,
     identity,
     matmul,
@@ -150,8 +149,16 @@ def test_serialization_round_trips():
 
 # --- integer matrices ------------------------------------------------------
 
+def test_star_import_binds_every_public_name():
+    import ietrewind
+
+    namespace = {}
+    exec("from ietrewind import *", namespace)  # a stale __all__ entry raises AttributeError
+    assert set(ietrewind.__all__) <= namespace.keys()
+
+
 def test_elementary_and_product_shapes():
-    e = elementary(3, 0, 2)
+    e = winner_row_matrix(3, 0, {2: 1})
     assert e == ((1, 0, 1), (0, 1, 0), (0, 0, 1))
     assert matmul(e, identity(3)) == e
     assert mat_product([], 3) == identity(3)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ietrewind.core import Permutation, identity_perm, is_irreducible_perm, lift_perm, perm_power
 from ietrewind.lifting import BadK, delta, lift_step, lift_zorich_path, psi_matrix, relabel, sigma
 from ietrewind.matrices import identity, matmul, transpose, winner_row_matrix
-from ietrewind.rauzy import simulate_pair, simulate_perm, type1_matrix
+from ietrewind.rauzy import MalformedMatrix, simulate_pair, simulate_perm, type1_matrix
 from ietrewind.zorich import ZorichPath, accelerate, extract_move
 
 # Visitation matrices of a hand-checked five-symbol permutation path:
@@ -154,6 +154,9 @@ def test_lift_rejects_pair_flavor_and_bad_tau():
         lift_zorich_path(ZorichPath("pair", (1, 2), ()), None)
     with pytest.raises(ValueError):
         lift_zorich_path(perm_path, (1, 2, 3))
+    negative_type0 = identity(5)[:4] + ((1, -1, 0, 0, 1),)
+    with pytest.raises(MalformedMatrix):
+        lift_zorich_path(ZorichPath("permutation", (1, 2, 3, 4, 5), (negative_type0,)))
 
 
 @given(

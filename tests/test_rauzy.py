@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,18 +15,17 @@ from ietrewind.rauzy import (
     NonIrreducible,
     c_completeness,
     decode_A,
-    decode_theta,
     is_complete,
     rauzy_step_pair,
     rauzy_step_perm,
     record_matrix,
     simulate_pair,
     simulate_perm,
-    type0_loser_counts,
     type1_matrix,
     type1_shift,
     walk_until_complete,
 )
+from ietrewind.zorich import ZorichMove, extract_move
 
 
 def test_pair_step_type0_moves_loser_behind_winner():
@@ -37,6 +37,7 @@ def test_pair_step_type0_moves_loser_behind_winner():
     assert nxt.row0 == (1, 2, 3)
     assert nxt.row1 == (3, 1, 2)
     assert theta == ((1, 0, 0), (0, 1, 0), (1, 0, 1))
+    assert extract_move(theta, pair.alphabet) == ZorichMove(3, frozenset({1}), 1, frozenset({1}))
 
 
 def test_pair_step_type1_mirror():
@@ -47,6 +48,7 @@ def test_pair_step_type1_mirror():
     assert nxt.row0 == (1, 3, 2)
     assert nxt.row1 == (3, 2, 1)
     assert theta == ((1, 0, 1), (0, 1, 0), (0, 0, 1))
+    assert extract_move(theta, pair.alphabet) == ZorichMove(1, frozenset({3}), 1, frozenset({3}))
 
 
 def test_step_requires_irreducible():
@@ -87,24 +89,6 @@ def test_simulate_pair_shapes_and_states():
     assert path.index == start.alphabet
 
 
-def test_decode_theta_round_trip():
-    pair = make_pair((1, 2, 3, 4), (4, 3, 2, 1))
-    for t in (0, 1):
-        _, record = rauzy_step_pair(pair, t)
-        winner, loser = decode_theta(record_matrix(record, pair.alphabet), pair.alphabet)
-        assert winner == record.winner
-        assert frozenset({loser}) == record.losers
-
-
-def test_decode_theta_rejects_bad_shapes():
-    with pytest.raises(MalformedMatrix):
-        decode_theta(identity(3))
-    with pytest.raises(MalformedMatrix):
-        decode_theta(((1, 1), (0, 1), (0, 0)))
-    with pytest.raises(MalformedMatrix):
-        decode_theta(((1, 1, 1), (0, 1, 0), (0, 0, 1)))
-
-
 _A_SHIFT_1 = (
     (1, 1, 0, 0, 0),
     (0, 0, 1, 0, 0),
@@ -140,7 +124,7 @@ def test_decode_A_on_known_products():
     assert decode_A(_A_CYCLE_1) == (0, None, 1)
     assert decode_A(_A_SHIFT_2) == (1, 1, 2)
     assert decode_A(_A_CYCLE_2) == (0, None, 1)
-    assert type0_loser_counts(_A_CYCLE_2) == {1: 1, 3: 1}
+    assert extract_move(_A_CYCLE_2) == ZorichMove(5, frozenset({1, 3}), 1, frozenset({1, 3}))
 
 
 @given(st.integers(3, 7), st.data())
@@ -166,10 +150,17 @@ def test_decode_A_recovers_type0_products(n, data):
     ]
     prod = mat_product(mats, n)
     assert decode_A(prod) == (0, None, 1)
-    counts = type0_loser_counts(prod)
-    for l in set(losers):
-        assert counts[l] == losers.count(l)
-    assert sum(counts.values()) == len(losers)
+    counts = Counter(losers)
+    assert prod[n - 1][:n - 1] == tuple(counts[j] for j in range(1, n))
+    top = max(counts.values())
+    if min(counts.values()) < top - 1:  # no single same-winner run has these counts
+        with pytest.raises(MalformedMatrix):
+            extract_move(prod)
+        return
+    move = extract_move(prod)
+    assert move.winner == n and move.steps == len(losers)
+    assert move.losers == set(losers)
+    assert move.losers_max == {l for l, c in counts.items() if c == top}
 
 
 def test_decode_A_rejects_identity_and_junk():
@@ -204,7 +195,7 @@ def test_visitation_product_counts_all_moves():
     types = [0, 1, 1, 0, 1, 0, 0, 1]
     path = simulate_pair(start, types)
     total = mat_product(path.matrices, start.n)
-    # one off-diagonal unit per elementary move
+    # one off-diagonal unit per single move
     assert sum(sum(row) for row in total) - sum(total[i][i] for i in range(4)) >= len(types)
     assert determinant(total) in (-1, 1)
 

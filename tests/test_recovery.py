@@ -410,6 +410,16 @@ def test_enumeration_bound_and_env(monkeypatch):
     assert len(enumerate_agreeing(pop, bound=5)) > 0
     with pytest.raises(BoundExceeded):
         enumerate_agreeing_perms((_fs({1, 2, 3, 4, 5}),))
+    # more than 10^5 candidates (here 7!*3!*2!*2! and 7!*4!) is over the bound whatever the size bound
+    nine = PartiallyOrderedPair(
+        tuple(range(1, 10)),
+        (_fs(range(1, 8)), _fs({8}), _fs({9})),
+        (_fs({1, 2, 3}), _fs({4, 5}), _fs({6, 7}), _fs({8}), _fs({9})),
+    )
+    with pytest.raises(BoundExceeded):
+        enumerate_agreeing(nine, bound=9)
+    with pytest.raises(BoundExceeded):
+        enumerate_agreeing_perms((_fs(range(1, 8)), _fs(range(8, 12))), bound=11)
 
 
 def test_recover_perm_partial_trace():

@@ -10,9 +10,7 @@ from ietrewind.zorich import (
     MixedTypeBlock,
     accelerate,
     breakup,
-    expand_winners,
     extract_move,
-    verify_breakup,
     winners_with_multiplicity,
 )
 
@@ -60,7 +58,6 @@ def test_six_move_block_decomposition():
     assert parts[0][0] == (1, 1, 1, 1, 1)
     assert parts[1][0] == (1, 0, 0, 1, 1)
     assert mat_product(parts, 5) == z.matrices[0]
-    assert verify_breakup(z.matrices[0], _ANCHOR.alphabet)
 
 
 def test_split_grouping_matches_hand_products():
@@ -78,12 +75,20 @@ def test_extract_move_rejects_non_products():
 
     with pytest.raises(MalformedMatrix):
         extract_move(((1, 0), (0, 1)))
+    with pytest.raises(MalformedMatrix):
+        extract_move(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(MalformedMatrix):
+        extract_move(((1, 1), (0, 1), (0, 0)))  # not square
     bad = ((1, 0, 0), (1, 1, 1), (1, 0, 1))  # off-diagonal support in two rows
     with pytest.raises(MalformedMatrix):
         extract_move(bad)
     gap = ((1, 3, 1), (0, 1, 0), (0, 0, 1))  # counts 3 and 1 are not adjacent
     with pytest.raises(MalformedMatrix):
         extract_move(gap)
+    # negative counts (each once read as a move: -1 alone, -5 and -4 as adjacent values)
+    for negative in (((1, -1, 0), (0, 1, 0), (0, 0, 1)), ((1, -5, -4), (0, 1, 0), (0, 0, 1))):
+        with pytest.raises(MalformedMatrix):
+            extract_move(negative)
 
 
 @st.composite
@@ -113,7 +118,7 @@ def test_breakup_reconstructs_any_same_winner_product(case):
     winner = path.moves[0].winner
     assert all(m.winner == winner for m in path.moves)
     z = accelerate(path, [length])
-    assert verify_breakup(z.matrices[0], pair.alphabet)
+    assert mat_product(breakup(z.matrices[0], pair.alphabet), pair.n) == z.matrices[0]
     move = extract_move(z.matrices[0], pair.alphabet)
     assert move.steps == length
     assert move.winner == winner
@@ -123,7 +128,6 @@ def test_winner_multiplicities_pair_flavor():
     path = simulate_pair(_ANCHOR, [1, 1, 1, 1, 0, 0, 1])
     z = accelerate(path, [4, 2, 1])
     assert winners_with_multiplicity(z) == [(1, 4), (5, 2), (3, 1)]
-    assert expand_winners(z) == [1, 1, 1, 1, 5, 5, 3]
 
 
 def test_winner_multiplicities_perm_flavor_match_lift():
