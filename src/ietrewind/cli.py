@@ -17,7 +17,7 @@ from .core import (
     perm_from_obj,
     perm_to_obj,
 )
-from .oracle import brute_force_initial_pairs, brute_force_initial_perms, forward_simulate
+from .oracle import brute_force_initial_perms, forward_initial_pairs, forward_simulate
 from .rauzy import (
     MalformedMatrix,
     MoveRecord,
@@ -45,6 +45,7 @@ from .zorich import MixedTypeBlock, ZorichMove, accelerate, extract_move
 # Kept importable: perfbench/trace_child.py wraps these names in this module.
 from .lifting import relabel  # noqa: F401
 from .matrices import matmul  # noqa: F401
+from .oracle import brute_force_initial_pairs  # noqa: F401
 from .rauzy import c_completeness, decode_A, rauzy_step_pair, rauzy_step_perm  # noqa: F401
 from .recovery import recover_perm  # noqa: F401
 from .zorich import breakup  # noqa: F401
@@ -353,6 +354,8 @@ def cmd_simulate(args) -> int:
     else:
         rng = random.Random(args.seed)
         if args.until_c_complete is not None:
+            if args.until_c_complete < 1:
+                raise InputError("--until-c-complete must be at least 1")
             types, _ = walk_until_complete(start, rng, args.until_c_complete)
         elif args.length is not None:
             if args.length < 1:
@@ -466,7 +469,7 @@ def cmd_verify(args) -> int:
                 checks["types_agree"] = stored in (list(types), flipped)
         if args.oracle:
             units = [unit for move in data["moves"] for unit in move.units()]
-            oracle = brute_force_initial_pairs(units, data["alphabet"], jobs=args.jobs)
+            oracle = forward_initial_pairs(units, data["alphabet"])
             got = {(p.row0, p.row1) for p, _ in oracle.realizers}
             checks["oracle_matches"] = got == {(p.row0, p.row1) for p in starts}
     else:
@@ -548,8 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check a path file's own start against recovery")
     ver.add_argument("path", help="path file ('-' for stdin)")
-    ver.add_argument("--oracle", action="store_true", help="cross-check against brute force (small sizes)")
-    ver.add_argument("--jobs", type=int, default=1, help="parallel workers for the oracle")
+    ver.add_argument("--oracle", action="store_true", help="cross-check against an independent forward replay")
+    ver.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted and ignored: the oracle runs in one process (only the library brute force takes workers)",
+    )
     ver.add_argument("--out", help="output file (default stdout)")
     ver.set_defaults(func=cmd_verify)
 

@@ -1,8 +1,10 @@
-"""Brute-force ground truth.
+"""Forward-replay ground truth.
 
 Everything here replays candidates forward with its own minimal steppers,
 deliberately sharing nothing with the reverse algorithms beyond the state
-types, so the two sides can check each other.
+types, so the two sides can check each other.  :func:`forward_initial_pairs`
+replays a pair record once over partially known rows; the brute forces try
+every arrangement and stay as its cross-check.
 """
 from __future__ import annotations
 
@@ -10,12 +12,14 @@ import os
 import time
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 
 from .core import Pair, Permutation, is_irreducible_pair, is_irreducible_perm, sorted_symbols
 from .recovery import BoundExceeded
 
 PAIR_BRUTE_LIMIT = 6
 PERM_BRUTE_LIMIT = 8
+FORWARD_LIMIT = 10**5  # branches per row, and row pairs expanded, in forward_initial_pairs
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,8 @@ def _scan_pair_rows(args):
     symbols = sorted_symbols(alphabet)
     for r0 in row0s:
         for r1 in permutations(symbols):
+            if prune and seq[0][0] not in (r0[-1], r1[-1]):
+                continue  # no type seed can open with this winner
             cand = Pair(alphabet, r0, r1)
             if not is_irreducible_pair(cand):
                 continue
@@ -138,6 +144,149 @@ def brute_force_initial_pairs(moves, alphabet, prune: bool = True, jobs: int = 1
     return RealizabilityReport(checked, tuple(found), time.monotonic() - begin)
 
 
+# --- pair flavor, forward over partial rows ----------------------------------
+#
+# Types fix which row each move reads: the winner row must end in the winner,
+# and the loser row loses its last symbols one at a time, each reinserted
+# right after the winner.  So the two rows replay independently.  A row is
+# kept as a pool of tokens, in an order not yet known, followed by a known
+# suffix.  A token is a known run: a symbol no move has taken, then the
+# losers inserted after it.  Only a row's end is ever read, so a token
+# leaves the pool exactly when the record names its last symbol as the end
+# of the row; a move with several losers branches over which pool token
+# ends the row when the suffix runs out.
+
+
+class _PartialRow:
+    __slots__ = ("pool", "suffix", "popped")
+
+    def __init__(self, pool, suffix, popped):
+        self.pool = pool  # list of token tuples
+        self.suffix = suffix  # list
+        self.popped = popped  # dict, the symbols moves took, in the order of their first move
+
+    def copy(self):
+        return _PartialRow(list(self.pool), list(self.suffix), dict(self.popped))
+
+    def close(self, i):
+        """Pool token ``i`` ends the row: it becomes the suffix, which was empty."""
+        self.suffix = list(self.pool.pop(i))
+
+    def end_with(self, symbol) -> bool:
+        """Make the row end in ``symbol``; False if it cannot."""
+        if self.suffix:
+            return self.suffix[-1] == symbol
+        for i, token in enumerate(self.pool):
+            if token[-1] == symbol:
+                self.close(i)
+                return True
+        return False
+
+    def pull(self, winner, loser):
+        """Move the row's last symbol, ``loser``, to right after ``winner``."""
+        self.suffix.pop()
+        self.popped[loser] = None  # setting a present key keeps its first place
+        if winner in self.suffix:
+            self.suffix.insert(self.suffix.index(winner) + 1, loser)
+            return
+        for i, token in enumerate(self.pool):
+            if winner in token:
+                cut = token.index(winner) + 1
+                self.pool[i] = token[:cut] + (loser,) + token[cut:]
+                return
+
+    def starts(self):
+        """Every start row that replays to this state: the pool heads in any
+        order, the untaken suffix symbols, then the taken ones latest first."""
+        tail = tuple(s for s in self.suffix if s not in self.popped) + tuple(reversed(self.popped))
+        for heads in permutations(sorted_symbols(token[0] for token in self.pool)):
+            yield heads + tail
+
+
+def _lose(rows, winner, losers, spare):
+    """The rows that can each lose ``losers`` to ``winner``, one symbol per
+    move, and how many more branches may be opened."""
+    out = []
+    stack = [(row, losers) for row in rows]
+    while stack:
+        row, left = stack.pop()
+        if not left:
+            out.append(row)
+            continue
+        if not row.suffix:
+            ends = [i for i, token in enumerate(row.pool) if token[-1] in left]
+            if not ends:
+                continue
+            spare -= len(ends) - 1
+            if spare < 0:
+                raise BoundExceeded("the forward oracle's branches are over its bound")
+            for i in ends[1:]:
+                branch = row.copy()
+                branch.close(i)
+                stack.append((branch, left))
+            row.close(ends[0])
+        loser = row.suffix[-1]
+        if loser in left:
+            row.pull(winner, loser)
+            stack.append((row, left - {loser}))
+    return out, spare
+
+
+def _row_states(seq, types, r, symbols, spare):
+    """The partial states of row ``r`` that survive the whole record,
+    opening at most ``spare`` branches."""
+    rows = [_PartialRow([(s,) for s in symbols], [], {})]
+    for (winner, losers), t in zip(seq, types):
+        if t == r:
+            rows = [row for row in rows if row.end_with(winner)]
+        else:
+            rows, spare = _lose(rows, winner, losers, spare)
+        if not rows:
+            break
+    return rows
+
+
+def forward_initial_pairs(moves, alphabet) -> RealizabilityReport:
+    """Every irreducible pair, with its types, whose forward replay plays the record.
+
+    The record is replayed once per row over partially known rows, so the
+    work grows with the record and the branches it leaves open, not with
+    n!^2.  Raises BoundExceeded once a row's replay opens more than
+    ``FORWARD_LIMIT`` branches, or before expanding more than
+    ``FORWARD_LIMIT`` row pairs.
+    Finds what :func:`brute_force_initial_pairs` finds, in the same order;
+    each row pair expanded counts as two candidates, one per type seed.
+    """
+    begin = time.monotonic()
+    alphabet = tuple(alphabet)
+    seq = _clean_moves(moves)
+    if not seq:
+        raise ValueError("empty move record")
+    symbols = sorted_symbols(alphabet)
+    universe = set(symbols)
+    if any(w in losers or w not in universe or not losers <= universe for w, losers in seq):
+        return RealizabilityReport(0, (), time.monotonic() - begin)
+    seed, flipped = _type_assignments(seq)
+    # with every type flipped the rows swap roles, so one replay serves both seeds
+    states = [_row_states(seq, seed, r, symbols, FORWARD_LIMIT) for r in (0, 1)]
+    orders = [sum(factorial(len(row.pool)) for row in rows) for rows in states]
+    pairs = orders[0] * orders[1]
+    if pairs > FORWARD_LIMIT:
+        raise BoundExceeded(f"{pairs} row pairs over the forward oracle's bound of {FORWARD_LIMIT}")
+    rows0, rows1 = ([start for row in rows for start in row.starts()] for rows in states) if pairs else ((), ())
+    checked = 0
+    found = []
+    for r0 in rows0:
+        for r1 in rows1:
+            cand = Pair(alphabet, r0, r1)
+            checked += 2
+            if is_irreducible_pair(cand):
+                found += [(cand, seed), (cand.inverse(), flipped)]
+    rank = {s: i for i, s in enumerate(symbols)}
+    found.sort(key=lambda entry: ([rank[s] for s in entry[0].row0], [rank[s] for s in entry[0].row1]))
+    return RealizabilityReport(checked, tuple(found), time.monotonic() - begin)
+
+
 # --- permutation flavor ----------------------------------------------------
 
 def _unit_rows(mat, n):
@@ -161,11 +310,12 @@ def _step1(image):
     return image[:k] + (image[-1],) + image[k:-1], k
 
 
-def _perm_realizes(image, mats, n):
-    for target in mats:
-        total = sum(sum(row) for row in target)
-        type0 = _unit_rows(target, n)
-        prod = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _perm_realizes(image, targets, unit):
+    # targets: (matrix as row lists, entry sum, type-0 shape) per matrix, read
+    # once per record; unit: the identity rows
+    n = len(unit)
+    for target, total, type0 in targets:
+        prod = list(map(list, unit))
         while True:
             if type0:
                 image, loser = _step0(image)
@@ -180,12 +330,24 @@ def _perm_realizes(image, mats, n):
                 # shifts columns k+1..n-1 one place right
                 for row in prod:
                     row[k:] = [row[k - 1] + row[n - 1]] + row[k:n - 1]
-            frozen = tuple(tuple(row) for row in prod)
-            if frozen == target:
+            if prod == target:
                 break
-            if sum(sum(row) for row in prod) >= total:
+            if sum(map(sum, prod)) >= total:
                 return False
     return True
+
+
+def _first_slots(first, unit):
+    """The 0-based slots n may hold in a start that opens with matrix ``first``.
+
+    A type-0 run's first move adds column n into the column of n's slot, so
+    that slot carries a last-row entry; a type-1 run keeps n at its k, the
+    first row that is not an identity row.
+    """
+    n = len(unit)
+    if _unit_rows(first, n):
+        return {j for j in range(n - 1) if first[n - 1][j]}
+    return {next(i for i, row in enumerate(first) if list(row) != unit[i])}
 
 
 def brute_force_initial_perms(matrices, n: int) -> list:
@@ -196,11 +358,16 @@ def brute_force_initial_perms(matrices, n: int) -> list:
     for m in mats:
         if len(m) != n or any(len(row) != n for row in m):
             raise ValueError("matrix sizes must match n")
+    targets = [(list(map(list, m)), sum(map(sum, m)), _unit_rows(m, n)) for m in mats]
+    unit = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    slots = _first_slots(mats[0], unit) if mats else set(range(n))
     out = []
     for image in permutations(range(1, n + 1)):
+        if image.index(n) not in slots:
+            continue
         perm = Permutation(image)
         if not is_irreducible_perm(perm):
             continue
-        if _perm_realizes(image, mats, n):
+        if _perm_realizes(image, targets, unit):
             out.append(perm)
     return out

@@ -100,7 +100,9 @@ def type1_matrix(n: int, k: int, p: int = 1) -> Matrix:
     Each move keeps columns 1..k, rotates columns k+1..n one place right and
     adds column k into column k+1.  So row k counts, for each column j > k,
     the moves whose added unit has rotated on to j, and rows below k hold
-    the rotation by p places.  ``p = 0`` gives the identity.
+    the rotation by p places: row i has its one at column j > k with
+    j - i = p modulo n - k.  ``p = 0`` gives the identity.  Every row but
+    row k is a shared row of ``identity(n)``.
     """
     if not 1 <= k <= n - 1:
         raise ValueError("k must lie in 1..n-1")
@@ -108,15 +110,9 @@ def type1_matrix(n: int, k: int, p: int = 1) -> Matrix:
     if p < 0:
         raise ValueError("the power must be non-negative")
     m = n - k
-    return tuple(
-        tuple(
-            (1 if i == j else 0) if i < k or j < k
-            else (1 if j == k else (p + n - j) // m) if i == k
-            else (1 if j > k and (j - i - p) % m == 0 else 0)
-            for j in range(1, n + 1)
-        )
-        for i in range(1, n + 1)
-    )
+    unit = identity(n)
+    row_k = (0,) * (k - 1) + (1,) + tuple((p + n - j) // m for j in range(k + 1, n + 1))
+    return unit[:k - 1] + (row_k,) + tuple(unit[k + (q + p) % m] for q in range(m))
 
 
 def type1_shift(labels, k: int, p: int = 1) -> tuple:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import os
+import random
 import shutil
 import subprocess
 import sys
@@ -170,6 +172,42 @@ def test_verify_pair_with_oracle(tmp_path, pair_start_file):
     assert out["checks"]["oracle_matches"] is True
 
 
+def test_verify_oracle_past_the_brute_force_cap(tmp_path):
+    # eight symbols: the brute-force pair oracle stops at six
+    start = tmp_path / "start8.json"
+    start.write_text(json.dumps({"alphabet": list(range(1, 9)), "p0": list(range(1, 9)), "p1": [8, 3, 6, 1, 7, 5, 2, 4]}))
+    path_file = tmp_path / "path8.json"
+    proc = _run("simulate", "--start", str(start), "--seed", "1", "--until-c-complete", "2", "--out", str(path_file))
+    assert proc.returncode == 0, proc.stderr
+    proc = _run("verify", str(path_file), "--oracle")
+    assert proc.returncode == 0, proc.stdout
+    out = _json_out(proc)
+    assert out["checks"] == {"start_agrees": True, "types_agree": True, "oracle_matches": True}
+    assert out["recovered"]["count"] == 2
+
+
+def test_verify_oracle_over_its_bound_exits_four_quickly(tmp_path):
+    # A first block of ten losers leaves their order open until later moves
+    # fix it: the forward oracle would branch 10! ways, while recovery
+    # narrows the record to 48 starts.
+    start = tmp_path / "start12.json"
+    start.write_text(json.dumps({"alphabet": list(range(1, 13)), "p0": list(range(1, 13)), "p1": list(range(12, 0, -1))}))
+    rng = random.Random(7)
+    types = [rng.randint(0, 1) for _ in range(120)]
+    script = "0x10," + ",".join(map(str, types)) + ",group(10," + ",".join("1" * len(types)) + ")"
+    path_file = tmp_path / "path12.json"
+    proc = _run("simulate", "--start", str(start), "--script", script, "--out", str(path_file))
+    assert proc.returncode == 0, proc.stderr
+    env = dict(os.environ, IET_REWIND_MAX_ENUM="12")
+    proc = subprocess.run(_CLI + ["recover", str(path_file)], capture_output=True, text=True, env=env)
+    assert _json_out(proc)["count"] == 48
+    begin = time.monotonic()
+    proc = subprocess.run(_CLI + ["verify", str(path_file), "--oracle"], capture_output=True, text=True, env=env)
+    assert time.monotonic() - begin < 10
+    assert proc.returncode == 4, proc.stdout
+    assert _json_out(proc) == {"error": "bad input", "detail": "the forward oracle's branches are over its bound"}
+
+
 def test_verify_flags_a_tampered_start(tmp_path, pair_start_file):
     path_file = tmp_path / "path.json"
     _run("simulate", "--start", pair_start_file, "--script", "1x6", "--out", str(path_file))
@@ -247,10 +285,12 @@ def test_bad_inputs_exit_four(tmp_path, pair_start_file):
         proc = _run("simulate", "--start", pair_start_file, "--script", script)
         assert proc.returncode == 4, script
         assert "bad group token" in _json_out(proc)["detail"]
-    for length in ("0", "-3"):  # each once wrote a file with no moves
-        proc = _run("simulate", "--start", pair_start_file, "--seed", "1", "--length", length)
-        assert proc.returncode == 4, length
-        assert "--length must be at least 1" in _json_out(proc)["detail"]
+    # each once wrote a file: --length one with no moves, --until-c-complete one with one move
+    for option in ("--length", "--until-c-complete"):
+        for value in ("0", "-3"):
+            proc = _run("simulate", "--start", pair_start_file, "--seed", "1", option, value)
+            assert proc.returncode == 4, (option, value)
+            assert f"{option} must be at least 1" in _json_out(proc)["detail"]
 
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{not json")

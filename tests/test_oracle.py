@@ -1,11 +1,15 @@
-"""Brute-force cross-checks for the reverse algorithms."""
+"""Brute-force and forward-replay cross-checks for the reverse algorithms."""
 from __future__ import annotations
 
+import ast
 import concurrent.futures
+import random
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,9 +19,11 @@ from ietrewind.core import Permutation, inverse, is_irreducible_pair, is_irreduc
 from ietrewind.oracle import (
     brute_force_initial_pairs,
     brute_force_initial_perms,
+    forward_initial_pairs,
     forward_simulate,
 )
-from ietrewind.rauzy import simulate_pair
+from ietrewind.rauzy import simulate_pair, simulate_perm, walk_until_complete
+from ietrewind.zorich import accelerate, extract_move
 from ietrewind.recovery import (
     BoundExceeded,
     enumerate_agreeing_perms,
@@ -207,3 +213,169 @@ def test_brute_force_agrees_with_reverse_algorithm(case):
     assert found == set(enumerate_starting(pop))
     for cand, ts in report.realizers:
         assert forward_simulate(cand, path.moves, ts)
+
+
+# --- the forward pair oracle ------------------------------------------------
+
+def _runs(keys):
+    """Lengths of the maximal runs of equal keys."""
+    runs = []
+    for i, key in enumerate(keys):
+        if i and key == keys[i - 1]:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    return runs
+
+
+def _pair_units(path, grouped):
+    """The path's unit moves, read back from same-winner blocks when grouped."""
+    if not grouped:
+        return [(m.winner, m.losers) for m in path.moves]
+    zpath = accelerate(path, _runs([m.winner for m in path.moves]))
+    return [unit for mat in zpath.matrices for unit in extract_move(mat, path.index).units()]
+
+
+@st.composite
+def _pair_records(draw):
+    n = draw(st.sampled_from((3, 4, 5) * 2 + (6,)))  # the brute force takes about 1 s at n = 6
+    alphabet = tuple(range(1, n + 1))
+    start = make_pair(draw(st.permutations(alphabet)), draw(st.permutations(alphabet)), alphabet)
+    assume(is_irreducible_pair(start))
+    types = draw(st.lists(st.integers(0, 1), min_size=1, max_size=12))
+    units = _pair_units(simulate_pair(start, types), draw(st.booleans()))
+    if draw(st.booleans()):  # perturb one unit: usually no start replays it any more
+        j = draw(st.integers(0, len(units) - 1))
+        winner = draw(st.sampled_from(alphabet))
+        losers = draw(st.frozensets(st.sampled_from(alphabet), min_size=1, max_size=n - 1))
+        units[j] = (winner, losers)
+    return alphabet, units
+
+
+@given(_pair_records())
+@settings(deadline=None, max_examples=25)
+def test_forward_pair_oracle_matches_brute_force(case):
+    alphabet, units = case
+    forward = forward_initial_pairs(units, alphabet)
+    assert forward.realizers == brute_force_initial_pairs(units, alphabet).realizers
+    for cand, types in forward.realizers:
+        assert forward_simulate(cand, units, types)
+
+
+def test_forward_pair_oracle_matches_enumeration_past_the_brute_force_cap():
+    rng = random.Random(2026)
+    for trial in range(24):
+        n = 7 + trial % 4
+        alphabet = tuple(range(1, n + 1))
+        while True:
+            row1 = rng.sample(alphabet, n)
+            start = make_pair(alphabet, row1, alphabet)
+            if is_irreducible_pair(start):
+                break
+        types, _ = walk_until_complete(start, rng, 2)
+        units = _pair_units(simulate_pair(start, types), trial % 2 == 1)
+        pop, _ = recover_pair(units, alphabet=alphabet)
+        expected = enumerate_starting(pop, bound=n)
+        report = forward_initial_pairs(units, alphabet)
+        assert {p for p, _ in report.realizers} == set(expected), (n, types)
+        assert len(report.realizers) == len(expected)
+        assert start in expected
+
+
+def test_forward_pair_oracle_finds_the_eight_symbol_starts():
+    moves = [(8, {1, 2, 3, 4, 6}), (7, {8}), (6, {7}), (5, {6}), (4, {5}), (3, {4}), (2, {3}), (1, {2})]
+    begin = time.monotonic()
+    report = forward_initial_pairs(moves, tuple(range(1, 9)))
+    assert time.monotonic() - begin < 1.0
+    assert len(report.realizers) == 288
+    pop, types = recover_pair(moves)
+    assert {p for p, _ in report.realizers} == set(enumerate_starting(pop))
+    flipped = tuple(1 - t for t in types)
+    assert {ts for _, ts in report.realizers} == {types, flipped}
+
+
+def test_forward_pair_oracle_bounds_its_work(monkeypatch):
+    alphabet = tuple(range(1, 11))
+    begin = time.monotonic()
+    with pytest.raises(BoundExceeded, match="row pairs"):
+        forward_initial_pairs([(10, {9})], alphabet)  # both pools keep about nine heads
+    # nine losers drawn from a pool of singletons open 9! orders of the loser row
+    monkeypatch.setattr(oracle, "FORWARD_LIMIT", 1000)
+    with pytest.raises(BoundExceeded, match="branches"):
+        forward_initial_pairs([(10, frozenset(range(1, 10)))], alphabet)
+    assert time.monotonic() - begin < 2.0
+    with pytest.raises(ValueError):
+        forward_initial_pairs([], (1, 2, 3))
+    # a winner among its losers, or a symbol outside the alphabet, replays from nowhere
+    for bad in ([(1, {1, 2})], [(1, {9})]):
+        assert forward_initial_pairs(bad, (1, 2, 3, 4)).realizers == ()
+
+
+def test_oracle_imports_only_core_and_the_bound_exception():
+    # the oracle must stay independent of the code it checks
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ietrewind")):
+            package.add((node.module, tuple(alias.name for alias in node.names)))
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("ietrewind") for alias in node.names)
+    names = {module: imported for module, imported in package}
+    assert set(names) == {"core", "recovery"}, package
+    assert names["recovery"] == ("BoundExceeded",)
+
+
+# --- the pruned permutation oracle --------------------------------------------
+
+def _unpruned_perm_oracle(matrices, n):
+    """Every irreducible start replayed through the whole record, as the oracle
+    did before it read the first matrix: the reference for the pruned scan."""
+    def unit_rows(mat):
+        return all(mat[i][j] == (1 if i == j else 0) for i in range(n - 1) for j in range(n))
+
+    def realizes(image, mats):
+        for target in mats:
+            total = sum(sum(row) for row in target)
+            type0 = unit_rows(target)
+            prod = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            while True:
+                k = image.index(n) + 1
+                if type0:
+                    last = image[-1]
+                    image = tuple(v if v <= last else (last + 1 if v == n else v + 1) for v in image)
+                    for row in prod:
+                        row[k - 1] += row[n - 1]
+                else:
+                    image = image[:k] + (image[-1],) + image[k:-1]
+                    for row in prod:
+                        row[k:] = [row[k - 1] + row[n - 1]] + row[k:n - 1]
+                if tuple(tuple(row) for row in prod) == target:
+                    break
+                if sum(sum(row) for row in prod) >= total:
+                    return False
+        return True
+
+    mats = [tuple(map(tuple, m)) for m in matrices]
+    return [
+        Permutation(image)
+        for image in permutations(range(1, n + 1))
+        if is_irreducible_perm(Permutation(image)) and realizes(image, mats)
+    ]
+
+
+def test_pruned_perm_oracle_matches_the_unpruned_replay():
+    rng = random.Random(77)
+    for trial in range(16):
+        n = 4 + trial % 4
+        image = tuple(rng.sample(range(1, n + 1), n))
+        while not is_irreducible_perm(Permutation(image)):
+            image = tuple(rng.sample(range(1, n + 1), n))
+        types = [trial // 4 % 2] + [rng.randint(0, 1) for _ in range(rng.randint(0, 3 * n))]
+        path = simulate_perm(Permutation(image), types)
+        mats = path.matrices if trial % 2 else accelerate(path, _runs(types)).matrices
+        if trial % 3 == 2:  # a record no start plays: a later matrix from another walk
+            mats = mats + simulate_perm(Permutation(image), [1 - types[0]]).matrices
+        got = brute_force_initial_perms(mats, n)
+        assert got == _unpruned_perm_oracle(mats, n), (image, types)
+        if trial % 3 != 2:
+            assert Permutation(image) in got

@@ -212,6 +212,32 @@ def test_type1_matrix_powers_in_closed_form():
         type1_matrix(4, 2, -1)
 
 
+def _type1_matrix_per_entry(n, k, p):
+    # the definition type1_matrix had before it shared identity rows
+    m = n - k
+    return tuple(
+        tuple(
+            (1 if i == j else 0) if i < k or j < k
+            else (1 if j == k else (p + n - j) // m) if i == k
+            else (1 if j > k and (j - i - p) % m == 0 else 0)
+            for j in range(1, n + 1)
+        )
+        for i in range(1, n + 1)
+    )
+
+
+def test_type1_matrix_matches_the_per_entry_definition():
+    rng = random.Random(2025)
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        k = rng.randint(1, n - 1)
+        p = rng.randint(0, 40)
+        got = type1_matrix(n, k, p)
+        assert got == _type1_matrix_per_entry(n, k, p), (n, k, p)
+        assert all(got[i] is identity(n)[i] for i in range(k - 1))
+        assert all(row in identity(n) for row in got[k:])
+
+
 def test_type1_shift_is_a_power_of_delta():
     for n in range(2, 8):
         for k in range(1, n):
