@@ -28,7 +28,7 @@ def main(argv=None) -> int:
           f"{'agreeing':>8} {'replayed':>8}")
     for n in range(args.min_n, args.max_n + 1):
         result = build_ambiguous_path(n)
-        agreeing = enumerate_agreeing(result.start, bound=n)
+        agreeing = enumerate_agreeing(result.start)
         replayed = "-"
         if n <= args.replay_bound:
             types = [m.type_tag for m in result.moves]

@@ -493,7 +493,7 @@ def cmd_sharpness(args) -> int:
     n = result.n
     index = tuple(range(1, n + 1))
     position = {s: i for i, s in enumerate(index)}
-    agreeing = enumerate_agreeing(result.start, bound=n)
+    agreeing = enumerate_agreeing(result.start)
     first = agreeing[0]
     mate = None
     for cand in agreeing[1:]:
@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="accepted and ignored: the oracle runs in one process (only the library brute force takes workers)",
+        help="accepted and ignored: the oracle runs in one process",
     )
     ver.add_argument("--out", help="output file (default stdout)")
     ver.set_defaults(func=cmd_verify)

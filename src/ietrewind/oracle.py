@@ -8,8 +8,6 @@ every arrangement and stay as its cross-check.
 """
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
@@ -26,7 +24,6 @@ FORWARD_LIMIT = 10**5  # branches per row, and row pairs expanded, in forward_in
 class RealizabilityReport:
     candidates_checked: int
     realizers: tuple  # (Pair, types) entries
-    elapsed: float
 
 
 def _pull_loser(rows, t):
@@ -91,34 +88,12 @@ def _type_assignments(seq):
     return out
 
 
-def _scan_pair_rows(args):
-    alphabet, row0s, seq, assignments, prune = args
-    checked = 0
-    found = []
-    symbols = sorted_symbols(alphabet)
-    for r0 in row0s:
-        for r1 in permutations(symbols):
-            if prune and seq[0][0] not in (r0[-1], r1[-1]):
-                continue  # no type seed can open with this winner
-            cand = Pair(alphabet, r0, r1)
-            if not is_irreducible_pair(cand):
-                continue
-            for ts in assignments:
-                if prune and cand.row(ts[0])[-1] != seq[0][0]:
-                    continue
-                checked += 1
-                if _replay(cand, seq, ts):
-                    found.append((cand, ts))
-    return checked, found
-
-
-def brute_force_initial_pairs(moves, alphabet, prune: bool = True, jobs: int = 1) -> RealizabilityReport:
+def brute_force_initial_pairs(moves, alphabet) -> RealizabilityReport:
     """Try every irreducible pair (and both type seeds) against the record.
 
-    ``prune`` applies the sound first-move filter: the first winner must sit
-    rightmost in the row its type points at.
+    Only candidates that pass the sound first-move filter are replayed: the
+    first winner must sit rightmost in the row its type points at.
     """
-    begin = time.monotonic()
     alphabet = tuple(alphabet)
     if len(alphabet) > PAIR_BRUTE_LIMIT:
         raise BoundExceeded(f"brute force capped at {PAIR_BRUTE_LIMIT} symbols")
@@ -126,22 +101,24 @@ def brute_force_initial_pairs(moves, alphabet, prune: bool = True, jobs: int = 1
     if not seq:
         raise ValueError("empty move record")
     assignments = _type_assignments(seq)
-    row0s = list(permutations(sorted_symbols(alphabet)))
-    jobs = min(jobs, os.cpu_count() or 1, len(row0s))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        work = [(alphabet, row0s[i::jobs], seq, assignments, prune) for i in range(jobs)]
-        checked = 0
-        found = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for c, f in pool.map(_scan_pair_rows, work):
-                checked += c
-                found.extend(f)
-        found.sort(key=lambda entry: (entry[0].row0, entry[0].row1))
-    else:
-        checked, found = _scan_pair_rows((alphabet, row0s, seq, assignments, prune))
-    return RealizabilityReport(checked, tuple(found), time.monotonic() - begin)
+    first = seq[0][0]
+    symbols = sorted_symbols(alphabet)
+    checked = 0
+    found = []
+    for r0 in permutations(symbols):
+        for r1 in permutations(symbols):
+            if first not in (r0[-1], r1[-1]):
+                continue  # no type seed can open with this winner
+            cand = Pair(alphabet, r0, r1)
+            if not is_irreducible_pair(cand):
+                continue
+            for ts in assignments:
+                if cand.row(ts[0])[-1] != first:
+                    continue
+                checked += 1
+                if _replay(cand, seq, ts):
+                    found.append((cand, ts))
+    return RealizabilityReport(checked, tuple(found))
 
 
 # --- pair flavor, forward over partial rows ----------------------------------
@@ -257,7 +234,6 @@ def forward_initial_pairs(moves, alphabet) -> RealizabilityReport:
     Finds what :func:`brute_force_initial_pairs` finds, in the same order;
     each row pair expanded counts as two candidates, one per type seed.
     """
-    begin = time.monotonic()
     alphabet = tuple(alphabet)
     seq = _clean_moves(moves)
     if not seq:
@@ -265,7 +241,7 @@ def forward_initial_pairs(moves, alphabet) -> RealizabilityReport:
     symbols = sorted_symbols(alphabet)
     universe = set(symbols)
     if any(w in losers or w not in universe or not losers <= universe for w, losers in seq):
-        return RealizabilityReport(0, (), time.monotonic() - begin)
+        return RealizabilityReport(0, ())
     seed, flipped = _type_assignments(seq)
     # with every type flipped the rows swap roles, so one replay serves both seeds
     states = [_row_states(seq, seed, r, symbols, FORWARD_LIMIT) for r in (0, 1)]
@@ -284,7 +260,7 @@ def forward_initial_pairs(moves, alphabet) -> RealizabilityReport:
                 found += [(cand, seed), (cand.inverse(), flipped)]
     rank = {s: i for i, s in enumerate(symbols)}
     found.sort(key=lambda entry: ([rank[s] for s in entry[0].row0], [rank[s] for s in entry[0].row1]))
-    return RealizabilityReport(checked, tuple(found), time.monotonic() - begin)
+    return RealizabilityReport(checked, tuple(found))
 
 
 # --- permutation flavor ----------------------------------------------------

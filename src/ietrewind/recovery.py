@@ -10,11 +10,9 @@ permutation flavors (the permutation flavor plays it with the fixed winner
 """
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, chain, permutations, product
-from math import factorial, prod
 
 from .core import (
     Pair,
@@ -33,7 +31,7 @@ class AlphabetMismatch(Exception):
 
 
 class BoundExceeded(Exception):
-    """An enumeration was requested beyond the configured size bound."""
+    """An enumeration or search would go past the work it is bounded by."""
 
 
 class Unrealizable(Exception):
@@ -49,24 +47,21 @@ class Unrealizable(Exception):
         self.reason = reason
 
 
-DEFAULT_ENUM_BOUND = 9
-_ENUM_ENV = "IET_REWIND_MAX_ENUM"
-MAX_CANDIDATES = 10**5  # row orders an enumeration may try, whatever the size bound
+MAX_CANDIDATES = 10**5  # row orders an enumeration may try
 
 
-def enumeration_bound(bound=None) -> int:
-    if bound is not None:
-        return int(bound)
-    return int(os.environ.get(_ENUM_ENV, DEFAULT_ENUM_BOUND))
+def _check_bounds(*partitions):
+    """Raise BoundExceeded before trying more than MAX_CANDIDATES row orders.
 
-
-def _check_bounds(n: int, bound, *partitions):
-    """Raise BoundExceeded past the size bound, or before trying more than MAX_CANDIDATES row orders."""
-    if n > enumeration_bound(bound):
-        raise BoundExceeded(f"size {n} over the enumeration bound")
-    count = prod(factorial(len(b)) for blocks in partitions for b in blocks)
-    if count > MAX_CANDIDATES:
-        raise BoundExceeded(f"{count} candidates over the enumeration bound of {MAX_CANDIDATES}")
+    The count is a running product that stops once past the bound, so a
+    huge block costs no huge factorial.
+    """
+    count = 1
+    for b in chain.from_iterable(partitions):
+        for k in range(2, len(b) + 1):
+            count *= k
+            if count > MAX_CANDIDATES:
+                raise BoundExceeded(f"more than {MAX_CANDIDATES} candidates, over the enumeration bound")
 
 
 def _check_partition(blocks, universe: set):
@@ -453,9 +448,9 @@ def _row_orders(blocks):
         yield tuple(chain.from_iterable(combo))
 
 
-def enumerate_agreeing(pop: PartiallyOrderedPair, bound=None) -> list:
+def enumerate_agreeing(pop: PartiallyOrderedPair) -> list:
     """All irreducible pairs agreeing with the knowledge, in a fixed deterministic order."""
-    _check_bounds(pop.n, bound, pop.q0, pop.q1)
+    _check_bounds(pop.q0, pop.q1)
     out = []
     for r0 in _row_orders(pop.q0):
         for r1 in _row_orders(pop.q1):
@@ -465,7 +460,7 @@ def enumerate_agreeing(pop: PartiallyOrderedPair, bound=None) -> list:
     return out
 
 
-def enumerate_starting(pop: PartiallyOrderedPair, bound=None) -> list:
+def enumerate_starting(pop: PartiallyOrderedPair) -> list:
     """Agreeing irreducible pairs together with their inverses, deduplicated.
 
     This is the full set of pairs that can start a path whose record rewinds
@@ -473,7 +468,7 @@ def enumerate_starting(pop: PartiallyOrderedPair, bound=None) -> list:
     """
     out = []
     seen = set()
-    for cand in enumerate_agreeing(pop, bound=bound):
+    for cand in enumerate_agreeing(pop):
         for p in (cand, cand.inverse()):
             key = (p.row0, p.row1)
             if key not in seen:
@@ -482,10 +477,10 @@ def enumerate_starting(pop: PartiallyOrderedPair, bound=None) -> list:
     return out
 
 
-def enumerate_agreeing_perms(blocks, bound=None) -> list:
+def enumerate_agreeing_perms(blocks) -> list:
     """All irreducible permutations agreeing with an ordered partition of positions."""
     n = sum(len(b) for b in blocks)
-    _check_bounds(n, bound, blocks)
+    _check_bounds(blocks)
     per_block = []
     low = 1
     for block in blocks:

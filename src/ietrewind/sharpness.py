@@ -300,10 +300,10 @@ def halving_path(witness: PivotWitness, r: int):
     return [(w, l) for w, l in reversed(builder.moves)], start
 
 
-def has_definitive_positions(pop: PartiallyOrderedPair, bound=None) -> dict:
+def has_definitive_positions(pop: PartiallyOrderedPair) -> dict:
     """Letters inside unresolved blocks that every agreeing pair places at
     one same position anyway, by row."""
-    candidates = enumerate_agreeing(pop, bound=bound)
+    candidates = enumerate_agreeing(pop)
     if not candidates:
         raise PreconditionFailed("no irreducible pair agrees with the knowledge")
     out = {}

@@ -258,7 +258,7 @@ def test_criterion_5_ambiguity_construction():
         winners = [m.winner for m in result.moves]
         stretches, _ = c_completeness(winners, tuple(range(1, n + 1)))
         assert stretches == want_depth
-        agreeing = enumerate_agreeing(result.start, bound=n)
+        agreeing = enumerate_agreeing(result.start)
         assert len(agreeing) >= 2
         first = agreeing[0]
         mate = next(c for c in agreeing[1:] if c != inverse(first))

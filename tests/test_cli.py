@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import os
 import random
 import shutil
 import subprocess
@@ -186,6 +185,23 @@ def test_verify_oracle_past_the_brute_force_cap(tmp_path):
     assert out["recovered"]["count"] == 2
 
 
+def test_ten_symbol_walk_counts_and_verifies_with_the_oracle(tmp_path):
+    # no size limit stands between a settled record and its count or its oracle
+    start = tmp_path / "start10.json"
+    start.write_text(json.dumps({"alphabet": list(range(1, 11)), "p0": list(range(1, 11)), "p1": [10, 3, 6, 1, 9, 7, 5, 2, 8, 4]}))
+    path_file = tmp_path / "path10.json"
+    proc = _run("simulate", "--start", str(start), "--seed", "2", "--until-c-complete", "3", "--out", str(path_file))
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(path_file.read_text())["moves"]) == 187
+    proc = _run("recover", str(path_file))
+    assert proc.returncode == 0, proc.stdout
+    out = _json_out(proc)
+    assert (out["count"], out["unique"]) == (2, True)
+    proc = _run("verify", str(path_file), "--oracle")
+    assert proc.returncode == 0, proc.stdout
+    assert _json_out(proc)["checks"] == {"start_agrees": True, "types_agree": True, "oracle_matches": True}
+
+
 def test_verify_oracle_over_its_bound_exits_four_quickly(tmp_path):
     # A first block of ten losers leaves their order open until later moves
     # fix it: the forward oracle would branch 10! ways, while recovery
@@ -198,11 +214,10 @@ def test_verify_oracle_over_its_bound_exits_four_quickly(tmp_path):
     path_file = tmp_path / "path12.json"
     proc = _run("simulate", "--start", str(start), "--script", script, "--out", str(path_file))
     assert proc.returncode == 0, proc.stderr
-    env = dict(os.environ, IET_REWIND_MAX_ENUM="12")
-    proc = subprocess.run(_CLI + ["recover", str(path_file)], capture_output=True, text=True, env=env)
+    proc = _run("recover", str(path_file))
     assert _json_out(proc)["count"] == 48
     begin = time.monotonic()
-    proc = subprocess.run(_CLI + ["verify", str(path_file), "--oracle"], capture_output=True, text=True, env=env)
+    proc = _run("verify", str(path_file), "--oracle")
     assert time.monotonic() - begin < 10
     assert proc.returncode == 4, proc.stdout
     assert _json_out(proc) == {"error": "bad input", "detail": "the forward oracle's branches are over its bound"}

@@ -29,19 +29,19 @@ _PERM_6 = {"n": 6, "image": [3, 6, 1, 5, 2, 4]}
 GOLDEN = {
     'simulate-pair': (0, '6104822489a9bb3fd574c50d68e0cc22b17d4642e787a1c9a8be0d13b62021e9'),
     'simulate-pair-grouped': (0, 'd1485efeb5f939ba0561fe7ed79630702d1c28d51fae3d36ee40608c583acb0c'),
-    'recover-trace-pair-plain': (0, '5c03ef3098423546b1c05b93bd73013a8f055833dc42b26c74d8b9304a22a10f'),
-    'verify-pair-plain': (0, '8863dfd02024ac57fd5892ec0550c331913f26abec4e530d19878abba6a75541'),
-    'recover-trace-pair-grouped': (0, '58b742549eeda21033e3bf5dbf0498c8ec1081f6f37a736f6c8d2cc41be2ed4d'),
-    'verify-pair-grouped': (0, 'f61a46dcbaf8973a61ee380bda1671217fb1994f46bb17e1ffb8d4f825b0bff6'),
+    'recover-trace-pair-plain': (0, '73a3b3a0d57e4672279b4e82dbd9ae484fe1ad4d45468a6d9e38d8d30949955d'),
+    'verify-pair-plain': (0, 'ffa5b179162b8c12f5b959d113adee3a24733e1658e2585dc4b215541a0360ea'),
+    'recover-trace-pair-grouped': (0, '5968904f7dd327e613b2f176ce7dd68e1632c04eac1c7d1f831631c4ba140f72'),
+    'verify-pair-grouped': (0, 'd42d23d7405449296b07eb21987143ded9a7e7e8c916a21ea46fc49fce5767e1'),
     'simulate-perm': (0, '1004106cd3a0120573a0a8373465d8290e9afc3abd699d039a2b6afaa5ba47c9'),
     'simulate-perm-grouped': (0, '3354eebde9c5dcfeffd08b22ca4370af7d6a028fe1c7fdbc18c2307ee14d9116'),
-    'recover-perm-plain': (0, '26cf5ceb52407fa065aa23c4b777a425b8e974e529e9705bf220834ef5498b8c'),
+    'recover-perm-plain': (0, 'c22cb93721773ea7c5cb76c1b8595009934f95696544e2e18b7c92bca167d6c0'),
     'walk-pair': (0, '1de0ef3cb2ddb2bf7abd76539bfad52bbed25983b9c5edb8e4e1fdc7293046fc'),
     'verify-oracle-pair': (0, '293016c9dfec4ab6acae0bb2602b409d83db05052a50d4a03f9cae1d13b11285'),
     'walk-perm': (0, '1947376a66e89744064e0a5dd5b2acdf7936a80c7943c41ccf99fc34f1ab6d7a'),
     'verify-oracle-perm': (0, 'eb998332a7086ce473730cf2c6733436a08068149b09bf5d3fa1c7c46f675e48'),
     'sharpness-40': (0, 'ce40962983242f1ad6db4e54b49e11ec5bab9715cd463de7fcd533952ff02765'),
-    'recover-trace-sharpness-40': (0, '2e3c57c2f08d8b16315eeb5b44a546d75b5fac6962ecd5b548d0312e601efc21'),
+    'recover-trace-sharpness-40': (0, '73c657741876cfbc74cbf65fce7ae26faf87a1f162c8c433d43219bc5bf2eef3'),
 }
 
 

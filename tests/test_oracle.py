@@ -2,12 +2,10 @@
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import random
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 from pathlib import Path
 
@@ -15,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ietrewind import oracle
-from ietrewind.core import Permutation, inverse, is_irreducible_pair, is_irreducible_perm, make_pair
+from ietrewind.core import Pair, Permutation, inverse, is_irreducible_pair, is_irreducible_perm, make_pair
 from ietrewind.oracle import (
     brute_force_initial_pairs,
     brute_force_initial_perms,
@@ -119,36 +117,40 @@ def test_letter_record_brute_force_matches_enumeration():
     assert by_pair[inverse(settled)] == tuple(1 - t for t in types)
 
 
+def _unpruned_pair_oracle(moves, alphabet):
+    """Every irreducible pair replayed under both type seeds, as the brute
+    force did without its first-winner filter: the reference for the pruned
+    scan.  Returns (candidates checked, realizers)."""
+    winners = [m.winner for m in moves]
+    seeds = []
+    for last in (0, 1):
+        types = [last]
+        for j in range(len(winners) - 2, -1, -1):
+            types.append(types[-1] if winners[j] == winners[j + 1] else 1 - types[-1])
+        seeds.append(tuple(reversed(types)))
+    checked, found = 0, []
+    for r0 in permutations(alphabet):
+        for r1 in permutations(alphabet):
+            cand = Pair(alphabet, r0, r1)
+            if not is_irreducible_pair(cand):
+                continue
+            for types in seeds:
+                checked += 1
+                if forward_simulate(cand, moves, types):
+                    found.append((cand, types))
+    return checked, tuple(found)
+
+
 def test_brute_force_parallel_and_unpruned_agree():
     path = simulate_pair(make_pair((1, 2, 3, 4), (4, 3, 2, 1)), [0, 1, 0, 0])
-    moves = path.moves
-    base = brute_force_initial_pairs(moves, (1, 2, 3, 4))
-    par = brute_force_initial_pairs(moves, (1, 2, 3, 4), jobs=2)
-    full = brute_force_initial_pairs(moves, (1, 2, 3, 4), prune=False)
-    assert base.realizers == par.realizers == full.realizers
-    assert full.candidates_checked > base.candidates_checked
-
-
-def test_brute_force_jobs_are_clamped(monkeypatch):
-    path = simulate_pair(make_pair((1, 2, 3, 4), (4, 3, 2, 1)), [0, 1, 0, 0])
-    workers = []
-
-    def recording_pool(max_workers):
-        workers.append(max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
-    one = brute_force_initial_pairs(path.moves, (1, 2, 3, 4))
-    for cpus, pools in ((2, [2]), (None, [])):
-        workers.clear()
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
-        three = brute_force_initial_pairs(path.moves, (1, 2, 3, 4), jobs=3)
-        assert (three.candidates_checked, three.realizers) == (one.candidates_checked, one.realizers)
-        assert workers == pools
+    base = brute_force_initial_pairs(path.moves, (1, 2, 3, 4))
+    checked, realizers = _unpruned_pair_oracle(path.moves, (1, 2, 3, 4))
+    assert base.realizers == realizers
+    assert checked > base.candidates_checked
 
 
 def test_process_pool_is_imported_only_for_parallel_runs():
-    # the command line pays for multiprocessing only when --jobs asks for it
+    # the command line never pays for multiprocessing: every oracle runs in one process
     probe = "import sys, ietrewind.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -275,7 +277,7 @@ def test_forward_pair_oracle_matches_enumeration_past_the_brute_force_cap():
         types, _ = walk_until_complete(start, rng, 2)
         units = _pair_units(simulate_pair(start, types), trial % 2 == 1)
         pop, _ = recover_pair(units, alphabet=alphabet)
-        expected = enumerate_starting(pop, bound=n)
+        expected = enumerate_starting(pop)
         report = forward_initial_pairs(units, alphabet)
         assert {p for p, _ in report.realizers} == set(expected), (n, types)
         assert len(report.realizers) == len(expected)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,7 +24,6 @@ from ietrewind.recovery import (
     enumerate_agreeing,
     enumerate_agreeing_perms,
     enumerate_starting,
-    enumeration_bound,
     recover_pair,
     recover_perm,
     uncertainty_profile,
@@ -397,29 +397,34 @@ def test_agrees_and_mismatch():
         agrees(make_pair((1, 2, 4), (4, 2, 1)), pop)
 
 
-def test_enumeration_bound_and_env(monkeypatch):
-    assert enumeration_bound() == 9
-    monkeypatch.setenv("IET_REWIND_MAX_ENUM", "4")
-    assert enumeration_bound() == 4
+def test_enumeration_stops_past_the_candidate_bound():
+    # only the candidate count bounds an enumeration, so one block of five
+    # symbols enumerates whatever the size
     pop = PartiallyOrderedPair(
         (1, 2, 3, 4, 5), (_fs({1, 2, 3, 4, 5}),), (_fs({1, 2, 3, 4, 5}),)
     )
-    with pytest.raises(BoundExceeded):
-        enumerate_agreeing(pop)
-    # an explicit bound overrides the environment
-    assert len(enumerate_agreeing(pop, bound=5)) > 0
-    with pytest.raises(BoundExceeded):
-        enumerate_agreeing_perms((_fs({1, 2, 3, 4, 5}),))
-    # more than 10^5 candidates (here 7!*3!*2!*2! and 7!*4!) is over the bound whatever the size bound
+    assert len(enumerate_agreeing(pop)) > 0
+    assert len(enumerate_agreeing_perms((_fs({1, 2, 3, 4, 5}),))) > 0
+    # more than 10^5 candidates (here 7!*3!*2!*2! and 7!*4!) is over the bound
     nine = PartiallyOrderedPair(
         tuple(range(1, 10)),
         (_fs(range(1, 8)), _fs({8}), _fs({9})),
         (_fs({1, 2, 3}), _fs({4, 5}), _fs({6, 7}), _fs({8}), _fs({9})),
     )
     with pytest.raises(BoundExceeded):
-        enumerate_agreeing(nine, bound=9)
+        enumerate_agreeing(nine)
     with pytest.raises(BoundExceeded):
-        enumerate_agreeing_perms((_fs(range(1, 8)), _fs(range(8, 12))), bound=11)
+        enumerate_agreeing_perms((_fs(range(1, 8)), _fs(range(8, 12))))
+
+
+def test_a_huge_block_is_over_the_bound_at_once():
+    # the candidate count stops growing once past the bound, so a block of
+    # 10^6 positions costs no factorial(10^6)
+    block = _fs(range(1, 10**6 + 1))
+    begin = time.perf_counter()
+    with pytest.raises(BoundExceeded):
+        enumerate_agreeing_perms((block,))
+    assert time.perf_counter() - begin < 1.0
 
 
 def test_recover_perm_partial_trace():
