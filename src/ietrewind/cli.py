@@ -107,8 +107,8 @@ def _record_move(item, flavor, symbols):
         raise InputError("a move needs losers other than its winner, and k only with type 1")
     n = len(symbols)
     if flavor == "permutation" and t == 1:
-        if type(k) is not int or not 1 <= k < n or power < 1:
-            raise InputError("type-1 records need k in 1..n-1 and a positive power")
+        if type(k) is not int or not 1 <= k < n or power < 1 or winner != k or losers != {n}:
+            raise InputError("type-1 records need k in 1..n-1, the winner k, the losers [n] and a positive power")
         return k, power
     if flavor == "permutation" and (t != 0 or winner != n):
         raise InputError("without matrices, permutation records need a type, and type 0 the winner n")
@@ -117,14 +117,15 @@ def _record_move(item, flavor, symbols):
     return ZorichMove(winner, losers, 1, losers)
 
 
-def _check_records(flavor, records, moves):
+def _check_records(flavor, records, moves, n):
     """Each move record against the move decoded from its matrix."""
     for j, (record, move) in enumerate(zip(records, moves), 1):
         t = 0 if isinstance(move, ZorichMove) else 1
         if flavor == "permutation" and record.type_tag not in (None, t):
             raise InputError(f"matrix {j} disagrees with its move record")
         if t == 1:
-            if (record.k, record.power) != move:
+            k, power = move
+            if (record.winner, record.losers, record.k, record.power) != (k, {n}, k, power):
                 raise InputError(f"matrix {j} disagrees with its move record")
         elif (flavor == "pair" and move.winner != record.winner) or move.losers != record.losers:
             raise InputError(f"matrix {j} disagrees with its move record")
@@ -172,7 +173,7 @@ def load_path_file(obj: dict) -> dict:
         moves = [_record_move(item, flavor, symbols) for item in records]
     else:
         moves = [extract_move(m, index) for m in matrices] if flavor == "pair" else decode_perm_matrices(matrices)[0]
-        _check_records(flavor, _parse_moves(records), moves)
+        _check_records(flavor, _parse_moves(records), moves, n)
     start = None
     if obj.get("start") is not None:
         start = pair_from_obj(obj["start"]) if flavor == "pair" else perm_from_obj(obj["start"])

@@ -4,9 +4,10 @@ Knowledge about a row is an ordered partition of the alphabet: the blocks
 are known to occupy consecutive position runs in the given order, with the
 order inside each block unknown.  Processing the record backwards refines
 this knowledge one move at a time; the case split in
-:func:`_loser_row_rewind` is the whole story, shared by the pair and
-permutation flavors (the permutation flavor plays it with the fixed winner
-``n`` and skips the winner-row bookkeeping, which relabeling makes moot).
+:func:`_loser_row_rewind` is the whole story.  Permutation knowledge is pair
+knowledge with a known top row (Veech's correspondence), so the permutation
+rewind plays the same rules on fixed labels, and its enumeration and
+agreement check are the pair ones.
 """
 from __future__ import annotations
 
@@ -18,9 +19,11 @@ from .core import (
     Pair,
     Permutation,
     is_irreducible_pair,
-    is_irreducible_perm,
+    lift_perm,
+    project,
     sorted_symbols,
 )
+from .core import is_irreducible_perm  # noqa: F401  (kept importable: perfbench/trace_child.py wraps it)
 from .rauzy import MoveRecord, decode_A, type1_shift
 from .zorich import ZorichMove, extract_move
 from .zorich import breakup  # noqa: F401  (kept importable: perfbench/trace_child.py wraps recovery.breakup)
@@ -130,15 +133,15 @@ def agrees(pair: Pair, pop: PartiallyOrderedPair) -> bool:
     return True
 
 
+def _perm_knowledge(blocks) -> PartiallyOrderedPair:
+    """Position blocks as pair knowledge whose top row is the settled positions 1..n."""
+    positions = range(1, sum(map(len, blocks)) + 1)
+    return PartiallyOrderedPair(tuple(positions), tuple(frozenset((i,)) for i in positions), tuple(blocks))
+
+
 def agrees_perm(perm: Permutation, blocks) -> bool:
     """Does the permutation send each block onto the next value run?"""
-    low = 1
-    for block in blocks:
-        values = {perm.image[i - 1] for i in block}
-        if values != set(range(low, low + len(block))):
-            return False
-        low += len(block)
-    return True
+    return agrees(lift_perm(perm, range(1, perm.n + 1)), _perm_knowledge(blocks))
 
 
 # --- the backward move ----------------------------------------------------
@@ -407,7 +410,13 @@ def recover_perm(matrices, trace: bool = False):
 
 
 def recover_perm_moves(moves, n: int, trace: bool = False):
-    """:func:`recover_perm` on moves as :func:`decode_perm_matrices` gives them."""
+    """:func:`recover_perm` on moves as :func:`decode_perm_matrices` gives them.
+
+    The partition is over fixed labels, and ``labels`` maps positions to
+    them: a type-1 block at k is one slice of ``labels`` and pins the label
+    at k, which holds n throughout the run; a type-0 unit rewinds its
+    losers' labels in O(|losers|).  Positions return for the trace and result.
+    """
     # one item per type-1 block, its (k, p); one per unit move of a type-0 block, its losers
     items = []
     for src, move in enumerate(moves, 1):
@@ -422,22 +431,27 @@ def recover_perm_moves(moves, n: int, trace: bool = False):
     _, item = items[-1]
     last = {item[0]} if isinstance(item, tuple) else item
     part = OrderedPartition((set(range(1, n + 1)) - last, last))
+    labels = tuple(range(1, n + 1))
     history = [part.snapshot()] if trace else None
     for src, item in reversed(items[:-1]):
         if isinstance(item, tuple):
             k, p = item
-            shift = type1_shift(range(1, n + 1), k, p)
-            part = OrderedPartition([{shift[v - 1] for v in b} for b in part])
-            # n holds position k throughout a type-1 run
-            _winner_row_rewind(part, k, src)
+            labels = type1_shift(labels, k, -p)
+            _winner_row_rewind(part, labels[k - 1], src)
         else:
-            _loser_row_rewind(part, n, item, src)
+            _loser_row_rewind(part, labels[-1], {labels[x - 1] for x in item}, src)
         if trace:
-            history.append(part.snapshot())
-    blocks = part.snapshot()
+            history.append(_at_positions(part, labels))
+    blocks = _at_positions(part, labels)
     if trace:
         return blocks, history
     return blocks
+
+
+def _at_positions(part: OrderedPartition, labels) -> tuple:
+    """The partition's blocks of labels as blocks of the positions ``labels`` gives them."""
+    position = {label: i for i, label in enumerate(labels, 1)}
+    return tuple(frozenset(map(position.__getitem__, b)) for b in part)
 
 
 # --- enumeration over knowledge states ------------------------------------
@@ -479,25 +493,8 @@ def enumerate_starting(pop: PartiallyOrderedPair) -> list:
 
 def enumerate_agreeing_perms(blocks) -> list:
     """All irreducible permutations agreeing with an ordered partition of positions."""
-    n = sum(len(b) for b in blocks)
     _check_bounds(blocks)
-    per_block = []
-    low = 1
-    for block in blocks:
-        positions = sorted(block)
-        values = range(low, low + len(block))
-        per_block.append([list(zip(positions, perm)) for perm in permutations(values)])
-        low += len(block)
-    out = []
-    for combo in product(*per_block):
-        image = [0] * n
-        for pos, val in chain.from_iterable(combo):
-            image[pos - 1] = val
-        cand = Permutation(tuple(image))
-        if is_irreducible_perm(cand):
-            out.append(cand)
-    out.sort(key=lambda p: p.image)
-    return out
+    return sorted(map(project, enumerate_agreeing(_perm_knowledge(blocks))), key=lambda p: p.image)
 
 
 # --- uncertainty accounting -----------------------------------------------

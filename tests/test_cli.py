@@ -382,6 +382,11 @@ _TYPE1_4 = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]]  # type-1 at
           "moves": [{"winner": 2, "losers": [4], "type": True, "k": 2, "power": 1}]}, "type must be 0, 1 or null"),
         ({"version": 1, "flavor": "permutation", "n": 4, "matrices": [_TYPE1_4],
           "moves": [{"winner": 2, "losers": [4], "type": True, "k": 2, "power": 1}]}, "type must be 0, 1 or null"),
+        # a type-1 record whose winner and losers contradict its k and n, without and with its matrix
+        ({"version": 1, "flavor": "permutation", "n": 4,
+          "moves": [{"winner": 1, "losers": [3], "type": 1, "k": 2, "power": 1}]}, "the winner k, the losers [n]"),
+        ({"version": 1, "flavor": "permutation", "n": 4, "matrices": [_TYPE1_4],
+          "moves": [{"winner": 1, "losers": [3], "type": 1, "k": 2, "power": 1}]}, "disagrees with its move record"),
     ],
 )
 def test_malformed_path_files_exit_four(tmp_path, path_file, detail):

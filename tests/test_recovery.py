@@ -7,25 +7,31 @@ import time
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from itertools import chain, permutations, product
+
+from ietrewind import recovery
 from ietrewind.core import Pair, Permutation, inverse, is_irreducible_pair, is_irreducible_perm, make_pair
 from ietrewind.oracle import brute_force_initial_perms
-from ietrewind.rauzy import MoveRecord, c_completeness, simulate_pair, simulate_perm
-from ietrewind.zorich import accelerate
+from ietrewind.rauzy import MoveRecord, c_completeness, simulate_pair, simulate_perm, type1_shift, walk_until_complete
+from ietrewind.zorich import ZorichMove, accelerate
 from ietrewind.recovery import (
     AlphabetMismatch,
     BoundExceeded,
     OrderedPartition,
     PartiallyOrderedPair,
     Unrealizable,
+    _check_bounds,
     _loser_row_rewind,
     _winner_row_rewind,
     agrees,
     agrees_perm,
+    decode_perm_matrices,
     enumerate_agreeing,
     enumerate_agreeing_perms,
     enumerate_starting,
     recover_pair,
     recover_perm,
+    recover_perm_moves,
     uncertainty_profile,
     uniqueness_threshold,
 )
@@ -538,3 +544,165 @@ def test_recover_perm_grouped_always_admits_start(image, types):
     start = Permutation(tuple(image))
     assume(is_irreducible_perm(start))
     assert agrees_perm(start, recover_perm(_grouped_perm_matrices(start, types)))
+
+
+# Reference copies of the permutation code that renamed positions: the rewind
+# rebuilt its partition over the new positions at every type-1 entry, and
+# enumeration and agreement read value runs directly.
+
+def _ref_recover_perm_moves(moves, n, trace=False):
+    items = []
+    for src, move in enumerate(moves, 1):
+        if isinstance(move, ZorichMove):
+            items.extend((src, losers) for _, losers in move.units())
+        else:
+            items.append((src, move))
+    _, item = items[-1]
+    last = {item[0]} if isinstance(item, tuple) else item
+    part = OrderedPartition((set(range(1, n + 1)) - last, last))
+    history = [part.snapshot()] if trace else None
+    for src, item in reversed(items[:-1]):
+        if isinstance(item, tuple):
+            k, p = item
+            shift = type1_shift(range(1, n + 1), k, p)
+            part = OrderedPartition([{shift[v - 1] for v in b} for b in part])
+            _winner_row_rewind(part, k, src)
+        else:
+            _loser_row_rewind(part, n, item, src)
+        if trace:
+            history.append(part.snapshot())
+    blocks = part.snapshot()
+    if trace:
+        return blocks, history
+    return blocks
+
+
+def _ref_enumerate_agreeing_perms(blocks):
+    n = sum(len(b) for b in blocks)
+    _check_bounds(blocks)
+    per_block = []
+    low = 1
+    for block in blocks:
+        positions = sorted(block)
+        values = range(low, low + len(block))
+        per_block.append([list(zip(positions, perm)) for perm in permutations(values)])
+        low += len(block)
+    out = []
+    for combo in product(*per_block):
+        image = [0] * n
+        for pos, val in chain.from_iterable(combo):
+            image[pos - 1] = val
+        cand = Permutation(tuple(image))
+        if is_irreducible_perm(cand):
+            out.append(cand)
+    out.sort(key=lambda p: p.image)
+    return out
+
+
+def _ref_agrees_perm(perm, blocks):
+    low = 1
+    for block in blocks:
+        values = {perm.image[i - 1] for i in block}
+        if values != set(range(low, low + len(block))):
+            return False
+        low += len(block)
+    return True
+
+
+def _random_irreducible_perm(rng, n):
+    image = list(range(1, n + 1))
+    while True:
+        rng.shuffle(image)
+        if is_irreducible_perm(Permutation(tuple(image))):
+            return Permutation(tuple(image))
+
+
+def _outcome(recover, moves, n, trace):
+    try:
+        return recover(moves, n, trace=trace)
+    except Unrealizable as exc:
+        return exc.step, exc.reason
+
+
+def test_recover_perm_on_labels_matches_the_relabelling_rewind():
+    # Seeded records, ungrouped and grouped by type runs, about 30% with one
+    # entry replaced by a random type-1 power or type-0 loser set; blocks,
+    # traces and every (step, reason) must agree with the reference copy.
+    rng = random.Random(20231)
+    outcomes = {"settled": 0, "partial": 0, "unrealizable": 0}
+    for _ in range(3000):
+        n = rng.randint(3, 9)
+        start = _random_irreducible_perm(rng, n)
+        types = [rng.randint(0, 1) for _ in range(rng.randint(1, 3 * n))]
+        path = simulate_perm(start, types)
+        mats = accelerate(path, _type_runs(types)).matrices if rng.random() < 0.5 else path.matrices
+        moves, _ = decode_perm_matrices(mats)
+        if rng.random() < 0.3:
+            j = rng.randrange(len(moves))
+            if rng.random() < 0.5:
+                moves[j] = (rng.randint(1, n - 1), rng.randint(1, 2 * n))
+            else:
+                losers = _fs(rng.sample(range(1, n), rng.randint(1, n - 1)))
+                moves[j] = ZorichMove(n, losers, 1, losers)
+        trace = rng.random() < 0.5
+        got = _outcome(recover_perm_moves, moves, n, trace)
+        assert got == _outcome(_ref_recover_perm_moves, moves, n, trace)
+        blocks = got[0] if trace else got
+        if isinstance(got[1], str):  # an Unrealizable's (step, reason)
+            outcomes["unrealizable"] += 1
+        else:
+            outcomes["settled" if len(blocks) == n else "partial"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_perm_enumeration_and_agreement_match_the_value_run_reading():
+    rng = random.Random(20232)
+    found = 0
+    for _ in range(400):
+        n = rng.randint(3, 8)
+        blocks = _random_partition(rng, n)
+        while len(blocks) == 1 and n == 8:  # 8! orders take a second each way; 7! and below stay in
+            blocks = _random_partition(rng, n)
+        got = enumerate_agreeing_perms(blocks)
+        assert [p.image for p in got] == [p.image for p in _ref_enumerate_agreeing_perms(blocks)]
+        found += len(got)
+        probes = got[:3] + [_random_irreducible_perm(rng, n) for _ in range(3)]
+        for perm in probes + [Permutation(perm.image[1:] + perm.image[:1]) for perm in probes]:
+            assert agrees_perm(perm, blocks) == _ref_agrees_perm(perm, blocks)
+    assert found > 1000
+    # past the candidate bound both raise before building anything
+    for blocks in ((_fs(range(1, 10)),), (_fs(range(1, 8)), _fs(range(8, 12))), (_fs({1, 2}), _fs(range(3, 12)))):
+        for enumerate_perms in (enumerate_agreeing_perms, _ref_enumerate_agreeing_perms):
+            with pytest.raises(BoundExceeded):
+                enumerate_perms(blocks)
+
+
+def test_recover_perm_at_n256_builds_one_partition(monkeypatch):
+    # 8,803 moves from a random 256-symbol start, 4,441 of them type 1; the
+    # relabelling rewind built a partition for each type-1 entry
+    rng = random.Random(4)
+    image = list(range(1, 257))
+    while True:
+        rng.shuffle(image)
+        start = Permutation(tuple(image))
+        if is_irreducible_perm(start):
+            break
+    types, _ = walk_until_complete(start, rng, 3)
+    moves = [
+        (m.k, 1) if m.k is not None else ZorichMove(m.winner, m.losers, 1, m.losers)
+        for m in simulate_perm(start, types).moves
+    ]
+    assert (len(moves), sum(isinstance(m, tuple) for m in moves)) == (8803, 4441)
+    built = []
+
+    class CountedPartition(OrderedPartition):
+        __slots__ = ()
+
+        def __init__(self, blocks):
+            built.append(1)
+            super().__init__(blocks)
+
+    monkeypatch.setattr(recovery, "OrderedPartition", CountedPartition)
+    blocks = recover_perm_moves(moves, 256)
+    assert len(built) == 1
+    assert enumerate_agreeing_perms(blocks) == [start]
