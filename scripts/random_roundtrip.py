@@ -5,6 +5,9 @@ Walks a random irreducible pair, and a random irreducible permutation, of
 each trial's size until the winner sequence has as many complete stretches
 as the uniqueness threshold demands.  Reports how often recovery settles
 for each flavour and whether a settled start ever differs from the true one.
+Each permutation walk is also replayed by the forward oracle, which must
+find the start and, where the enumeration is within its bound, exactly the
+enumerated starts.
 """
 from __future__ import annotations
 
@@ -14,8 +17,17 @@ import sys
 from collections import defaultdict
 
 from ietrewind.core import Permutation, inverse, is_irreducible_pair, is_irreducible_perm, make_pair
+from ietrewind.oracle import forward_initial_perms
 from ietrewind.rauzy import simulate_pair, simulate_perm, walk_until_complete
-from ietrewind.recovery import agrees_perm, recover_pair, recover_perm, uniqueness_threshold
+from ietrewind.recovery import (
+    BoundExceeded,
+    agrees_perm,
+    decode_perm_matrices,
+    enumerate_agreeing_perms,
+    recover_pair,
+    recover_perm_moves,
+    uniqueness_threshold,
+)
 
 
 def random_pair(rng, n):
@@ -62,11 +74,19 @@ def main(argv=None) -> int:
                 mismatches += 1
         perm = random_perm(rng, n)
         types, _ = walk_until_complete(perm, rng, uniqueness_threshold(n))
-        blocks = recover_perm(simulate_perm(perm, types).matrices)
+        moves, _ = decode_perm_matrices(simulate_perm(perm, types).matrices)
+        blocks = recover_perm_moves(moves, n)
         if len(blocks) == n:
             perm_settled[n] += 1
             if not agrees_perm(perm, blocks):
                 mismatches += 1
+        found = forward_initial_perms(moves, n)
+        try:
+            enumerated = enumerate_agreeing_perms(blocks)
+        except BoundExceeded:  # the oracle must still find the start
+            enumerated = None
+        if perm not in found or enumerated not in (None, found):
+            mismatches += 1
 
     print(f"{'n':>3} {'trials':>7} {'settled':>8} {'avg moves':>10} {'perm settled':>13}")
     for n in sorted(lengths):

@@ -17,12 +17,10 @@ from .core import (
     perm_from_obj,
     perm_to_obj,
 )
-from .oracle import brute_force_initial_perms, forward_initial_pairs, forward_simulate
+from .oracle import forward_initial_pairs, forward_initial_perms, forward_simulate
 from .rauzy import (
     MalformedMatrix,
-    MoveRecord,
     NonIrreducible,
-    record_matrix,
     simulate_pair,
     simulate_perm,
     walk_until_complete,
@@ -45,7 +43,7 @@ from .zorich import MixedTypeBlock, ZorichMove, accelerate, extract_move
 # Kept importable: perfbench/trace_child.py wraps these names in this module.
 from .lifting import relabel  # noqa: F401
 from .matrices import matmul  # noqa: F401
-from .oracle import brute_force_initial_pairs  # noqa: F401
+from .oracle import brute_force_initial_pairs, brute_force_initial_perms  # noqa: F401
 from .rauzy import c_completeness, decode_A, rauzy_step_pair, rauzy_step_perm  # noqa: F401
 from .recovery import recover_perm  # noqa: F401
 from .zorich import breakup  # noqa: F401
@@ -70,23 +68,6 @@ def _serialize_moves(moves, position):
     ]
 
 
-def _record_fields(item):
-    """A record's winner, losers, type, k and power: losers a JSON array, power an integer, type 0, 1 or null."""
-    losers, t, power = item["losers"], item.get("type"), item.get("power", 1)
-    if not isinstance(losers, list) or type(power) is not int:
-        raise InputError("a move record needs its losers as a JSON array and its power as an integer")
-    if t is not None and (type(t) is not int or t not in (0, 1)):
-        raise InputError("a move record's type must be 0, 1 or null")
-    return item["winner"], frozenset(losers), t, item.get("k"), power
-
-
-def _parse_moves(items):
-    return [
-        MoveRecord(winner, losers, type_tag=t, k=k, power=power)
-        for winner, losers, t, k, power in map(_record_fields, items)
-    ]
-
-
 def _parse_matrix(raw, n: int):
     """One path-file matrix as a tuple of int tuples: n rows of n JSON integers."""
     if not isinstance(raw, list) or len(raw) != n:
@@ -97,49 +78,50 @@ def _parse_matrix(raw, n: int):
     return mat
 
 
-def _record_move(item, flavor, symbols):
-    """The move of a record read without its matrix: (k, p) or a unit ZorichMove."""
-    winner, losers, t, k, power = _record_fields(item)
-    if winner not in symbols or not losers <= symbols:
-        outside = next(s for s in (winner, *losers) if s not in symbols)
-        raise InputError(f"move names {outside!r}, which is not a symbol of the file")
-    if not losers or winner in losers or (k is not None and t != 1):
-        raise InputError("a move needs losers other than its winner, and k only with type 1")
-    n = len(symbols)
-    if flavor == "permutation" and t == 1:
+def _record_move(item, flavor, kind, j, decoded=None):
+    """The move of record ``j``: ``decoded`` from its matrix, which the record must
+    name exactly (type when given), else a unit ZorichMove or type-1 ``(k, p)``
+    built from it.  ``kind`` maps each symbol of the file to its JSON type."""
+    winner, losers, t, k, power = item["winner"], item["losers"], item.get("type"), item.get("k"), item.get("power", 1)
+    if not isinstance(losers, list) or type(power) is not int:
+        raise InputError("a move record needs its losers as a JSON array and its power as an integer")
+    if t is not None and (type(t) is not int or t not in (0, 1)):
+        raise InputError("a move record's type must be 0, 1 or null")
+    for s in (winner, *losers):
+        if kind.get(s) is not type(s):
+            raise InputError(f"move names {s!r}, which is not a symbol of the file")
+    losers = frozenset(losers)
+    perm, n = flavor == "permutation", len(kind)
+    if not losers or winner in losers or (k is not None and (t != 1 or not perm or type(k) is not int)):
+        raise InputError("a move needs losers other than its winner, and an integer k only with permutation type 1")
+    if decoded is not None:
+        if type(decoded) is tuple:  # a type-1 power (k, p)
+            expected, steps = (decoded[0], {n}, decoded[0], 1), decoded[1]
+        else:
+            expected, steps = (decoded.winner, decoded.losers, None, 0 if perm else t), decoded.steps
+        if (winner, losers, k) != expected[:3] or t not in (None, expected[3]):
+            raise InputError(f"matrix {j} disagrees with its move record")
+        if power != steps:
+            raise InputError(f"matrix {j} bundles {steps} moves, record says {power}")
+        return decoded
+    if perm and t == 1:
         if type(k) is not int or not 1 <= k < n or power < 1 or winner != k or losers != {n}:
             raise InputError("type-1 records need k in 1..n-1, the winner k, the losers [n] and a positive power")
         return k, power
-    if flavor == "permutation" and (t != 0 or winner != n):
+    if perm and (t != 0 or winner != n):
         raise InputError("without matrices, permutation records need a type, and type 0 the winner n")
     if power != len(losers):
         raise InputError("grouped move records need their matrices to unpack")
     return ZorichMove(winner, losers, 1, losers)
 
 
-def _check_records(flavor, records, moves, n):
-    """Each move record against the move decoded from its matrix."""
-    for j, (record, move) in enumerate(zip(records, moves), 1):
-        t = 0 if isinstance(move, ZorichMove) else 1
-        if flavor == "permutation" and record.type_tag not in (None, t):
-            raise InputError(f"matrix {j} disagrees with its move record")
-        if t == 1:
-            k, power = move
-            if (record.winner, record.losers, record.k, record.power) != (k, {n}, k, power):
-                raise InputError(f"matrix {j} disagrees with its move record")
-        elif (flavor == "pair" and move.winner != record.winner) or move.losers != record.losers:
-            raise InputError(f"matrix {j} disagrees with its move record")
-        elif move.steps != record.power:
-            raise InputError(f"matrix {j} bundles {move.steps} moves, record says {record.power}")
-
-
 def load_path_file(obj: dict) -> dict:
     """Read a version-1 path file, checking and decoding each entry once.
 
     ``moves`` has one move per entry, as both recoveries read them: decoded
-    from the matrices if there are any (the records are checked against
-    them), else from the records; a :class:`ZorichMove`, or ``(k, p)`` for
-    a type-1 power.
+    from the matrices if there are any, else built from the records; a
+    :class:`ZorichMove`, or ``(k, p)`` for a type-1 power.  One rule reads
+    every record, with or without its matrix (:func:`_record_move`).
     """
     if not isinstance(obj, dict) or obj.get("version") != 1:
         raise InputError("expected a version-1 path file")
@@ -168,12 +150,11 @@ def load_path_file(obj: dict) -> dict:
     if records and raw and len(records) != len(raw):
         raise InputError("moves and matrices must align one to one")
     matrices = tuple(_parse_matrix(m, n) for m in raw)
-    if not matrices:
-        symbols = set(index)
-        moves = [_record_move(item, flavor, symbols) for item in records]
-    else:
+    moves = [None] * len(records)
+    if matrices:
         moves = [extract_move(m, index) for m in matrices] if flavor == "pair" else decode_perm_matrices(matrices)[0]
-        _check_records(flavor, _parse_moves(records), moves, n)
+    kind = {s: type(s) for s in index}
+    moves = [_record_move(item, flavor, kind, j, move) for j, (item, move) in enumerate(zip(records, moves), 1)] or moves
     start = None
     if obj.get("start") is not None:
         start = pair_from_obj(obj["start"]) if flavor == "pair" else perm_from_obj(obj["start"])
@@ -209,10 +190,10 @@ def _read_json(path):
 #
 # Every output is json.dumps(obj, sort_keys=True, indent=2) plus a newline.
 # ``indent`` makes that call run Python's pure-Python encoder, which costs
-# most of ``simulate`` and ``sharpness``.  So a top-level ``matrices`` or
-# ``moves`` array of the shape those commands write is laid out at its known
-# depth from compact C-encoder text or one template per record; any other
-# value goes through json.dumps itself.
+# most of ``simulate``, ``sharpness`` and ``recover --trace``.  So a top-level
+# ``matrices``, ``moves`` or permutation ``trace`` array (a permutation trace
+# nests as matrices do) is laid out at its known depth from compact C-encoder
+# text or one template per record; any other value goes through json.dumps.
 
 _MATRIX_LAYOUT = (  # compact separator -> its indent-2 form, replaced in this order
     (",", ",\n        "),
@@ -265,7 +246,7 @@ def _moves_json(moves):
     return "[\n    " + ",\n    ".join(records) + "\n  ]"
 
 
-_BULK = {"matrices": _matrices_json, "moves": _moves_json}
+_BULK = {"matrices": _matrices_json, "moves": _moves_json, "trace": _matrices_json}
 
 
 def _dumps(obj):
@@ -469,17 +450,14 @@ def cmd_verify(args) -> int:
                 flipped = [1 - t for t in types]
                 checks["types_agree"] = stored in (list(types), flipped)
         if args.oracle:
-            units = [unit for move in data["moves"] for unit in move.units()]
-            oracle = forward_initial_pairs(units, data["alphabet"])
+            oracle = forward_initial_pairs(data["moves"], data["alphabet"])
             got = {(p.row0, p.row1) for p, _ in oracle.realizers}
             checks["oracle_matches"] = got == {(p.row0, p.row1) for p in starts}
     else:
         if start is not None:
             checks["start_agrees"] = agrees_perm(start, recovered)
         if args.oracle:
-            index = data["index"]
-            evidence = data["matrices"] or [record_matrix(r, index) for r in _parse_moves(data["records"])]
-            found = brute_force_initial_perms(evidence, len(index))
+            found = forward_initial_perms(data["moves"], len(data["index"]))
             checks["oracle_matches"] = [p.image for p in found] == [p.image for p in starts]
     ok = all(checks.values()) if checks else True
     out = {"ok": ok, "checks": checks, "recovered": report}

@@ -2,9 +2,9 @@
 
 Everything here replays candidates forward with its own minimal steppers,
 deliberately sharing nothing with the reverse algorithms beyond the state
-types, so the two sides can check each other.  :func:`forward_initial_pairs`
-replays a pair record once over partially known rows; the brute forces try
-every arrangement and stay as its cross-check.
+types, so the two sides can check each other.  The forward replays read a
+record once over partially known rows (a permutation is a pair whose top row
+is known); the brute forces try every arrangement and stay as their cross-check.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
-from .core import Pair, Permutation, is_irreducible_pair, is_irreducible_perm, sorted_symbols
+from .core import Pair, Permutation, is_irreducible_pair, is_irreducible_perm, project, sorted_symbols
 from .recovery import BoundExceeded
 
 PAIR_BRUTE_LIMIT = 6
@@ -34,12 +34,19 @@ def _pull_loser(rows, t):
     return loser
 
 
+def _unit_losers(move):
+    """The loser sets of the unit moves a move bundles, read from a block's
+    ``max_count`` and ``losers_max``; any other move is one unit."""
+    count = getattr(move, "max_count", 1)
+    return [move.losers] * (count - 1) + [getattr(move, "losers_max", move.losers)]
+
+
 def _clean_moves(moves):
     out = []
     for m in moves:
         winner = getattr(m, "winner", None)
         if winner is not None:
-            out.append((winner, frozenset(m.losers)))
+            out += [(winner, frozenset(losers)) for losers in _unit_losers(m)]
         else:
             w, losers = m
             out.append((w, frozenset(losers)))
@@ -245,22 +252,54 @@ def forward_initial_pairs(moves, alphabet) -> RealizabilityReport:
     seed, flipped = _type_assignments(seq)
     # with every type flipped the rows swap roles, so one replay serves both seeds
     states = [_row_states(seq, seed, r, symbols, FORWARD_LIMIT) for r in (0, 1)]
+    starts, pairs = _irreducible_starts(alphabet, states)
+    found = [entry for cand in starts for entry in ((cand, seed), (cand.inverse(), flipped))]
+    rank = {s: i for i, s in enumerate(symbols)}
+    found.sort(key=lambda entry: ([rank[s] for s in entry[0].row0], [rank[s] for s in entry[0].row1]))
+    return RealizabilityReport(2 * pairs, tuple(found))
+
+
+def _irreducible_starts(alphabet, states):
+    """The irreducible pairs that start a surviving state of each row, and the
+    row pairs expanded, of which there may be at most ``FORWARD_LIMIT``."""
     orders = [sum(factorial(len(row.pool)) for row in rows) for rows in states]
     pairs = orders[0] * orders[1]
     if pairs > FORWARD_LIMIT:
         raise BoundExceeded(f"{pairs} row pairs over the forward oracle's bound of {FORWARD_LIMIT}")
-    rows0, rows1 = ([start for row in rows for start in row.starts()] for rows in states) if pairs else ((), ())
-    checked = 0
-    found = []
-    for r0 in rows0:
-        for r1 in rows1:
-            cand = Pair(alphabet, r0, r1)
-            checked += 2
-            if is_irreducible_pair(cand):
-                found += [(cand, seed), (cand.inverse(), flipped)]
-    rank = {s: i for i, s in enumerate(symbols)}
-    found.sort(key=lambda entry: ([rank[s] for s in entry[0].row0], [rank[s] for s in entry[0].row1]))
-    return RealizabilityReport(checked, tuple(found))
+    if not pairs:
+        return [], 0
+    rows0, rows1 = ([start for row in rows for start in row.starts()] for rows in states)
+    cands = (Pair(alphabet, r0, r1) for r0 in rows0 for r1 in rows1)
+    return [cand for cand in cands if is_irreducible_pair(cand)], pairs
+
+
+# --- permutation flavor, forward over the bottom row -------------------------
+# Labelled by its start positions, a permutation is a pair whose top row is
+# known throughout (Veech's correspondence): type 0 leaves it, and p type-1
+# moves at k rotate its slots k+1..n by p.  So only the bottom row replays.
+
+
+def forward_initial_perms(entries, n: int) -> list:
+    """Every irreducible permutation, by image, whose forward replay plays the
+    entries of a permutation file as its reader gives them: type-0 units or
+    blocks (winner n, losers by position), or type-1 powers ``(k, p)``.
+    Finds what :func:`brute_force_initial_perms` finds from their matrices,
+    at any n; raises BoundExceeded as :func:`forward_initial_pairs` does."""
+    labels = tuple(range(1, n + 1))
+    top, seq, types = labels, [], []
+    for entry in entries:
+        if hasattr(entry, "winner"):
+            seq += [(top[-1], frozenset(top[x - 1] for x in losers)) for losers in _unit_losers(entry)]
+            types += [0] * (len(seq) - len(types))
+        else:
+            k, p = entry
+            seq.append((top[k - 1], frozenset((top[-1],))))
+            types.append(1)
+            cut = n - p % (n - k)
+            top = top[:k] + top[cut:] + top[k:cut]
+    pinned = [_PartialRow([], list(labels), {})]
+    starts, _ = _irreducible_starts(labels, [pinned, _row_states(seq, types, 1, labels, FORWARD_LIMIT)])
+    return sorted(map(project, starts), key=lambda perm: perm.image)
 
 
 # --- permutation flavor ----------------------------------------------------

@@ -321,6 +321,12 @@ def test_bad_inputs_exit_four(tmp_path, pair_start_file):
 
 _PAIR_MATRIX_4 = [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 _TYPE1_4 = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]]  # type-1 at k=2, n=4
+_PERM_0100 = [  # the matrices of simulate --script 0,1,0,0 from the permutation [5, 2, 1, 4, 3]
+    [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, 0, 0, 1]],
+    [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]],
+    [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1]],
+    [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 0, 0, 0, 1]],
+]
 
 
 @pytest.mark.parametrize(
@@ -387,6 +393,29 @@ _TYPE1_4 = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]]  # type-1 at
           "moves": [{"winner": 1, "losers": [3], "type": 1, "k": 2, "power": 1}]}, "the winner k, the losers [n]"),
         ({"version": 1, "flavor": "permutation", "n": 4, "matrices": [_TYPE1_4],
           "moves": [{"winner": 1, "losers": [3], "type": 1, "k": 2, "power": 1}]}, "disagrees with its move record"),
+        # simulate --script 0,1,0,0 from [5, 2, 1, 4, 3], its third record naming the winner 2, not n
+        # (once accepted beside its matrix, though rejected without it)
+        ({"version": 1, "flavor": "permutation", "n": 5, "matrices": _PERM_0100,
+          "moves": [{"winner": 5, "losers": [1], "type": 0}, {"winner": 4, "losers": [5], "type": 1, "k": 4},
+                    {"winner": 2, "losers": [4], "type": 0}, {"winner": 5, "losers": [1], "type": 0}]},
+         "matrix 3 disagrees with its move record"),
+        # symbols equal to a file's symbol in value but not in JSON type (each once read as that symbol)
+        ({"version": 1, "flavor": "permutation", "n": 4,
+          "moves": [{"winner": True, "losers": [4], "type": 1, "k": 1}, {"winner": 4, "losers": [True], "type": 0}]},
+         "names True"),
+        ({"version": 1, "flavor": "permutation", "n": 4,
+          "moves": [{"winner": 1.0, "losers": [4], "type": 1, "k": 1}, {"winner": 4, "losers": [1.0], "type": 0}]},
+         "names 1.0"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "matrices": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]]],
+          "moves": [{"winner": 4, "losers": [True], "type": 0}]}, "names True"),
+        ({"version": 1, "flavor": "pair", "alphabet": [True, 2, 3, 4],
+          "moves": [{"winner": 4, "losers": [1], "type": 0}]}, "names 1,"),
+        # a k that is not an integer beside its matrix, and a k in a pair record (each once accepted)
+        ({"version": 1, "flavor": "permutation", "n": 4, "matrices": [_TYPE1_4],
+          "moves": [{"winner": 2, "losers": [4], "type": 1, "k": 2.0, "power": 1}]}, "an integer k only"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "moves": [{"winner": 4, "losers": [3], "type": 1, "k": 2}]}, "an integer k only"),
     ],
 )
 def test_malformed_path_files_exit_four(tmp_path, path_file, detail):
@@ -452,6 +481,24 @@ def test_verify_grouped_perm_record_with_oracle(tmp_path):
     assert out["recovered"]["pi"] == [4, 5, 3, 1, 2]
 
 
+@pytest.mark.parametrize("n", [16, 32])
+def test_verify_perm_oracle_past_the_brute_force_cap(tmp_path, n):
+    # the permutation brute force stops at eight symbols; the forward oracle does not
+    rng = random.Random(n)
+    image = rng.sample(range(1, n + 1), n)
+    while any(max(image[:k]) == k for k in range(1, n)):
+        image = rng.sample(range(1, n + 1), n)
+    start, path_file = tmp_path / "start.json", tmp_path / "walk.json"
+    start.write_text(json.dumps({"n": n, "image": image}))
+    proc = _run("simulate", "--start", str(start), "--seed", str(n), "--until-c-complete", "3", "--out", str(path_file))
+    assert proc.returncode == 0, proc.stderr
+    proc = _run("verify", str(path_file), "--oracle")
+    assert proc.returncode == 0, proc.stdout
+    out = _json_out(proc)
+    assert out["checks"] == {"start_agrees": True, "oracle_matches": True}
+    assert out["recovered"]["pi"] == image
+
+
 def test_recover_bounds_enumeration_by_its_candidates(tmp_path):
     # one move over nine symbols leaves 8!·8! row pairs, which were once all tried
     from ietrewind import cli
@@ -473,7 +520,7 @@ def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypat
 
     for module in (cli, lifting, matrices, rauzy):
         monkeypatch.setattr(module, "matmul", no_products)
-    calls = {"extract_move": 0, "decode_A": 0, "parse": 0, "render": 0, "enumerate": 0}
+    calls = {"extract_move": 0, "decode_A": 0, "parse": 0, "render": 0, "enumerate": 0, "record": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -491,9 +538,8 @@ def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypat
     monkeypatch.setattr(cli, "extract_move", counted("extract_move", cli.extract_move))
     monkeypatch.setattr(recovery, "decode_A", counted("decode_A", recovery.decode_A))
     monkeypatch.setattr(cli, "_parse_matrix", counted("parse", cli._parse_matrix))
-    render = counted("render", rauzy.record_matrix)
-    for module in (rauzy, cli):
-        monkeypatch.setattr(module, "record_matrix", render)
+    monkeypatch.setattr(rauzy, "record_matrix", counted("render", rauzy.record_matrix))
+    monkeypatch.setattr(rauzy.MoveRecord, "__post_init__", counted("record", rauzy.MoveRecord.__post_init__))
     for module in (rauzy, zorich):
         monkeypatch.setattr(module, "_check_square", copies_no_row(module._check_square))
     for name in ("enumerate_starting", "enumerate_agreeing_perms"):
@@ -512,29 +558,30 @@ def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypat
         start = tmp_path / f"{flavor}.json"
         start.write_text(json.dumps(obj))
         for argv in (["--until-c-complete", "2"], ["--length", "40"]):
-            # an ungrouped simulate renders each matrix it writes once
-            calls.update(render=0)
+            # an ungrouped simulate renders each matrix it writes once, from a move record
+            calls.update(render=0, record=0)
             data = run("simulate", "--start", str(start), "--seed", "4", *argv)
-            assert calls["render"] == len(data["matrices"])
+            assert calls["render"] == len(data["matrices"]) <= calls["record"]
         for argv in (["--script", script], ["--seed", "4", "--length", "40"]):
             path_file = tmp_path / f"{flavor}-path.json"
             data = run("simulate", "--start", str(start), *argv, out=path_file)
             for command in (["recover", "--trace"], ["verify"], ["verify", "--oracle"]):
-                calls.update(extract_move=0, decode_A=0, parse=0, render=0, enumerate=0)
+                calls.update(extract_move=0, decode_A=0, parse=0, render=0, enumerate=0, record=0)
                 run(command[0], str(path_file), *command[1:])
                 assert calls["parse"] == len(data["matrices"])
-                assert calls["render"] == 0
+                assert calls["render"] == calls["record"] == 0
                 assert calls["enumerate"] == 1
                 if flavor == "pair":
                     assert calls["extract_move"] == len(data["matrices"])
                 else:
                     assert calls["decode_A"] == len(data["matrices"])
-        # a permutation record without matrices is read from its records, and
-        # its matrices are rendered only as the oracle's evidence
+        # a record without matrices is read from its records alone, and the
+        # oracle replays the same moves: nothing is rendered or decoded
         if flavor == "permutation":
             del data["matrices"]
             path_file.write_text(json.dumps(data))
-            calls.update(decode_A=0, render=0)
-            run("verify", str(path_file), "--oracle")
-            assert calls["decode_A"] == 0
-            assert calls["render"] == len(data["moves"])
+            for command in (["recover", "--trace"], ["verify"], ["verify", "--oracle"]):
+                calls.update(decode_A=0, render=0, record=0)
+                run(command[0], str(path_file), *command[1:])
+                assert calls["decode_A"] == 0
+                assert calls["render"] == calls["record"] == 0

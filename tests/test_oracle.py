@@ -13,21 +13,26 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ietrewind import oracle
+from ietrewind.cli import load_path_file
 from ietrewind.core import Pair, Permutation, inverse, is_irreducible_pair, is_irreducible_perm, make_pair
+from ietrewind.matrices import winner_row_matrix
 from ietrewind.oracle import (
     brute_force_initial_pairs,
     brute_force_initial_perms,
     forward_initial_pairs,
+    forward_initial_perms,
     forward_simulate,
 )
-from ietrewind.rauzy import simulate_pair, simulate_perm, walk_until_complete
-from ietrewind.zorich import accelerate, extract_move
+from ietrewind.rauzy import simulate_pair, simulate_perm, type1_matrix, walk_until_complete
+from ietrewind.zorich import ZorichMove, accelerate, extract_move
 from ietrewind.recovery import (
     BoundExceeded,
+    decode_perm_matrices,
     enumerate_agreeing_perms,
     enumerate_starting,
     recover_pair,
     recover_perm,
+    recover_perm_moves,
 )
 
 _ANCHOR = make_pair((1, 2, 3, 4, 5), (5, 4, 3, 2, 1))
@@ -381,3 +386,75 @@ def test_pruned_perm_oracle_matches_the_unpruned_replay():
         assert got == _unpruned_perm_oracle(mats, n), (image, types)
         if trial % 3 != 2:
             assert Permutation(image) in got
+
+
+# --- the forward permutation oracle -----------------------------------------
+
+def _perm_file_entries(mats, n, form):
+    """The entries ``verify --oracle`` hands the oracle: decoded from the
+    matrices, or read back from the unit records a file without them holds."""
+    entries, _ = decode_perm_matrices(mats)
+    if form != "records":
+        return entries
+    records = [
+        {"winner": n, "losers": sorted(m.losers), "type": 0, "power": m.steps} if isinstance(m, ZorichMove)
+        else {"winner": m[0], "losers": [n], "type": 1, "k": m[0], "power": m[1]}
+        for m in entries
+    ]
+    return load_path_file({"version": 1, "flavor": "permutation", "n": n, "moves": records})["moves"]
+
+
+@st.composite
+def _perm_records(draw):
+    n = draw(st.integers(3, 7))
+    start = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+    assume(is_irreducible_perm(start))
+    types = draw(st.lists(st.integers(0, 1), min_size=1, max_size=3 * n))
+    path = simulate_perm(start, types)
+    form = draw(st.sampled_from(("ungrouped", "grouped", "records")))
+    mats = list(accelerate(path, _runs(types)).matrices if form == "grouped" else path.matrices)
+    change = draw(st.sampled_from((None, "tail", "replace")))
+    if change == "tail":  # the record goes on from a state it never reached
+        other = Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+        assume(is_irreducible_perm(other))
+        mats += simulate_perm(other, draw(st.lists(st.integers(0, 1), min_size=1, max_size=3))).matrices
+    elif change == "replace":  # one matrix swapped for a unit type-0 move or a type-1 power
+        j = draw(st.integers(0, len(mats) - 1))
+        if draw(st.booleans()):
+            mats[j] = type1_matrix(n, draw(st.integers(1, n - 1)), draw(st.integers(1, 2 * n)))
+        else:
+            mats[j] = winner_row_matrix(n, n - 1, dict.fromkeys(draw(st.sets(st.integers(0, n - 2), min_size=1)), 1))
+    return n, form, start, change, mats
+
+
+@given(_perm_records())
+@settings(deadline=None, max_examples=80)
+def test_forward_perm_oracle_matches_brute_force(case):
+    # the brute force reads the raw matrices, so the decoders stay covered
+    n, form, start, change, mats = case
+    found = forward_initial_perms(_perm_file_entries(mats, n, form), n)
+    assert found == brute_force_initial_perms(mats, n)
+    if change is None:
+        assert start in found
+
+
+def test_forward_perm_oracle_matches_enumeration_past_the_brute_force_cap():
+    rng = random.Random(912)
+    sizes = set()
+    for trial in range(16):
+        n = 9 + trial % 4
+        image = tuple(rng.sample(range(1, n + 1), n))
+        while not is_irreducible_perm(Permutation(image)):
+            image = tuple(rng.sample(range(1, n + 1), n))
+        types, _ = walk_until_complete(Permutation(image), rng, 2)
+        if trial % 2:  # a quarter of the walk leaves the start open
+            types = types[:len(types) // 4]
+        path = simulate_perm(Permutation(image), types)
+        form = ("ungrouped", "grouped", "records")[trial % 3]
+        mats = accelerate(path, _runs(types)).matrices if form == "grouped" else path.matrices
+        entries = _perm_file_entries(mats, n, form)
+        found = forward_initial_perms(entries, n)
+        assert found == enumerate_agreeing_perms(recover_perm_moves(entries, n)), (image, types)
+        assert Permutation(image) in found
+        sizes.add(len(found))
+    assert 1 in sizes and len(sizes) > 4, sizes  # settled and open records both

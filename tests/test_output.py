@@ -176,3 +176,23 @@ def test_other_shapes_fall_back_to_the_stdlib():
     ]
     for obj in cases:
         assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_permutation_trace_skips_the_indent_encoder(tmp_path, monkeypatch):
+    # a permutation trace nests as matrices do, so it is laid out like them
+    start, path, report = tmp_path / "start.json", tmp_path / "path.json", tmp_path / "report.json"
+    start.write_text(json.dumps({"n": 6, "image": [6, 3, 5, 1, 4, 2]}))
+    assert cli.main(["simulate", "--start", str(start), "--seed", "3", "--until-c-complete", "2", "--out", str(path)]) == 0
+    real, indented = json.dumps, []
+
+    def dumps(obj, **kwargs):
+        if "indent" in kwargs:
+            indented.append(obj)
+        return real(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    assert cli.main(["recover", str(path), "--trace", "--out", str(report)]) == 0
+    obj = json.loads(report.read_text())
+    assert len(obj["trace"]) > 1
+    assert not any(value in (obj, obj["trace"]) for value in indented)  # neither whole nor alone
+    assert report.read_text() == real(obj, sort_keys=True, indent=2) + "\n"
