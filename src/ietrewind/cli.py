@@ -90,7 +90,9 @@ def _record_move(item, flavor, kind, j, decoded=None):
     for s in (winner, *losers):
         if kind.get(s) is not type(s):
             raise InputError(f"move names {s!r}, which is not a symbol of the file")
-    losers = frozenset(losers)
+    named, losers = len(losers), frozenset(losers)
+    if len(losers) != named:
+        raise InputError("a move names a loser twice")
     perm, n = flavor == "permutation", len(kind)
     if not losers or winner in losers or (k is not None and (t != 1 or not perm or type(k) is not int)):
         raise InputError("a move needs losers other than its winner, and an integer k only with permutation type 1")
@@ -162,6 +164,10 @@ def load_path_file(obj: dict) -> dict:
             raise InputError("start and file alphabets differ")
         if flavor == "permutation" and start.n != n:
             raise InputError("start size and n differ")
+        rows = (start.alphabet, start.row0, start.row1) if flavor == "pair" else (start.image,)
+        for s in chain.from_iterable(rows):
+            if kind.get(s) is not type(s):
+                raise InputError(f"start names {s!r}, which is not a symbol of the file")
     return {
         "flavor": flavor,
         "alphabet": alphabet,
@@ -192,14 +198,10 @@ def _read_json(path):
 # ``indent`` makes that call run Python's pure-Python encoder, which costs
 # most of ``simulate``, ``sharpness`` and ``recover --trace``.  So a top-level
 # ``matrices``, ``moves`` or permutation ``trace`` array (a permutation trace
-# nests as matrices do) is laid out at its known depth from compact C-encoder
-# text or one template per record; any other value goes through json.dumps.
+# nests as matrices do) is laid out at its known depth: a matrix from the text
+# of each distinct row object, a move from one template per record; any other
+# value goes through json.dumps.
 
-_MATRIX_LAYOUT = (  # compact separator -> its indent-2 form, replaced in this order
-    (",", ",\n        "),
-    ("]],\n        [[", "\n      ]\n    ],\n    [\n      [\n        "),
-    ("],\n        [", "\n      ],\n      [\n        "),
-)
 _MOVE_KEYS = frozenset(("k", "losers", "power", "type", "winner"))
 _MOVE = (
     '{\n      "k": %s,\n      "losers": [\n        %s\n      ],\n'
@@ -210,18 +212,27 @@ _SCALARS = {int, str, type(None)}  # no two values of these types are equal with
 
 
 def _matrices_json(mats):
-    """A top-level list of non-empty integer matrices as indent=2 lays it out, else None."""
+    """A top-level list of non-empty integer matrices as indent=2 lays it out, else None.
+
+    Each distinct row object is checked and rendered once: the producers
+    share rows (the identity rows of every winner-row and type-1 matrix, the
+    equal blocks of a permutation trace), so most rows are a dict hit on
+    ``id(row)``.  The ids are stable because ``mats`` keeps every row alive.
+    """
     if type(mats) not in _ARRAYS or not mats or not _ARRAYS.issuperset(map(type, mats)) or not all(mats):
         return None
-    rows = list(chain.from_iterable(mats))
-    if not _ARRAYS.issuperset(map(type, rows)) or not all(rows):
-        return None
-    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
-        return None
-    text = json.dumps(mats, separators=(",", ":"))  # "[[[1,0],[0,1]],[[...]]]"
-    for compact, indented in _MATRIX_LAYOUT:
-        text = text.replace(compact, indented)
-    return "[\n    [\n      [\n        " + text[3:-3] + "\n      ]\n    ]\n  ]"
+    seen = {}  # id(row) -> its text
+    texts = []
+    for m in mats:
+        rows = list(map(seen.get, map(id, m)))
+        if None in rows:
+            for i, row in enumerate(m):
+                if rows[i] is None:
+                    if type(row) not in _ARRAYS or not row or not {int}.issuperset(map(type, row)):
+                        return None
+                    rows[i] = seen[id(row)] = "[\n        " + ",\n        ".join(map(str, row)) + "\n      ]"
+        texts.append(",\n      ".join(rows))
+    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(texts) + "\n    ]\n  ]"
 
 
 def _moves_json(moves):
@@ -412,7 +423,9 @@ def _recover_report(data, trace=False):
                 image[slot - 1] = value
         report = {"flavor": "permutation", "Q": _blocks_obj(knowledge, position), "unique": unique, "pi": image}
         if trace:
-            report["trace"] = [_blocks_obj(b, position) for b in result[1]]
+            # one list per distinct block, so that the writer renders it once
+            rows = {b: sorted(b, key=position.__getitem__) for b in set(chain.from_iterable(result[1]))}
+            report["trace"] = [list(map(rows.__getitem__, blocks)) for blocks in result[1]]
         enumerate_starts = enumerate_agreeing_perms
     try:
         starts = enumerate_starts(knowledge)

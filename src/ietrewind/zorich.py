@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .matrices import Matrix, winner_row_matrix
+from .matrices import Matrix, identity, winner_row_matrix
 from .rauzy import (
     MalformedMatrix,
     MoveRecord,
@@ -111,7 +111,9 @@ def extract_move(matrix: Matrix, legend=None) -> ZorichMove:
     n = len(mat)
     legend = tuple(legend) if legend is not None else tuple(range(1, n + 1))
     winner_row = None
-    for i, row in enumerate(mat):
+    for i, (row, unit) in enumerate(zip(mat, identity(n))):
+        if row == unit:  # one C-level comparison settles all but the winner row
+            continue
         if row[i] != 1:
             raise MalformedMatrix("diagonal entries must all be 1")
         off = [(j, v) for j, v in enumerate(row) if j != i and v != 0]

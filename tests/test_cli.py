@@ -416,6 +416,17 @@ _PERM_0100 = [  # the matrices of simulate --script 0,1,0,0 from the permutation
           "moves": [{"winner": 2, "losers": [4], "type": 1, "k": 2.0, "power": 1}]}, "an integer k only"),
         ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
           "moves": [{"winner": 4, "losers": [3], "type": 1, "k": 2}]}, "an integer k only"),
+        # a repeated loser, without and with its matrix (each once merged into one loss)
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "moves": [{"winner": 4, "losers": [3, 3], "type": 0}, {"winner": 4, "losers": [3], "type": 0}]},
+         "names a loser twice"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "matrices": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]],
+          "moves": [{"winner": 4, "losers": [3, 3], "type": 0}]}, "names a loser twice"),
+        # a start whose symbols equal the alphabet's in value but not in JSON type (once accepted)
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "start": {"alphabet": [True, 2, 3, 4], "p0": [True, 2, 3, 4], "p1": [4, 3, 2, True]},
+          "moves": [{"winner": 4, "losers": [1], "type": 0}]}, "start names True"),
     ],
 )
 def test_malformed_path_files_exit_four(tmp_path, path_file, detail):

@@ -196,3 +196,87 @@ def test_permutation_trace_skips_the_indent_encoder(tmp_path, monkeypatch):
     assert len(obj["trace"]) > 1
     assert not any(value in (obj, obj["trace"]) for value in indented)  # neither whole nor alone
     assert report.read_text() == real(obj, sort_keys=True, indent=2) + "\n"
+
+
+# --- rows rendered once per row object --------------------------------------
+
+def test_shared_rows_are_the_stdlib_bytes():
+    # one row object at several positions of one matrix and across matrices
+    a, b = [1, 0, 12], (0, -3, 10**30)
+    mats = [[a, b, a], [b, b, [0, 0, 1]], (a, [7, 8, 9], b)]
+    assert cli._matrices_json(mats) is not None
+    for obj in ({"matrices": mats, "x": [a]}, {"matrices": [mats[0]] * 3}):
+        assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_a_shared_row_that_is_not_all_integers_falls_back():
+    # the row is checked on its first sight; each later sight must not skip that check
+    a, flag, empty = [1, 0], [True, 1], []
+    for mats in ([[a, flag], [flag, a]], [[a, a], [a, flag]], [[flag]], [[a], [empty, a]], [[a, 1.0]]):
+        assert cli._matrices_json(mats) is None
+        obj = {"matrices": mats, "trace": mats}
+        assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_a_memoised_permutation_trace_is_the_stdlib_bytes():
+    # equal blocks of successive states are one list, as cli._recover_report builds them
+    first, second, rest = [1], [3], [5, 2, 4]
+    trace = [[first, second, rest], [second, first, rest], [rest, [2], first, second]]
+    obj = {"flavor": "permutation", "trace": trace, "Q": trace[-1], "unique": False}
+    assert cli._matrices_json(trace) is not None
+    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+_ENTRY = st.one_of(st.integers(-10**25, 10**25), st.sampled_from([True, False, 1.0, "1", None, [0]]))
+
+
+@given(
+    st.lists(st.lists(st.integers(-10**25, 10**25), min_size=1, max_size=5) | st.lists(_ENTRY, max_size=4),
+             min_size=1, max_size=6),
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=6), min_size=1, max_size=6),
+)
+@settings(deadline=None, max_examples=200)
+def test_matrices_drawn_from_a_pool_of_row_objects_are_the_stdlib_bytes(pool, picks):
+    mats = [[pool[i % len(pool)] for i in pick] for pick in picks]
+    obj = {"matrices": mats, "trace": mats[::-1]}
+    assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _emitted(monkeypatch, argv):
+    """The object a command hands to ``cli._emit``, which then writes nothing."""
+    seen = []
+    monkeypatch.setattr(cli, "_emit", lambda obj, out_path: seen.append(obj))
+    assert cli.main(argv) == 0
+    (obj,) = seen
+    return obj
+
+
+def _row_objects(arrays):
+    return {id(row) for array in arrays for row in array}
+
+
+def test_simulate_matrices_share_the_identity_rows(tmp_path, monkeypatch):
+    # the writer's cost follows the distinct row objects: a winner-row matrix
+    # shares all but its winner row with identity(n), so n + L at most
+    n, length = 32, 2000
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps({"alphabet": list(range(1, n + 1)), "p0": list(range(1, n + 1)),
+                                 "p1": list(range(n, 0, -1))}))
+    obj = _emitted(monkeypatch, ["simulate", "--start", str(start), "--seed", "1", "--length", str(length)])
+    assert len(obj["matrices"]) == length
+    assert len(_row_objects(obj["matrices"])) <= n + length
+    # type-1 matrices share their rows too
+    start.write_text(json.dumps({"n": 16, "image": list(range(16, 0, -1))}))
+    obj = _emitted(monkeypatch, ["simulate", "--start", str(start), "--seed", "2", "--length", "300"])
+    assert {m["type"] for m in obj["moves"]} == {0, 1}
+    assert len(_row_objects(obj["matrices"])) <= 16 + 300
+
+
+def test_permutation_trace_rows_are_shared(tmp_path, monkeypatch):
+    start, path = tmp_path / "start.json", tmp_path / "path.json"
+    start.write_text(json.dumps({"n": 12, "image": [12, 3, 9, 1, 11, 5, 2, 8, 10, 4, 7, 6]}))
+    argv = ["simulate", "--start", str(start), "--seed", "5", "--until-c-complete", "3", "--out", str(path)]
+    assert cli.main(argv) == 0
+    trace = _emitted(monkeypatch, ["recover", str(path), "--trace"])["trace"]
+    blocks = {tuple(row) for state in trace for row in state}
+    assert len(_row_objects(trace)) <= len(blocks) < sum(map(len, trace))
