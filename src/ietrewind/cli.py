@@ -136,7 +136,8 @@ def load_path_file(obj: dict) -> dict:
         if not alphabet or not isinstance(alphabet, list) or not isinstance(index, list):
             raise InputError("pair files need an alphabet, and an index if any, as JSON arrays")
         index, alphabet = tuple(index), tuple(alphabet)
-        if not len(index) == len(alphabet) == len(set(index)) or set(index) != set(alphabet):
+        typed = {(s, type(s)) for s in alphabet}  # by JSON type too: true is not the symbol 1
+        if not len(index) == len(alphabet) == len(set(index)) or typed != set(zip(index, map(type, index))):
             raise InputError("index must list each alphabet symbol exactly once")
     else:
         n = obj.get("n")
@@ -200,7 +201,9 @@ def _read_json(path):
 # ``matrices``, ``moves`` or permutation ``trace`` array (a permutation trace
 # nests as matrices do) is laid out at its known depth: a matrix from the text
 # of each distinct row object, a move from one template per record; any other
-# value goes through json.dumps.
+# value goes through json.dumps.  Each bulk array is checked whole, then laid
+# out one matrix or record at a time as the pieces are written, so the text
+# of an output is never held whole.
 
 _MOVE_KEYS = frozenset(("k", "losers", "power", "type", "winner"))
 _MOVE = (
@@ -211,76 +214,98 @@ _ARRAYS = {list, tuple}
 _SCALARS = {int, str, type(None)}  # no two values of these types are equal with different JSON
 
 
-def _matrices_json(mats):
-    """A top-level list of non-empty integer matrices as indent=2 lays it out, else None.
+def _joined(head, sep, texts, tail):
+    """The pieces of ``head + sep.join(texts) + tail``, one text at a time."""
+    for text in texts:
+        yield head + text
+        head = sep
+    yield tail
 
-    Each distinct row object is checked and rendered once: the producers
-    share rows (the identity rows of every winner-row and type-1 matrix, the
-    equal blocks of a permutation trace), so most rows are a dict hit on
-    ``id(row)``.  The ids are stable because ``mats`` keeps every row alive.
+
+def _matrices_json(mats):
+    """The pieces of a top-level list of non-empty integer matrices as indent=2
+    lays it out, else None.
+
+    Each distinct row object is checked and rendered once, before the first
+    piece: the producers share rows (the identity rows of every winner-row
+    and type-1 matrix, the equal blocks of a permutation trace), so most rows
+    are a dict hit on ``id(row)``.  The ids are stable because ``mats`` keeps
+    every row alive.
     """
     if type(mats) not in _ARRAYS or not mats or not _ARRAYS.issuperset(map(type, mats)) or not all(mats):
         return None
     seen = {}  # id(row) -> its text
-    texts = []
     for m in mats:
-        rows = list(map(seen.get, map(id, m)))
-        if None in rows:
-            for i, row in enumerate(m):
-                if rows[i] is None:
-                    if type(row) not in _ARRAYS or not row or not {int}.issuperset(map(type, row)):
-                        return None
-                    rows[i] = seen[id(row)] = "[\n        " + ",\n        ".join(map(str, row)) + "\n      ]"
-        texts.append(",\n      ".join(rows))
-    return "[\n    [\n      " + "\n    ],\n    [\n      ".join(texts) + "\n    ]\n  ]"
+        if None not in map(seen.get, map(id, m)):
+            continue
+        for row in m:
+            if id(row) not in seen:
+                if type(row) not in _ARRAYS or not row or not {int}.issuperset(map(type, row)):
+                    return None
+                seen[id(row)] = "[\n        " + ",\n        ".join(map(str, row)) + "\n      ]"
+    text = seen.__getitem__
+    matrices = (",\n      ".join(map(text, map(id, m))) for m in mats)
+    return _joined("[\n    [\n      ", "\n    ],\n    [\n      ", matrices, "\n    ]\n  ]")
 
 
 def _moves_json(moves):
-    """A top-level list of move records as indent=2 lays it out, else None."""
+    """The pieces of a top-level list of move records as indent=2 lays it out, else None."""
     if type(moves) not in _ARRAYS or not moves or set(map(type, moves)) != {dict}:
         return None
     if set(map(frozenset, moves)) != {_MOVE_KEYS}:
         return None
-    scalars = list(map(itemgetter("k", "power", "type", "winner"), moves))
+    scalars = itemgetter("k", "power", "type", "winner")
     losers = list(map(itemgetter("losers"), moves))
     if not _ARRAYS.issuperset(map(type, losers)) or not all(losers):
         return None
-    values = [*chain.from_iterable(scalars), *chain.from_iterable(losers)]
-    if not _SCALARS.issuperset(map(type, values)):
+
+    def values():
+        return chain(chain.from_iterable(map(scalars, moves)), chain.from_iterable(losers))
+
+    if not _SCALARS.issuperset(map(type, values())):
         return None
-    text = {v: json.dumps(v) for v in set(values)}.__getitem__
+    text = {v: json.dumps(v) for v in set(values())}.__getitem__
     sep = ",\n        "
-    records = [
+    records = (
         _MOVE % (text(k), sep.join(map(text, b)), text(power), text(t), text(winner))
-        for (k, power, t, winner), b in zip(scalars, losers)
-    ]
-    return "[\n    " + ",\n    ".join(records) + "\n  ]"
+        for (k, power, t, winner), b in zip(map(scalars, moves), losers)
+    )
+    return _joined("[\n    ", ",\n    ", records, "\n  ]")
 
 
 _BULK = {"matrices": _matrices_json, "moves": _moves_json, "trace": _matrices_json}
 
 
-def _dumps(obj):
-    """``json.dumps(obj, sort_keys=True, indent=2)``, with the bulk arrays laid out directly."""
+def _layout(obj):
+    """The pieces of ``json.dumps(obj, sort_keys=True, indent=2)``.  Every key's
+    layout is decided, and every other value rendered, before the first piece."""
     if type(obj) is not dict or _BULK.keys().isdisjoint(obj) or set(map(type, obj)) != {str}:
-        return json.dumps(obj, sort_keys=True, indent=2)
-    items = []
+        return (json.dumps(obj, sort_keys=True, indent=2),)
+    parts = []
     for key in sorted(obj):
         render = _BULK.get(key)
-        text = render(obj[key]) if render else None
-        if text is None:
-            text = json.dumps(obj[key], sort_keys=True, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(items) + "\n}"
+        pieces = render(obj[key]) if render else None
+        if pieces is None:
+            pieces = (json.dumps(obj[key], sort_keys=True, indent=2).replace("\n", "\n  "),)
+        parts.append(chain(((",\n  " if parts else "{\n  ") + json.dumps(key) + ": ",), pieces))
+    parts.append(("\n}",))
+    return chain.from_iterable(parts)
+
+
+def _dumps(obj):
+    """``json.dumps(obj, sort_keys=True, indent=2)``, with the bulk arrays laid out directly."""
+    return "".join(_layout(obj))
 
 
 def _emit(obj, out_path):
-    text = _dumps(obj) + "\n"
+    """Write ``obj`` to ``out_path`` (stdout for None or "-") piece by piece,
+    opening it only once the whole layout is decided."""
+    pieces = chain(_layout(obj), ("\n",))
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 # --- simulate --------------------------------------------------------------
@@ -480,8 +505,10 @@ def cmd_verify(args) -> int:
 
 # --- sharpness -------------------------------------------------------------
 
-def cmd_sharpness(args) -> int:
-    result = build_ambiguous_path(args.n)
+def _sharpness_obj(n):
+    """The output of ``sharpness --n n``; the builder's result, with its
+    per-move records and checkpoints, is freed on return."""
+    result = build_ambiguous_path(n)
     n = result.n
     index = tuple(range(1, n + 1))
     position = {s: i for i, s in enumerate(index)}
@@ -497,7 +524,7 @@ def cmd_sharpness(args) -> int:
     verified = forward_simulate(first, moves, types) and (
         mate is None or forward_simulate(mate, moves, types)
     )
-    out = {
+    return {
         "version": 1,
         "flavor": "pair",
         "alphabet": list(index),
@@ -513,7 +540,10 @@ def cmd_sharpness(args) -> int:
             "alternatives_verified": verified,
         },
     }
-    _emit(out, args.out)
+
+
+def cmd_sharpness(args) -> int:
+    _emit(_sharpness_obj(args.n), args.out)
     return 0
 
 
@@ -562,23 +592,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        return args.func(args)
-    except Unrealizable as exc:
-        _emit({"error": "unrealizable", "step": exc.step, "reason": exc.reason}, getattr(args, "out", None))
-        return 2
-    except (
-        InputError,
-        MalformedMatrix,
-        MixedTypeBlock,
-        NonIrreducible,
-        BoundExceeded,
-        BadN,
-        KeyError,
-        TypeError,
-        ValueError,
-    ) as exc:
-        _emit({"error": "bad input", "detail": str(exc)}, getattr(args, "out", None))
+        try:
+            return args.func(args)
+        except Unrealizable as exc:
+            _emit({"error": "unrealizable", "step": exc.step, "reason": exc.reason}, out)
+            return 2
+        except (
+            InputError,
+            MalformedMatrix,
+            MixedTypeBlock,
+            NonIrreducible,
+            BoundExceeded,
+            BadN,
+            KeyError,
+            TypeError,
+            ValueError,
+        ) as exc:
+            _emit({"error": "bad input", "detail": str(exc)}, out)
+            return 4
+    except OSError as exc:
+        # --out cannot be written, for the output or for the error body
+        _emit({"error": "bad input", "detail": str(exc)}, None)
         return 4
 
 

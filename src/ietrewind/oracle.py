@@ -26,14 +26,6 @@ class RealizabilityReport:
     realizers: tuple  # (Pair, types) entries
 
 
-def _pull_loser(rows, t):
-    # one move of type t, mutating the row lists in place
-    winner = rows[t][-1]
-    loser = rows[1 - t].pop()
-    rows[1 - t].insert(rows[1 - t].index(winner) + 1, loser)
-    return loser
-
-
 def _unit_losers(move):
     """The loser sets of the unit moves a move bundles, read from a block's
     ``max_count`` and ``losers_max``; any other move is one unit."""
@@ -67,18 +59,33 @@ def forward_simulate(pair: Pair, moves, types) -> bool:
 
 
 def _replay(pair: Pair, seq, types) -> bool:
-    # forward_simulate on a record already cleaned, with one type per move
-    rows = [list(pair.row0), list(pair.row1)]
+    # forward_simulate on a record already cleaned, with one type per move.
+    # Each row is a linked list (symbol -> next, symbol -> previous, and its
+    # end), so moving a loser from the end to right after the winner is O(1).
+    rows = (pair.row0, pair.row1)
+    after = [dict(zip(row, row[1:])) for row in rows]
+    before = [dict(zip(row[1:], row)) for row in rows]
+    end = [row[-1] for row in rows]
     for (winner, losers), t in zip(seq, types):
         if t not in (0, 1):
             raise ValueError("types must be 0 or 1")
-        if rows[t][-1] != winner:
+        if end[t] != winner:
             return False
+        r = 1 - t
+        nxt, prv = after[r], before[r]
         fallen = set()
         for _ in range(len(losers)):
-            if rows[0][-1] == rows[1][-1]:
+            if end[0] == end[1]:
                 return False
-            fallen.add(_pull_loser(rows, t))
+            loser = end[r]
+            fallen.add(loser)
+            last = prv[loser]
+            if last != winner:  # else the loser is already right after the winner
+                end[r] = last
+                del nxt[last]
+                follow = nxt[winner]
+                nxt[winner], nxt[loser] = loser, follow
+                prv[follow], prv[loser] = loser, winner
         if fallen != losers:
             return False
     return True

@@ -427,6 +427,9 @@ _PERM_0100 = [  # the matrices of simulate --script 0,1,0,0 from the permutation
         ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
           "start": {"alphabet": [True, 2, 3, 4], "p0": [True, 2, 3, 4], "p1": [4, 3, 2, True]},
           "moves": [{"winner": 4, "losers": [1], "type": 0}]}, "start names True"),
+        # an index whose symbols equal the alphabet's in value but not in JSON type (once accepted)
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4], "index": [True, 2, 3, 4],
+          "matrices": [_PAIR_MATRIX_4]}, "index must list each alphabet symbol"),
     ],
 )
 def test_malformed_path_files_exit_four(tmp_path, path_file, detail):
@@ -450,6 +453,23 @@ def test_simulate_start_rows_must_be_arrays(tmp_path):
     proc = _run("simulate", "--start", str(start), "--script", "0")
     assert proc.returncode == 4
     assert _json_out(proc)["detail"] == "image must be a JSON array"
+
+
+def test_an_out_that_cannot_be_opened_exits_four(tmp_path, pair_start_file):
+    # once a traceback with exit 1; the error body goes to stdout instead
+    missing = str(tmp_path / "missing" / "out.json")
+    for argv in (
+        ["simulate", "--start", pair_start_file, "--script", "0,1", "--out", missing],
+        ["sharpness", "--n", "8", "--out", missing],
+        ["sharpness", "--n", "7", "--out", missing],  # the error body cannot go to --out either
+    ):
+        proc = _run(*argv)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == ""
+        out = _json_out(proc)
+        assert out["error"] == "bad input"
+        assert "No such file or directory" in out["detail"]
+    assert not (tmp_path / "missing").exists()
 
 
 def test_sharpness_output_and_roundtrip(tmp_path):

@@ -222,6 +222,71 @@ def test_brute_force_agrees_with_reverse_algorithm(case):
         assert forward_simulate(cand, path.moves, ts)
 
 
+# --- the linked-row stepper against list rows -------------------------------
+
+def _list_replay(pair, seq, types):
+    """The oracle's stepper on Python lists, each loser moved with pop, index
+    and insert: the reference for the linked rows of ``oracle._replay``."""
+    rows = [list(pair.row0), list(pair.row1)]
+    for (winner, losers), t in zip(seq, types):
+        if t not in (0, 1):
+            raise ValueError("types must be 0 or 1")
+        if rows[t][-1] != winner:
+            return False
+        fallen = set()
+        for _ in range(len(losers)):
+            if rows[0][-1] == rows[1][-1]:
+                return False
+            loser = rows[1 - t].pop()
+            rows[1 - t].insert(rows[1 - t].index(winner) + 1, loser)
+            fallen.add(loser)
+        if fallen != losers:
+            return False
+    return True
+
+
+@st.composite
+def _replay_cases(draw):
+    n = draw(st.integers(3, 9))
+    alphabet = tuple(range(1, n + 1))
+    start = make_pair(draw(st.permutations(alphabet)), draw(st.permutations(alphabet)), alphabet)
+    assume(is_irreducible_pair(start))
+    walk = draw(st.lists(st.integers(0, 1), min_size=1, max_size=30))
+    # one move per run of equal types: a same-winner cycle of several losers
+    seq, types = [], []
+    for m, t in zip(simulate_pair(start, walk).moves, walk):
+        if types and types[-1] == t and seq[-1][0] == m.winner:
+            seq[-1] = (m.winner, seq[-1][1] | m.losers)
+        else:
+            seq.append((m.winner, frozenset(m.losers)))
+            types.append(t)
+    j = draw(st.integers(0, len(seq) - 1))
+    winner, losers = seq[j]
+    edit = draw(st.sampled_from(("none", "swap", "drop")))
+    if edit == "swap":  # one loser for another symbol, maybe the winner itself
+        losers = (losers - {draw(st.sampled_from(sorted(losers)))}) | {draw(st.sampled_from(alphabet))}
+    elif edit == "drop" and len(losers) > 1:
+        losers = losers - {draw(st.sampled_from(sorted(losers)))}
+    seq[j] = (winner, losers)
+    if draw(st.booleans()):  # random types, now and then one outside 0/1
+        types = draw(st.lists(st.sampled_from((0, 1) * 8 + (2,)), min_size=len(seq), max_size=len(seq)))
+    return start, seq, types
+
+
+def _verdict(replay, start, seq, types):
+    try:
+        return replay(start, seq, types)
+    except ValueError:
+        return ValueError
+
+
+@given(_replay_cases())
+@settings(deadline=None, max_examples=300)
+def test_linked_rows_replay_as_list_rows(case):
+    start, seq, types = case
+    assert _verdict(oracle._replay, start, seq, types) == _verdict(_list_replay, start, seq, types)
+
+
 # --- the forward pair oracle ------------------------------------------------
 
 def _runs(keys):

@@ -7,7 +7,10 @@ for every output the commands write, whatever the pair symbols are.
 from __future__ import annotations
 
 import json
+import sys
 import tempfile
+import tracemalloc
+import weakref
 from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
@@ -280,3 +283,102 @@ def test_permutation_trace_rows_are_shared(tmp_path, monkeypatch):
     trace = _emitted(monkeypatch, ["recover", str(path), "--trace"])["trace"]
     blocks = {tuple(row) for state in trace for row in state}
     assert len(_row_objects(trace)) <= len(blocks) < sum(map(len, trace))
+
+
+# --- written piece by piece -------------------------------------------------
+
+def _pair_path(tmp_path, monkeypatch, n, length):
+    """The ungrouped pair path object ``simulate`` writes for ``length`` random moves from the reversed pair."""
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps({"alphabet": list(range(1, n + 1)), "p0": list(range(1, n + 1)),
+                                 "p1": list(range(n, 0, -1))}))
+    return _emitted(monkeypatch, ["simulate", "--start", str(start), "--seed", "1", "--length", str(length)])
+
+
+def test_emit_holds_no_whole_output_text(tmp_path, monkeypatch):
+    # the text of an output is written as it is laid out, never held whole
+    objects = [_pair_path(tmp_path, monkeypatch, 32, 2000), _emitted(monkeypatch, ["sharpness", "--n", "64"])]
+    monkeypatch.undo()
+    for obj in objects:
+        out = tmp_path / "out.json"
+        tracemalloc.start()
+        try:
+            cli._emit(obj, str(out))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        written = out.read_bytes()
+        assert written == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+        assert peak < len(written) / 4, (peak, len(written))
+
+
+def test_stdout_gets_the_bytes_of_a_file(tmp_path, monkeypatch, capsys):
+    obj = _pair_path(tmp_path, monkeypatch, 8, 300)
+    monkeypatch.undo()
+    expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    for out_path in (None, "-"):
+        cli._emit(obj, out_path)
+        assert capsys.readouterr().out == expected
+    cli._emit(obj, str(tmp_path / "out.json"))
+    assert (tmp_path / "out.json").read_bytes() == expected.encode()
+
+
+class _Sink:
+    """A stdout that notes which values json.dumps(indent=...) had been given by its first write."""
+
+    def __init__(self, indented):
+        self.indented, self.pieces, self.first = indented, [], None
+
+    def write(self, text):
+        if self.first is None:
+            self.first = list(self.indented)
+        self.pieces.append(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+def test_a_late_fallback_is_decided_before_the_first_byte(monkeypatch):
+    # the last matrix holds true, the last record a float: each array is
+    # checked whole, so its json.dumps fallback runs before anything is written
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    record = {"k": None, "losers": [1, 2], "power": 2, "type": 0, "winner": 4}
+    good_mats, good_moves = [identity] * 50, [record] * 50
+    late_mats = good_mats + [[*identity[:3], [1, 0, True, 1]]]
+    late_moves = good_moves + [{**record, "losers": [1, 2.0]}]
+    real, indented = json.dumps, []
+
+    def dumps(obj, **kwargs):
+        if "indent" in kwargs:
+            indented.append(obj)
+        return real(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    for obj, late in (
+        ({"matrices": late_mats, "moves": good_moves}, late_mats),
+        ({"matrices": good_mats, "moves": late_moves}, late_moves),
+        ({"trace": late_mats, "flavor": "permutation"}, late_mats),
+    ):
+        indented.clear()
+        sink = _Sink(indented)
+        monkeypatch.setattr(sys, "stdout", sink)
+        cli._emit(obj, None)
+        monkeypatch.setattr(sys, "stdout", sys.__stdout__)
+        assert any(value is late for value in sink.first)
+        assert "".join(sink.pieces) == real(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_sharpness_frees_the_builder_result_before_writing(monkeypatch):
+    # the builder's per-move records and checkpoints are not alive while the output is written
+    real, refs, alive = cli.build_ambiguous_path, [], []
+
+    def build(n):
+        result = real(n)
+        refs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "build_ambiguous_path", build)
+    monkeypatch.setattr(cli, "_emit", lambda obj, out_path: alive.append(refs[0]() is not None))
+    assert cli.main(["sharpness", "--n", "16"]) == 0
+    assert alive == [False]
