@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import re
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .core import (
@@ -82,14 +83,27 @@ def _record_move(item, flavor, kind, j, decoded=None):
     """The move of record ``j``: ``decoded`` from its matrix, which the record must
     name exactly (type when given), else a unit ZorichMove or type-1 ``(k, p)``
     built from it.  ``kind`` maps each symbol of the file to its JSON type."""
-    winner, losers, t, k, power = item["winner"], item["losers"], item.get("type"), item.get("k"), item.get("power", 1)
-    if not isinstance(losers, list) or type(power) is not int:
+    try:
+        winner, losers = item["winner"], item["losers"]
+    except KeyError as exc:
+        raise InputError(f"move record {j} has no {exc.args[0]}") from None
+    except TypeError:
+        raise InputError(f"move record {j} must be a JSON object") from None
+    t, k, power = item.get("type"), item.get("k"), item.get("power", 1)
+    if type(losers) is not list or type(power) is not int:
         raise InputError("a move record needs its losers as a JSON array and its power as an integer")
     if t is not None and (type(t) is not int or t not in (0, 1)):
         raise InputError("a move record's type must be 0, 1 or null")
-    for s in (winner, *losers):
-        if kind.get(s) is not type(s):
-            raise InputError(f"move names {s!r}, which is not a symbol of the file")
+    try:
+        known = kind.get(winner) is type(winner)
+        for s in losers:
+            if kind.get(s) is not type(s):
+                known = False
+                break
+    except TypeError:  # an array or object where a symbol belongs
+        known = False
+    if not known:
+        raise _unknown_symbol(j, winner, losers, kind)
     named, losers = len(losers), frozenset(losers)
     if len(losers) != named:
         raise InputError("a move names a loser twice")
@@ -112,9 +126,27 @@ def _record_move(item, flavor, kind, j, decoded=None):
         return k, power
     if perm and (t != 0 or winner != n):
         raise InputError("without matrices, permutation records need a type, and type 0 the winner n")
-    if power != len(losers):
+    if power != named:
         raise InputError("grouped move records need their matrices to unpack")
     return ZorichMove(winner, losers, 1, losers)
+
+
+def _unknown_symbol(j, winner, losers, kind) -> InputError:
+    """The error for record ``j``, which names something that is not a symbol of the file."""
+    for field, s in chain((("the winner", winner),), zip(repeat("a loser"), losers)):
+        if type(s) in (list, dict) or kind.get(s) is not type(s):
+            return InputError(f"{field} of move record {j} names {s!r}, which is not a symbol of the file")
+    raise AssertionError("every symbol of the record is known")
+
+
+def _array_field(obj, key) -> list:
+    """``obj[key]``, which must be a JSON array when present and not null; [] otherwise."""
+    value = obj.get(key)
+    if value is None:
+        return []
+    if type(value) is not list:
+        raise InputError(f"{key} must be a JSON array")
+    return value
 
 
 def load_path_file(obj: dict) -> dict:
@@ -146,8 +178,8 @@ def load_path_file(obj: dict) -> dict:
         index = tuple(range(1, n + 1))
         alphabet = index
     n = len(index)
-    records = obj.get("moves", [])
-    raw = obj.get("matrices", [])
+    records = _array_field(obj, "moves")
+    raw = _array_field(obj, "matrices")
     if not records and not raw:
         raise InputError("a path file needs moves or matrices")
     if records and raw and len(records) != len(raw):
@@ -158,9 +190,12 @@ def load_path_file(obj: dict) -> dict:
         moves = [extract_move(m, index) for m in matrices] if flavor == "pair" else decode_perm_matrices(matrices)[0]
     kind = {s: type(s) for s in index}
     moves = [_record_move(item, flavor, kind, j, move) for j, (item, move) in enumerate(zip(records, moves), 1)] or moves
-    start = None
-    if obj.get("start") is not None:
-        start = pair_from_obj(obj["start"]) if flavor == "pair" else perm_from_obj(obj["start"])
+    grouping = _array_field(obj, "grouping")
+    start = obj.get("start")
+    if start is not None:
+        if type(start) is not dict:
+            raise InputError("start must be a JSON object")
+        start = pair_from_obj(start) if flavor == "pair" else perm_from_obj(start)
         if flavor == "pair" and tuple(start.alphabet) != alphabet:
             raise InputError("start and file alphabets differ")
         if flavor == "permutation" and start.n != n:
@@ -176,7 +211,7 @@ def load_path_file(obj: dict) -> dict:
         "records": records,
         "moves": moves,
         "matrices": matrices,
-        "grouping": tuple(obj["grouping"]) if obj.get("grouping") else None,
+        "grouping": tuple(grouping) if grouping else None,
         "start": start,
     }
 
@@ -199,11 +234,13 @@ def _read_json(path):
 # ``indent`` makes that call run Python's pure-Python encoder, which costs
 # most of ``simulate``, ``sharpness`` and ``recover --trace``.  So a top-level
 # ``matrices``, ``moves`` or permutation ``trace`` array (a permutation trace
-# nests as matrices do) is laid out at its known depth: a matrix from the text
-# of each distinct row object, a move from one template per record; any other
-# value goes through json.dumps.  Each bulk array is checked whole, then laid
-# out one matrix or record at a time as the pieces are written, so the text
-# of an output is never held whole.
+# nests as matrices do), and a flat integer ``types`` list at top level
+# (``recover``) or under ``recovered`` (``verify``), are laid out at their
+# known depth: a matrix from the text of each distinct row object, a move
+# from one template per record, the types a few thousand at a time; any
+# other value goes through json.dumps.  Each bulk array is checked whole,
+# then laid out one matrix, record or run of types at a time as the pieces
+# are written, so the text of an output is never held whole.
 
 _MOVE_KEYS = frozenset(("k", "losers", "power", "type", "winner"))
 _MOVE = (
@@ -212,6 +249,7 @@ _MOVE = (
 )
 _ARRAYS = {list, tuple}
 _SCALARS = {int, str, type(None)}  # no two values of these types are equal with different JSON
+_INTS_PER_PIECE = 4096
 
 
 def _joined(head, sep, texts, tail):
@@ -273,23 +311,55 @@ def _moves_json(moves):
     return _joined("[\n    ", ",\n    ", records, "\n  ]")
 
 
-_BULK = {"matrices": _matrices_json, "moves": _moves_json, "trace": _matrices_json}
+def _ints_json(values, pad="\n    "):
+    """The pieces of a non-empty flat list of JSON integers as indent=2 lays it
+    out with its items at ``pad`` (a newline and their indentation), else None."""
+    if type(values) not in _ARRAYS or not values or not {int}.issuperset(map(type, values)):
+        return None
+    sep = "," + pad
+    runs = (sep.join(map(str, values[i:i + _INTS_PER_PIECE])) for i in range(0, len(values), _INTS_PER_PIECE))
+    return _joined("[" + pad, sep, runs, pad[:-2] + "]")
+
+
+def _report_json(report):
+    """The pieces of ``verify``'s nested report with its ``types`` laid out, else None."""
+    if type(report) is not dict or "types" not in report or set(map(type, report)) != {str}:
+        return None
+    return _fields(report, _NESTED, "\n  ")
+
+
+_BULK = {
+    "matrices": _matrices_json,
+    "moves": _moves_json,
+    "trace": _matrices_json,
+    "types": _ints_json,
+    "recovered": _report_json,
+}
+_NESTED = {"types": lambda types: _ints_json(types, "\n      ")}
+
+
+def _fields(obj, bulk, pad):
+    """The pieces of a dict with string keys as indent=2 lays it out with its
+    closing brace at ``pad``; a key in ``bulk`` is laid out by its renderer
+    unless that gives None.  Every key's layout is decided, and every other
+    value rendered, before the first piece."""
+    inner = pad + "  "
+    parts = []
+    for key in sorted(obj):
+        render = bulk.get(key)
+        pieces = render(obj[key]) if render else None
+        if pieces is None:
+            pieces = (json.dumps(obj[key], sort_keys=True, indent=2).replace("\n", inner),)
+        parts.append(chain((("," if parts else "{") + inner + json.dumps(key) + ": ",), pieces))
+    parts.append((pad + "}",))
+    return chain.from_iterable(parts)
 
 
 def _layout(obj):
-    """The pieces of ``json.dumps(obj, sort_keys=True, indent=2)``.  Every key's
-    layout is decided, and every other value rendered, before the first piece."""
+    """The pieces of ``json.dumps(obj, sort_keys=True, indent=2)``."""
     if type(obj) is not dict or _BULK.keys().isdisjoint(obj) or set(map(type, obj)) != {str}:
         return (json.dumps(obj, sort_keys=True, indent=2),)
-    parts = []
-    for key in sorted(obj):
-        render = _BULK.get(key)
-        pieces = render(obj[key]) if render else None
-        if pieces is None:
-            pieces = (json.dumps(obj[key], sort_keys=True, indent=2).replace("\n", "\n  "),)
-        parts.append(chain(((",\n  " if parts else "{\n  ") + json.dumps(key) + ": ",), pieces))
-    parts.append(("\n}",))
-    return chain.from_iterable(parts)
+    return _fields(obj, _BULK, "\n")
 
 
 def _dumps(obj):
@@ -357,10 +427,10 @@ def parse_script(text):
 
 def cmd_simulate(args) -> int:
     obj = _read_json(args.start)
-    if "image" in obj:
+    if type(obj) is dict and "image" in obj:
         start = perm_from_obj(obj)
         flavor = "permutation"
-    elif "p0" in obj:
+    elif type(obj) is dict and "p0" in obj:
         start = pair_from_obj(obj)
         flavor = "pair"
     else:
@@ -591,6 +661,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the cyclic collector is off while it runs, since
+    nothing a command builds becomes garbage before it returns."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)
     try:

@@ -168,8 +168,8 @@ def pair_to_obj(pair: Pair) -> dict:
 
 
 def _array(obj: dict, key: str) -> tuple:
-    """``obj[key]`` as a tuple; it must be a JSON array (a list), not a string."""
-    value = obj[key]
+    """``obj[key]`` as a tuple; it must be present and a JSON array (a list), not a string."""
+    value = obj.get(key)
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a JSON array")
     return tuple(value)

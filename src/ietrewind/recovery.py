@@ -252,9 +252,22 @@ def _loser_row_rewind(part: OrderedPartition, winner, losers, step: int):
     an order the move itself fixed); before it they formed the row's right
     end.  Undoing that pins the winner as a new singleton and sends the
     losers to the back, splitting whatever blocks they were drawn from.
-    Every loser must be a symbol of the partition.
+    Every loser must be a symbol of the partition.  A single loser, as every
+    unit pair move has, takes a short path through the same rules.
     """
     where = part._where
+    if len(losers) == 1:
+        (x,) = losers
+        node = where.get(x)
+        if node is None:
+            raise Unrealizable(step, "losers outside the alphabet")
+        winner_node = where.get(winner)
+        if winner_node is not node:
+            if winner_node is not node.prev:
+                raise Unrealizable(step, "winner not adjacent to the loser run")
+            part._pin_after(winner_node, winner)
+        part._append(part._take(node, {x}))
+        return
     hit: dict = {}  # block -> the losers it holds
     for x in losers:
         node = where.get(x)
@@ -315,8 +328,10 @@ def _unit_moves(moves) -> list:
     out = []
     for src, m in enumerate(moves, 1):
         if isinstance(m, ZorichMove):
-            for winner, losers in m.units():
-                out.append((src, winner, losers))
+            if m.max_count == 1:
+                out.append((src, m.winner, m.losers_max))
+            else:
+                out.extend((src, winner, losers) for winner, losers in m.units())
             continue
         if isinstance(m, MoveRecord):
             if m.power != len(m.losers):

@@ -49,15 +49,38 @@ class ZorichPath:
         return len(self.index)
 
 
-@dataclass(frozen=True)
 class ZorichMove:
-    """Decomposition of one pair-flavor product matrix."""
+    """Decomposition of one pair-flavor product matrix.
 
-    winner: object
-    losers: frozenset
-    max_count: int
-    losers_max: frozenset
-    losers_min: frozenset = frozenset()
+    A value: two moves with equal fields are equal and hash alike.  Its
+    fields are not to be changed once built; it is a plain slotted class,
+    not a frozen dataclass, because path files build one per record.
+    """
+
+    __slots__ = ("winner", "losers", "max_count", "losers_max", "losers_min")
+
+    def __init__(self, winner, losers: frozenset, max_count: int, losers_max: frozenset,
+                 losers_min: frozenset = frozenset()):
+        self.winner = winner
+        self.losers = losers
+        self.max_count = max_count
+        self.losers_max = losers_max
+        self.losers_min = losers_min
+
+    def _fields(self) -> tuple:
+        return self.winner, self.losers, self.max_count, self.losers_max, self.losers_min
+
+    def __eq__(self, other):
+        if type(other) is not ZorichMove:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"ZorichMove({fields})"
 
     @property
     def steps(self) -> int:

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line tool."""
 from __future__ import annotations
 
+import gc
 import json
 import random
 import shutil
@@ -430,6 +431,26 @@ _PERM_0100 = [  # the matrices of simulate --script 0,1,0,0 from the permutation
         # an index whose symbols equal the alphabet's in value but not in JSON type (once accepted)
         ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4], "index": [True, 2, 3, 4],
           "matrices": [_PAIR_MATRIX_4]}, "index must list each alphabet symbol"),
+        # fields of the wrong shape, each once reported by a bare Python message
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "moves": [{"winner": 4, "losers": [3], "type": 0}, {"losers": [3], "type": 0}]},
+         "move record 2 has no winner"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4], "moves": [[4, [3], 0]]},
+         "move record 1 must be a JSON object"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4], "moves": {"a": 1}},
+         "moves must be a JSON array"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4], "grouping": 5,
+          "moves": [{"winner": 4, "losers": [3], "type": 0}]}, "grouping must be a JSON array"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4], "start": [1],
+          "moves": [{"winner": 4, "losers": [3], "type": 0}]}, "start must be a JSON object"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "moves": [{"winner": [4], "losers": [3], "type": 0}]}, "the winner of move record 1 names [4]"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "moves": [{"winner": 4, "losers": [2, [3]], "type": 0}]}, "a loser of move record 1 names [3]"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4], "start": {"alphabet": [1, 2, 3, 4]},
+          "moves": [{"winner": 4, "losers": [3], "type": 0}]}, "p0 must be a JSON array"),
+        ({"version": 1, "flavor": "permutation", "n": 4, "start": {"n": 4},
+          "moves": [{"winner": 4, "losers": [3], "type": 0}]}, "image must be a JSON array"),
     ],
 )
 def test_malformed_path_files_exit_four(tmp_path, path_file, detail):
@@ -453,6 +474,15 @@ def test_simulate_start_rows_must_be_arrays(tmp_path):
     proc = _run("simulate", "--start", str(start), "--script", "0")
     assert proc.returncode == 4
     assert _json_out(proc)["detail"] == "image must be a JSON array"
+    # a missing row, and a start that is not an object (each once a bare Python message)
+    start.write_text(json.dumps({"alphabet": [1, 2, 3], "p0": [1, 2, 3]}))
+    proc = _run("simulate", "--start", str(start), "--script", "0")
+    assert proc.returncode == 4
+    assert _json_out(proc)["detail"] == "p1 must be a JSON array"
+    start.write_text(json.dumps(["image"]))
+    proc = _run("simulate", "--start", str(start), "--script", "0")
+    assert proc.returncode == 4
+    assert "start file must hold" in _json_out(proc)["detail"]
 
 
 def test_an_out_that_cannot_be_opened_exits_four(tmp_path, pair_start_file):
@@ -470,6 +500,81 @@ def test_an_out_that_cannot_be_opened_exits_four(tmp_path, pair_start_file):
         assert out["error"] == "bad input"
         assert "No such file or directory" in out["detail"]
     assert not (tmp_path / "missing").exists()
+
+
+def _collector_inputs(tmp_path):
+    """(argv, exit code) for each way ``main`` returns, its files written in ``tmp_path``."""
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({
+        "version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4, 5], "start": _PAIR_START,
+        "moves": [{"winner": 1, "losers": [5], "type": 1}, {"winner": 1, "losers": [4], "type": 1}],
+    }))
+    unrealizable = tmp_path / "unrealizable.json"
+    unrealizable.write_text(json.dumps({
+        "version": 1, "flavor": "pair", "alphabet": [1, 2, 3],
+        "moves": [{"winner": 1, "losers": [3]}, {"winner": 2, "losers": [3]}],
+    }))
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps({
+        **json.loads(pair.read_text()),
+        "start": {"alphabet": [1, 2, 3, 4, 5], "p0": [2, 1, 3, 4, 5], "p1": [5, 4, 3, 1, 2]},
+    }))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3], "moves": {"a": 1}}))
+    out = str(tmp_path / "out.json")
+    return [
+        (["recover", str(pair), "--out", out], 0),
+        (["verify", str(pair), "--out", out], 0),
+        (["recover", str(unrealizable), "--out", out], 2),
+        (["verify", str(tampered), "--out", out], 3),
+        (["recover", str(malformed), "--out", out], 4),
+        (["sharpness", "--n", "8", "--out", str(tmp_path / "missing" / "out.json")], 4),
+    ]
+
+
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
+    from ietrewind.cli import main
+
+    was = gc.isenabled()
+    try:
+        for argv, code in _collector_inputs(tmp_path):
+            _set_collector(enabled)
+            assert main(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+        with pytest.raises(SystemExit):  # argparse's own exit
+            main(["recover", "--no-such-option"])
+        assert gc.isenabled() is enabled
+    finally:
+        _set_collector(was)
+
+
+def test_a_command_runs_no_collection(tmp_path):
+    # nothing a command builds is garbage before it exits, so the collector
+    # would only rescan the records it reads
+    from ietrewind.cli import main
+
+    sharp, out = str(tmp_path / "sharp.json"), str(tmp_path / "out.json")
+    assert main(["sharpness", "--n", "64", "--out", sharp]) == 0
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        # get_stats() snapshots the counts before it allocates its result, and
+        # nothing is allocated between main's return and that call
+        before = gc.get_stats()
+        code = main(["recover", sharp, "--out", out])
+        after = gc.get_stats()
+        assert code == 0
+        assert sum(s["collections"] for s in after) == sum(s["collections"] for s in before)
+    finally:
+        _set_collector(was)
 
 
 def test_sharpness_output_and_roundtrip(tmp_path):

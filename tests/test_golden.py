@@ -42,6 +42,8 @@ GOLDEN = {
     'verify-oracle-perm': (0, 'eb998332a7086ce473730cf2c6733436a08068149b09bf5d3fa1c7c46f675e48'),
     'sharpness-40': (0, 'ce40962983242f1ad6db4e54b49e11ec5bab9715cd463de7fcd533952ff02765'),
     'recover-trace-sharpness-40': (0, '73c657741876cfbc74cbf65fce7ae26faf87a1f162c8c433d43219bc5bf2eef3'),
+    'recover-sharpness-40': (0, 'ba92cf4ba24eccd9471cf6a58aff6401d8e88856ff275e65aa673e0f6010d58b'),
+    'verify-sharpness-40': (0, 'c8538b86c7df8293aa3947486e8f823234021a936b19013904211ffd3631bcb1'),
 }
 
 
@@ -91,6 +93,8 @@ def golden_outputs(work: Path) -> dict:
 
     sharp = run("sharpness-40", "sharpness", "--n", "40")
     run("recover-trace-sharpness-40", "recover", sharp, "--trace")
+    run("recover-sharpness-40", "recover", sharp)
+    run("verify-sharpness-40", "verify", sharp)
     return outputs
 
 

@@ -385,6 +385,96 @@ def test_linked_rewind_matches_the_tuple_rules():
     assert len(reasons) == 5  # every rejection but foreign losers
 
 
+def _general_loser_row_rewind(part: OrderedPartition, winner, losers, step: int):
+    """``_loser_row_rewind`` as it was before its one-loser short path: the
+    general branch, kept here as the reference for that path."""
+    where = part._where
+    hit: dict = {}  # block -> the losers it holds
+    for x in losers:
+        node = where.get(x)
+        if node is None:
+            raise Unrealizable(step, "losers outside the alphabet")
+        if node in hit:
+            hit[node].add(x)
+        else:
+            hit[node] = {x}
+    if not hit:
+        raise Unrealizable(step, "losers outside the alphabet")
+    lo = hi = next(iter(hit))
+    if len(hit) > 1:
+        while lo.prev in hit:
+            lo = lo.prev
+        while hi.next in hit:
+            hi = hi.next
+        run = [lo]
+        while run[-1] is not hi:
+            run.append(run[-1].next)
+        if len(run) != len(hit):
+            raise Unrealizable(step, "loser set scattered over non-adjacent blocks")
+    winner_node = where.get(winner)
+    if lo is hi:
+        if winner_node is lo:
+            part._append(part._take(lo, hit[lo]))
+            return
+        if winner_node is not lo.prev:
+            raise Unrealizable(step, "winner not adjacent to the loser run")
+        part._pin_after(winner_node, winner)
+        part._append(part._take(lo, hit[lo]))
+        return
+    interior = run[1:-1]
+    for node in interior:
+        if len(hit[node]) != len(node.items):
+            raise Unrealizable(step, "block inside the loser run keeps a non-loser")
+    if winner_node is lo:
+        head = part._take(lo, hit[lo])
+        part._pin_after(lo, winner)
+    else:
+        if len(hit[lo]) != len(lo.items):
+            raise Unrealizable(step, "leading block of the loser run keeps a non-loser")
+        if winner_node is not lo.prev:
+            raise Unrealizable(step, "winner not adjacent to the loser run")
+        part._pin_after(winner_node, winner)
+        head = part._take(lo, hit[lo])
+    for node in interior:
+        part._unlink(node)
+    tail = part._take(hi, hit[hi])
+    for node in [head, *interior, tail]:
+        part._append(node)
+
+
+@st.composite
+def _partition_and_one_loser_steps(draw):
+    """A random ordered partition of 1..n, n 3..9, and (winner, loser) steps
+    over 1..n+1, so that a symbol outside the partition comes up too."""
+    n = draw(st.integers(3, 9))
+    symbols = draw(st.permutations(range(1, n + 1)))
+    bounds = [0, *sorted(draw(st.sets(st.integers(1, n - 1)))), n]
+    blocks = tuple(_fs(symbols[a:b]) for a, b in zip(bounds, bounds[1:]))
+    pick = st.integers(1, n + 1)
+    return blocks, draw(st.lists(st.tuples(pick, pick), min_size=1, max_size=10))
+
+
+@given(_partition_and_one_loser_steps())
+@settings(max_examples=400, deadline=None)
+def test_one_loser_short_path_matches_the_general_branch(case):
+    blocks, steps = case
+    short, general = OrderedPartition(blocks), OrderedPartition(blocks)
+    for step, (winner, loser) in enumerate(steps, 1):
+        losers = _fs((loser,))
+        try:
+            _general_loser_row_rewind(general, winner, losers, step)
+        except Unrealizable as want:
+            with pytest.raises(Unrealizable) as got:
+                _loser_row_rewind(short, winner, losers, step)
+            assert (got.value.step, got.value.reason) == (want.step, want.reason)
+            assert short.snapshot() == general.snapshot()
+            return
+        _loser_row_rewind(short, winner, losers, step)
+        assert short.snapshot() == general.snapshot()
+        assert len(short) == len(general)
+        assert all(short.block_of(s) == general.block_of(s) for s in range(1, len(short._where) + 1))
+
+
 def test_partition_validation():
     assert OrderedPartition(({1, 2}, set(), {3})).snapshot() == (_fs({1, 2}), _fs({3}))
     with pytest.raises(ValueError):

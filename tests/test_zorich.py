@@ -8,6 +8,7 @@ from ietrewind.matrices import mat_product
 from ietrewind.rauzy import simulate_pair, simulate_perm
 from ietrewind.zorich import (
     MixedTypeBlock,
+    ZorichMove,
     accelerate,
     breakup,
     extract_move,
@@ -146,3 +147,25 @@ def test_winner_multiplicities_perm_flavor_match_lift():
         for mat, length in zip(lifted.matrices, grouping)
     ]
     assert got == expected
+
+
+def test_zorich_moves_are_values():
+    a = ZorichMove(3, frozenset({1, 2}), 2, frozenset({1}))
+    b = ZorichMove(3, frozenset([2, 1]), 2, frozenset([1]), frozenset())  # the default losers_min, given
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.losers_min == frozenset()
+    for other in (
+        ZorichMove(4, frozenset({1, 2}), 2, frozenset({1})),
+        ZorichMove(3, frozenset({1}), 2, frozenset({1})),
+        ZorichMove(3, frozenset({1, 2}), 1, frozenset({1})),
+        ZorichMove(3, frozenset({1, 2}), 2, frozenset({2})),
+        ZorichMove(3, frozenset({1, 2}), 2, frozenset({1}), frozenset({2})),
+    ):
+        assert a != other and not a == other
+    # not a tuple, so that a type-1 (k, p) item still tells itself apart
+    assert not isinstance(a, tuple)
+    assert a != (3, frozenset({1, 2}), 2, frozenset({1}), frozenset())
+    assert repr(a) == (
+        "ZorichMove(winner=3, losers=frozenset({1, 2}), max_count=2, "
+        "losers_max=frozenset({1}), losers_min=frozenset())"
+    )
