@@ -31,8 +31,7 @@ def main(argv=None) -> int:
         agreeing = enumerate_agreeing(result.start)
         replayed = "-"
         if n <= args.replay_bound:
-            types = [m.type_tag for m in result.moves]
-            ok = all(forward_simulate(c, result.moves, types) for c in agreeing)
+            ok = all(forward_simulate(c, result.moves, result.types) for c in agreeing)
             non_inv = any(c != inverse(agreeing[0]) for c in agreeing[1:])
             replayed = "ok" if ok and non_inv else "FAIL"
         print(f"{n:>4} {result.depth:>9} {len(result.moves):>7} "

@@ -22,7 +22,6 @@ from ietrewind.rauzy import simulate_pair, simulate_perm, walk_until_complete
 from ietrewind.recovery import (
     BoundExceeded,
     agrees_perm,
-    decode_perm_matrices,
     enumerate_agreeing_perms,
     recover_pair,
     recover_perm_moves,
@@ -74,7 +73,7 @@ def main(argv=None) -> int:
                 mismatches += 1
         perm = random_perm(rng, n)
         types, _ = walk_until_complete(perm, rng, uniqueness_threshold(n))
-        moves, _ = decode_perm_matrices(simulate_perm(perm, types).matrices)
+        moves = simulate_perm(perm, types).moves
         blocks = recover_perm_moves(moves, n)
         if len(blocks) == n:
             perm_settled[n] += 1

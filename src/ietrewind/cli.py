@@ -56,17 +56,18 @@ class InputError(ValueError):
 
 # --- path files ------------------------------------------------------------
 
-def _serialize_moves(moves, position):
-    return [
-        {
-            "winner": m.winner,
-            "losers": sorted(m.losers, key=position.__getitem__),
-            "type": m.type_tag,
-            "k": m.k,
-            "power": m.power,
-        }
-        for m in moves
-    ]
+def _serialize_moves(moves, types, position):
+    """One v1 record per move and its type: a ZorichMove, or a permutation
+    type-1 power ``(k, p)``, whose one loser is the last position n."""
+    records = []
+    for m, t in zip(moves, types):
+        if type(m) is tuple:
+            k, p = m
+            records.append({"winner": k, "losers": [len(position)], "type": 1, "k": k, "power": p})
+        else:
+            losers = sorted(m.losers, key=position.__getitem__)
+            records.append({"winner": m.winner, "losers": losers, "type": t, "k": None, "power": m.steps})
+    return records
 
 
 def _parse_matrix(raw, n: int):
@@ -175,6 +176,8 @@ def load_path_file(obj: dict) -> dict:
         n = obj.get("n")
         if not isinstance(n, int) or n < 2:
             raise InputError("permutation files need a size n")
+        if n > sys.maxsize:
+            raise InputError(f"n must not pass {sys.maxsize}")
         index = tuple(range(1, n + 1))
         alphabet = index
     n = len(index)
@@ -454,10 +457,7 @@ def cmd_simulate(args) -> int:
 
     path = simulate_pair(start, types) if flavor == "pair" else simulate_perm(start, types)
     if grouping:
-        zpath = accelerate(path, grouping)
-        moves, matrices = zpath.moves, zpath.matrices
-    else:
-        moves, matrices = path.moves, path.matrices
+        path = accelerate(path, grouping)
 
     index = path.index
     position = {s: i for i, s in enumerate(index)}
@@ -466,8 +466,8 @@ def cmd_simulate(args) -> int:
         "flavor": flavor,
         "index": list(index),
         "start": pair_to_obj(start) if flavor == "pair" else perm_to_obj(start),
-        "moves": _serialize_moves(moves, position),
-        "matrices": matrices,
+        "moves": _serialize_moves(path.moves, path.types, position),
+        "matrices": path.matrices,
     }
     if flavor == "pair":
         out["alphabet"] = list(start.alphabet)
@@ -577,7 +577,7 @@ def cmd_verify(args) -> int:
 
 def _sharpness_obj(n):
     """The output of ``sharpness --n n``; the builder's result, with its
-    per-move records and checkpoints, is freed on return."""
+    moves and checkpoints, is freed on return."""
     result = build_ambiguous_path(n)
     n = result.n
     index = tuple(range(1, n + 1))
@@ -589,17 +589,15 @@ def _sharpness_obj(n):
         if cand != inverse(first):
             mate = cand
             break
-    moves = [(m.winner, m.losers) for m in result.moves]
-    types = [m.type_tag for m in result.moves]
-    verified = forward_simulate(first, moves, types) and (
-        mate is None or forward_simulate(mate, moves, types)
+    verified = forward_simulate(first, result.moves, result.types) and (
+        mate is None or forward_simulate(mate, result.moves, result.types)
     )
     return {
         "version": 1,
         "flavor": "pair",
         "alphabet": list(index),
         "index": list(index),
-        "moves": _serialize_moves(result.moves, position),
+        "moves": _serialize_moves(result.moves, result.types, position),
         "report": {
             "stretches": result.depth,
             "unresolved": result.unresolved,

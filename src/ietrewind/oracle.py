@@ -37,11 +37,13 @@ def _clean_moves(moves):
     out = []
     for m in moves:
         winner = getattr(m, "winner", None)
-        if winner is not None:
-            out += [(winner, frozenset(losers)) for losers in _unit_losers(m)]
-        else:
+        if winner is None:
             w, losers = m
             out.append((w, frozenset(losers)))
+        elif getattr(m, "max_count", 1) == 1:  # one unit move, as every simulated or sharpness pair move is
+            out.append((winner, frozenset(getattr(m, "losers_max", m.losers))))
+        else:
+            out += [(winner, frozenset(losers)) for losers in _unit_losers(m)]
     return out
 
 

@@ -2,10 +2,11 @@
 
 A move of type t takes the last symbol of row t as winner and the last
 symbol of the other row as loser; the loser is reinserted immediately after
-the winner in its own row.  Each move is logged as a :class:`MoveRecord`;
-:func:`record_matrix` renders a record as its unimodular visitation matrix,
-``identity + E(winner, loser)`` (pair flavor) or the corresponding
-position-indexed matrix (permutation flavor).
+the winner in its own row.  A move has the form the path-file reader gives
+it: a :class:`ZorichMove` (a pair move, or a permutation type-0 move), or
+``(k, p)`` for p permutation type-1 moves at position k.
+:func:`record_matrix` renders either form as its unimodular visitation
+matrix, ``identity + E(winner, loser)`` for a unit pair move.
 """
 from __future__ import annotations
 
@@ -30,33 +31,58 @@ class MalformedMatrix(Exception):
     """A matrix does not have the shape its decoder requires."""
 
 
-@dataclass(frozen=True)
-class MoveRecord:
-    """One induction event.
+class ZorichMove:
+    """One same-winner run of moves: each symbol of ``losers_max`` loses
+    ``max_count`` times, each of ``losers_min`` once less.
 
-    ``losers`` is the set of symbols that lose during the event and ``power``
-    the number of single moves it bundles (1 for a plain move).  ``k``
-    accompanies permutation-flavor type-1 moves only.
+    A value: two moves with equal fields are equal and hash alike.  Its
+    fields are not to be changed once built; it is a plain slotted class,
+    not a frozen dataclass, because paths and path files hold one per move.
     """
 
-    winner: object
-    losers: frozenset
-    type_tag: int | None = None
-    k: int | None = None
-    power: int = 1
+    __slots__ = ("winner", "losers", "max_count", "losers_max", "losers_min")
 
-    def __post_init__(self):
-        if not self.losers:
-            raise ValueError("losers must be non-empty")
-        if self.winner in self.losers:
-            raise ValueError("the winner cannot also lose")
-        if self.k is not None and self.type_tag != 1:
-            raise ValueError("k only accompanies type-1 moves")
+    def __init__(self, winner, losers: frozenset, max_count: int, losers_max: frozenset,
+                 losers_min: frozenset = frozenset()):
+        self.winner = winner
+        self.losers = losers
+        self.max_count = max_count
+        self.losers_max = losers_max
+        self.losers_min = losers_min
+
+    def _fields(self) -> tuple:
+        return self.winner, self.losers, self.max_count, self.losers_max, self.losers_min
+
+    def __eq__(self, other):
+        if type(other) is not ZorichMove:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"ZorichMove({fields})"
+
+    @property
+    def steps(self) -> int:
+        """Number of single moves the run bundles."""
+        return self.max_count * len(self.losers_max) + (self.max_count - 1) * len(self.losers_min)
+
+    def units(self) -> list:
+        """The bundled unit moves as (winner, losers), oldest first."""
+        return [(self.winner, self.losers)] * (self.max_count - 1) + [(self.winner, self.losers_max)]
+
+
+def _unit(winner, loser) -> ZorichMove:
+    losers = frozenset((loser,))
+    return ZorichMove(winner, losers, 1, losers)
 
 
 @dataclass(frozen=True)
 class RauzyPath:
-    """A simulated path: one record per single move.
+    """A simulated path: one move per single move, and its type.
 
     ``index`` is the matrix legend (alphabet symbols for pair flavor, the
     tuple 1..n otherwise); ``states`` holds the visited states including the
@@ -67,6 +93,7 @@ class RauzyPath:
     index: tuple
     start: object
     moves: tuple
+    types: tuple
     states: tuple | None = None
 
     @property
@@ -80,7 +107,7 @@ class RauzyPath:
 
 
 def rauzy_step_pair(pair: Pair, t: int):
-    """One move of type t on a pair; returns (new pair, record)."""
+    """One move of type t on a pair; returns (new pair, its unit ZorichMove)."""
     if t not in (0, 1):
         raise ValueError("move type must be 0 or 1")
     if not is_irreducible_pair(pair):
@@ -91,7 +118,7 @@ def rauzy_step_pair(pair: Pair, t: int):
     other = rows[1 - t]
     cut = other.index(winner) + 1
     rows[1 - t] = other[:cut] + (loser,) + other[cut:-1]
-    return Pair(pair.alphabet, rows[0], rows[1]), MoveRecord(winner, frozenset((loser,)), type_tag=t)
+    return Pair(pair.alphabet, rows[0], rows[1]), _unit(winner, loser)
 
 
 def type1_matrix(n: int, k: int, p: int = 1) -> Matrix:
@@ -123,7 +150,8 @@ def type1_shift(labels, k: int, p: int = 1) -> tuple:
 
 
 def rauzy_step_perm(perm: Permutation, t: int):
-    """One move of type t on a permutation; returns (new perm, record)."""
+    """One move of type t on a permutation; returns (new perm, move): the unit
+    ZorichMove of type 0 (winner n, loser by position), or ``(k, 1)`` of type 1."""
     if t not in (0, 1):
         raise ValueError("move type must be 0 or 1")
     if not is_irreducible_perm(perm):
@@ -133,30 +161,31 @@ def rauzy_step_perm(perm: Permutation, t: int):
     if t == 0:
         last = img[-1]
         new = tuple(v if v <= last else (last + 1 if v == n else v + 1) for v in img)
-        return Permutation(new), MoveRecord(n, frozenset((img.index(n) + 1,)), type_tag=0)
+        return Permutation(new), _unit(n, img.index(n) + 1)
     k = img.index(n) + 1
-    return Permutation(type1_shift(img, k)), MoveRecord(k, frozenset((n,)), type_tag=1, k=k)
+    return Permutation(type1_shift(img, k)), (k, 1)
 
 
-def record_matrix(record: MoveRecord, index) -> Matrix:
-    """The visitation matrix of a unit record (each loser loses once) or of a
-    type-1 power, legend ``index``; other grouped records fix no loser counts."""
+def record_matrix(move, index) -> Matrix:
+    """The visitation matrix of a move, legend ``index``: a type-1 power
+    ``(k, p)``, or a ZorichMove's winner row of loser counts."""
     n = len(index)
-    if record.k is not None:
-        return type1_matrix(n, record.k, record.power)
-    if record.power != len(record.losers):
-        raise ValueError("a grouped record does not fix its loser counts")
+    if type(move) is tuple:
+        return type1_matrix(n, *move)
     position = {s: i for i, s in enumerate(index)}
-    return winner_row_matrix(n, position[record.winner], {position[s]: 1 for s in record.losers})
+    counts = dict.fromkeys(map(position.__getitem__, move.losers_min), move.max_count - 1)
+    counts.update(dict.fromkeys(map(position.__getitem__, move.losers_max), move.max_count))
+    return winner_row_matrix(n, position[move.winner], counts)
 
 
 def _simulate(flavor, index, step, start, types) -> RauzyPath:
     state, moves, states = start, [], [start]
+    types = tuple(types)
     for t in types:
-        state, record = step(state, t)
-        moves.append(record)
+        state, move = step(state, t)
+        moves.append(move)
         states.append(state)
-    return RauzyPath(flavor, index, start, tuple(moves), tuple(states))
+    return RauzyPath(flavor, index, start, tuple(moves), types, tuple(states))
 
 
 def simulate_pair(start: Pair, types) -> RauzyPath:
@@ -238,10 +267,12 @@ def walk_until_complete(start, rng, target: int):
     state, types, winners, seen, stretches = start, [], [], set(), 0
     while len(types) < MAX_WALK_MOVES:
         t = rng.randint(0, 1)
-        state, record = (rauzy_step_pair if is_pair else rauzy_step_perm)(state, t)
-        winners.append(record.winner if is_pair else labels[record.winner - 1])
-        if record.k is not None:
-            labels = type1_shift(labels, record.k)
+        state, move = (rauzy_step_pair if is_pair else rauzy_step_perm)(state, t)
+        if type(move) is tuple:  # a type-1 move (k, 1) wins with the label at k
+            winners.append(labels[move[0] - 1])
+            labels = type1_shift(labels, move[0])
+        else:
+            winners.append(move.winner if is_pair else labels[-1])
         types.append(t)
         seen.add(winners[-1])
         if len(seen) == start.n:

@@ -24,7 +24,7 @@ from .core import (
     sorted_symbols,
 )
 from .core import is_irreducible_perm  # noqa: F401  (kept importable: perfbench/trace_child.py wraps it)
-from .rauzy import MoveRecord, decode_A, type1_shift
+from .rauzy import decode_A, type1_shift
 from .zorich import ZorichMove, extract_move
 from .zorich import breakup  # noqa: F401  (kept importable: perfbench/trace_child.py wraps recovery.breakup)
 
@@ -333,10 +333,6 @@ def _unit_moves(moves) -> list:
             else:
                 out.extend((src, winner, losers) for winner, losers in m.units())
             continue
-        if isinstance(m, MoveRecord):
-            if m.power != len(m.losers):
-                raise ValueError("move records must be unit-normalized first (power == loser count)")
-            m = (m.winner, m.losers)
         winner, losers = m
         losers = frozenset(losers)
         if not losers or winner in losers:
@@ -348,8 +344,8 @@ def _unit_moves(moves) -> list:
 def recover_pair(moves, alphabet=None, trace: bool = False):
     """Rebuild knowledge of the starting pair from its chronological moves.
 
-    Moves are unit moves, (winner, loser set) or unit :class:`MoveRecord`,
-    or :class:`ZorichMove` blocks, whose unit moves are rewound in turn; an
+    Moves are unit moves as (winner, loser set), or :class:`ZorichMove`
+    blocks, whose unit moves are rewound in turn; an
     :class:`Unrealizable` step is the 1-based index of the failing entry.
     Returns (knowledge, types), one type per unit move, where types fixes
     the last move's type to 0; the true start, or its inverse, agrees with

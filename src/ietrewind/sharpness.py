@@ -16,9 +16,10 @@ of one more complete stretch (``halving_path``).
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
-from .rauzy import MoveRecord, c_completeness
+from .rauzy import _unit, c_completeness
 from .recovery import (
     OrderedPartition,
     PartiallyOrderedPair,
@@ -129,10 +130,8 @@ class _Backward:
         return {_only(b) for b in self.rows[t] if len(b) == 1}
 
     def forward_moves(self) -> tuple:
-        return tuple(
-            MoveRecord(winner=w, losers=frozenset((l,)), type_tag=t)
-            for (w, l), t in zip(reversed(self.moves), reversed(self.types))
-        )
+        """The moves as unit ZorichMoves, first move first."""
+        return tuple(_unit(w, l) for w, l in reversed(self.moves))
 
 
 def _push_first_segment(builder: _Backward, n: int):
@@ -209,11 +208,13 @@ def _push_odd_path(builder: _Backward, r: int, b3):
 @dataclass(frozen=True)
 class SharpnessResult:
     """An ambiguous path: ``depth`` complete stretches, settled start not
-    recoverable; ``unresolved`` letters stay bunched per row."""
+    recoverable; ``unresolved`` letters stay bunched per row.  ``moves``
+    are unit ZorichMoves, and ``types`` holds each one's type."""
 
     n: int
     depth: int
     moves: tuple
+    types: tuple
     start: PartiallyOrderedPair
     checkpoints: tuple
     unresolved: int
@@ -222,6 +223,8 @@ class SharpnessResult:
 def build_ambiguous_path(n: int) -> SharpnessResult:
     if n < 8:
         raise BadN("the construction needs an alphabet of at least 8 letters")
+    if n > sys.maxsize:
+        raise BadN(f"the construction needs an alphabet of at most {sys.maxsize} letters")
     depth = n.bit_length() - 2
     alphabet = tuple(range(1, n + 1))
     builder = _Backward(alphabet)
@@ -253,6 +256,7 @@ def build_ambiguous_path(n: int) -> SharpnessResult:
         n=n,
         depth=depth,
         moves=moves,
+        types=tuple(reversed(builder.types)),
         start=start,
         checkpoints=tuple(checkpoints),
         unresolved=unresolved,

@@ -2,8 +2,9 @@
 
 A same-winner run of pair moves multiplies out to identity plus a winner row
 holding each loser's count; the counts take at most two values M-1 and M.
-:func:`accelerate` builds that row straight from the moves, :func:`extract_move`
-reads it back as a :class:`ZorichMove`, and :meth:`ZorichMove.units` lists the
+:func:`accelerate` builds a block's :class:`ZorichMove` straight from its moves
+and renders it with :func:`~ietrewind.rauzy.record_matrix`, :func:`extract_move`
+reads the row back as the same move, and :meth:`ZorichMove.units` lists the
 unit moves it bundles (full loser set first, repeated M-1 times, then the
 maximal losers once).  A permutation-flavor type-0 product is such a matrix
 with winner n, and :func:`extract_move` reads it too; a type-1 run is a
@@ -11,14 +12,15 @@ closed-form power of the type-1 matrix.
 """
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
-from .matrices import Matrix, identity, winner_row_matrix
+from .matrices import Matrix, identity
 from .rauzy import (
     MalformedMatrix,
-    MoveRecord,
     RauzyPath,
+    ZorichMove,
     _check_square,
     decode_A,
     record_matrix,
@@ -34,8 +36,8 @@ class MixedTypeBlock(Exception):
 class ZorichPath:
     """An accelerated path: one product matrix per block.
 
-    ``grouping`` stores the block lengths in single moves; ``moves``
-    optionally keeps one summary record per block.
+    ``grouping`` stores the block lengths in single moves; ``moves`` and
+    ``types``, when kept, hold each block's move and type.
     """
 
     flavor: str
@@ -43,53 +45,11 @@ class ZorichPath:
     matrices: tuple
     grouping: tuple | None = None
     moves: tuple | None = None
+    types: tuple | None = None
 
     @property
     def n(self) -> int:
         return len(self.index)
-
-
-class ZorichMove:
-    """Decomposition of one pair-flavor product matrix.
-
-    A value: two moves with equal fields are equal and hash alike.  Its
-    fields are not to be changed once built; it is a plain slotted class,
-    not a frozen dataclass, because path files build one per record.
-    """
-
-    __slots__ = ("winner", "losers", "max_count", "losers_max", "losers_min")
-
-    def __init__(self, winner, losers: frozenset, max_count: int, losers_max: frozenset,
-                 losers_min: frozenset = frozenset()):
-        self.winner = winner
-        self.losers = losers
-        self.max_count = max_count
-        self.losers_max = losers_max
-        self.losers_min = losers_min
-
-    def _fields(self) -> tuple:
-        return self.winner, self.losers, self.max_count, self.losers_max, self.losers_min
-
-    def __eq__(self, other):
-        if type(other) is not ZorichMove:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"ZorichMove({fields})"
-
-    @property
-    def steps(self) -> int:
-        """Number of single moves the matrix bundles."""
-        return self.max_count * len(self.losers_max) + (self.max_count - 1) * len(self.losers_min)
-
-    def units(self) -> list:
-        """The bundled unit moves as (winner, losers), oldest first."""
-        return [(self.winner, self.losers)] * (self.max_count - 1) + [(self.winner, self.losers_max)]
 
 
 def accelerate(path: RauzyPath, grouping) -> ZorichPath:
@@ -97,34 +57,34 @@ def accelerate(path: RauzyPath, grouping) -> ZorichPath:
 
     Pair-flavor blocks must share one winner; permutation-flavor blocks one
     type.  ``grouping`` lists the block lengths and must cover the path.  A
-    winner never loses, so a block's product is the identity plus its loser
-    counts on the winner row; a type-1 block keeps n at position k.
+    winner never loses, so a block is one ZorichMove of its loser counts,
+    which a same-winner run keeps within one of each other; a type-1 block
+    at k is ``(k, length)``.
     """
     lengths = tuple(int(g) for g in grouping)
     if any(g <= 0 for g in lengths) or sum(lengths) != len(path.moves):
         raise ValueError("grouping must consist of positive lengths covering the path")
-    mats, records = [], []
-    position = {s: i for i, s in enumerate(path.index)}
+    moves, types = [], []
     pos = 0
     for length in lengths:
         block = path.moves[pos:pos + length]
         if path.flavor == "pair":
             if len({m.winner for m in block}) != 1:
                 raise MixedTypeBlock(f"block at move {pos + 1} mixes winners")
-        else:
-            if len({m.type_tag for m in block}) != 1:
-                raise MixedTypeBlock(f"block at move {pos + 1} mixes types")
+        elif len(set(path.types[pos:pos + length])) != 1:
+            raise MixedTypeBlock(f"block at move {pos + 1} mixes types")
         first = block[0]
-        losers = frozenset().union(*(m.losers for m in block))
-        record = MoveRecord(first.winner, losers, type_tag=first.type_tag, k=first.k, power=length)
-        if record.k is not None:
-            mats.append(record_matrix(record, path.index))
+        if type(first) is tuple:
+            moves.append((first[0], length))
         else:
-            counts = Counter(position[s] for m in block for s in m.losers)
-            mats.append(winner_row_matrix(path.n, position[first.winner], counts))
-        records.append(record)
+            counts = Counter(s for m in block for s in m.losers)
+            top = max(counts.values())
+            losers, losers_max = frozenset(counts), frozenset(s for s, c in counts.items() if c == top)
+            moves.append(ZorichMove(first.winner, losers, top, losers_max, losers - losers_max))
+        types.append(path.types[pos])
         pos += length
-    return ZorichPath(path.flavor, path.index, tuple(mats), lengths, tuple(records))
+    mats = tuple(record_matrix(m, path.index) for m in moves)
+    return ZorichPath(path.flavor, path.index, mats, lengths, tuple(moves), tuple(types))
 
 
 def extract_move(matrix: Matrix, legend=None) -> ZorichMove:
@@ -150,6 +110,8 @@ def extract_move(matrix: Matrix, legend=None) -> ZorichMove:
     top = max(v for _, v in off)
     if top < 1 or any(v not in (top - 1, top) for _, v in off):
         raise MalformedMatrix("off-diagonal entries must be positive and take at most two adjacent values")
+    if top > sys.maxsize:  # its unit moves could not even be counted in a list
+        raise MalformedMatrix(f"off-diagonal entries must not pass {sys.maxsize}")
     losers = frozenset(legend[j] for j, _ in off)
     losers_max = frozenset(legend[j] for j, v in off if v == top)
     losers_min = frozenset() if top == 1 else losers - losers_max
@@ -164,7 +126,7 @@ def breakup(matrix: Matrix, legend=None) -> list:
     """
     index = tuple(legend) if legend is not None else tuple(range(1, len(matrix) + 1))
     units = extract_move(matrix, index).units()
-    return [record_matrix(MoveRecord(w, losers, power=len(losers)), index) for w, losers in units]
+    return [record_matrix(ZorichMove(w, losers, 1, losers), index) for w, losers in units]
 
 
 def winners_with_multiplicity(path: ZorichPath) -> list:

@@ -262,9 +262,8 @@ def test_criterion_5_ambiguity_construction():
         assert len(agreeing) >= 2
         first = agreeing[0]
         mate = next(c for c in agreeing[1:] if c != inverse(first))
-        types = [m.type_tag for m in result.moves]
-        assert forward_simulate(first, result.moves, types)
-        assert forward_simulate(mate, result.moves, types)
+        assert forward_simulate(first, result.moves, result.types)
+        assert forward_simulate(mate, result.moves, result.types)
     elapsed = time.monotonic() - begin
     assert elapsed < 60.0, f"ambiguity constructions took {elapsed:.2f}s"
 

@@ -7,10 +7,16 @@ import random
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from ietrewind.core import Permutation, is_irreducible_pair, is_irreducible_perm, make_pair, pair_to_obj, perm_to_obj
+from ietrewind.rauzy import simulate_pair, simulate_perm
+from ietrewind.zorich import accelerate
 
 _CLI = [sys.executable, "-m", "ietrewind.cli"]
 _PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -451,6 +457,11 @@ _PERM_0100 = [  # the matrices of simulate --script 0,1,0,0 from the permutation
           "moves": [{"winner": 4, "losers": [3], "type": 0}]}, "p0 must be a JSON array"),
         ({"version": 1, "flavor": "permutation", "n": 4, "start": {"n": 4},
           "moves": [{"winner": 4, "losers": [3], "type": 0}]}, "image must be a JSON array"),
+        # sizes past sys.maxsize, each once ending in an OverflowError traceback
+        ({"version": 1, "flavor": "permutation", "n": 10**19,
+          "moves": [{"winner": 10**19, "losers": [1], "type": 0}]}, "n must not pass"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3],
+          "matrices": [[[1, 10**19, 10**19], [0, 1, 0], [0, 0, 1]]]}, "must not pass"),
     ],
 )
 def test_malformed_path_files_exit_four(tmp_path, path_file, detail):
@@ -599,8 +610,57 @@ def test_sharpness_output_and_roundtrip(tmp_path):
     assert rec["unique"] is False
     assert rec["count"] == 4
 
-    proc = _run("sharpness", "--n", "7")
-    assert proc.returncode == 4
+    for n in ("7", str(10**19)):  # the second once ended in an OverflowError traceback
+        proc = _run("sharpness", "--n", n)
+        assert proc.returncode == 4, n
+        assert _json_out(proc)["error"] == "bad input"
+
+
+def _type_runs(types) -> list:
+    """[type, length] of each maximal same-type run of ``types``."""
+    runs = []
+    for t in types:
+        if runs and runs[-1][0] == t:
+            runs[-1][1] += 1
+        else:
+            runs.append([t, 1])
+    return runs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pair=st.booleans(),
+    n=st.integers(3, 8),
+    seed=st.integers(0, 2**32 - 1),
+    types=st.lists(st.integers(0, 1), min_size=1, max_size=40),
+    grouped=st.booleans(),
+)
+def test_the_forward_moves_are_the_moves_the_reader_reads(pair, n, seed, types, grouped):
+    from ietrewind import cli
+
+    rng, symbols = random.Random(seed), list(range(1, n + 1))
+    while True:
+        rng.shuffle(symbols)
+        start = make_pair(range(1, n + 1), symbols) if pair else Permutation(tuple(symbols))
+        if (is_irreducible_pair if pair else is_irreducible_perm)(start):
+            break
+    path = (simulate_pair if pair else simulate_perm)(start, types)
+    script = ",".join(map(str, types))
+    want = path.moves
+    if grouped:  # by maximal runs, which share one winner
+        runs = _type_runs(types)
+        lengths = [length for _, length in runs]
+        script = ",".join(f"{t}x{length}" for t, length in runs) + f",group({','.join(map(str, lengths))})"
+        want = accelerate(path, lengths).moves
+    with tempfile.TemporaryDirectory() as work:
+        start_file, out = Path(work) / "start.json", Path(work) / "path.json"
+        start_file.write_text(json.dumps(pair_to_obj(start) if pair else perm_to_obj(start)))
+        assert cli.main(["simulate", "--start", str(start_file), "--script", script, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+    assert cli.load_path_file(data)["moves"] == list(want)
+    if not grouped:  # the records alone give the same moves
+        del data["matrices"]
+        assert cli.load_path_file(data)["moves"] == list(want)
 
 
 def test_verify_grouped_perm_record_with_oracle(tmp_path):
@@ -675,7 +735,8 @@ def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypat
     monkeypatch.setattr(recovery, "decode_A", counted("decode_A", recovery.decode_A))
     monkeypatch.setattr(cli, "_parse_matrix", counted("parse", cli._parse_matrix))
     monkeypatch.setattr(rauzy, "record_matrix", counted("render", rauzy.record_matrix))
-    monkeypatch.setattr(rauzy.MoveRecord, "__post_init__", counted("record", rauzy.MoveRecord.__post_init__))
+    for name in ("rauzy_step_pair", "rauzy_step_perm"):
+        monkeypatch.setattr(rauzy, name, counted("record", getattr(rauzy, name)))
     for module in (rauzy, zorich):
         monkeypatch.setattr(module, "_check_square", copies_no_row(module._check_square))
     for name in ("enumerate_starting", "enumerate_agreeing_perms"):
@@ -694,7 +755,7 @@ def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypat
         start = tmp_path / f"{flavor}.json"
         start.write_text(json.dumps(obj))
         for argv in (["--until-c-complete", "2"], ["--length", "40"]):
-            # an ungrouped simulate renders each matrix it writes once, from a move record
+            # an ungrouped simulate renders each matrix it writes once, from a stepper's move
             calls.update(render=0, record=0)
             data = run("simulate", "--start", str(start), "--seed", "4", *argv)
             assert calls["render"] == len(data["matrices"]) <= calls["record"]

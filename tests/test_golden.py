@@ -3,8 +3,8 @@
 Each case runs one subcommand in-process on fixed inputs and compares the
 exit code and the sha256 of the bytes written to ``--out`` with a stored
 digest, so that an internal refactor cannot change a single output byte.
-Grouped permutation files are only simulated here: their recovery is
-covered by the oracle property tests in ``test_recovery.py``.
+A grouped permutation file is recovered, and checked against the oracle,
+from its type-1 powers and type-0 blocks as the reader decodes them.
 
 Run this module as a script to print the digests of the current code.
 """
@@ -36,6 +36,8 @@ GOLDEN = {
     'simulate-perm': (0, '1004106cd3a0120573a0a8373465d8290e9afc3abd699d039a2b6afaa5ba47c9'),
     'simulate-perm-grouped': (0, '3354eebde9c5dcfeffd08b22ca4370af7d6a028fe1c7fdbc18c2307ee14d9116'),
     'recover-perm-plain': (0, 'c22cb93721773ea7c5cb76c1b8595009934f95696544e2e18b7c92bca167d6c0'),
+    'recover-perm-grouped': (0, 'c22cb93721773ea7c5cb76c1b8595009934f95696544e2e18b7c92bca167d6c0'),
+    'verify-oracle-perm-grouped': (0, 'a74ecb38437e39e3b4d34bbf03286696763bab87b02d9b79bf921a8a76471b95'),
     'walk-pair': (0, '1de0ef3cb2ddb2bf7abd76539bfad52bbed25983b9c5edb8e4e1fdc7293046fc'),
     'verify-oracle-pair': (0, '293016c9dfec4ab6acae0bb2602b409d83db05052a50d4a03f9cae1d13b11285'),
     'walk-perm': (0, '1947376a66e89744064e0a5dd5b2acdf7936a80c7943c41ccf99fc34f1ab6d7a'),
@@ -85,6 +87,8 @@ def golden_outputs(work: Path) -> dict:
                 run(f"verify-pair-{label}", "verify", path)
         else:
             run("recover-perm-plain", "recover", plain)
+            run("recover-perm-grouped", "recover", grouped)
+            run("verify-oracle-perm-grouped", "verify", grouped, "--oracle")
 
     for flavor, obj in (("pair", _PAIR_6), ("perm", _PERM_6)):
         start = start_file(f"{flavor}-6", obj)

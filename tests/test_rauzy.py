@@ -172,12 +172,12 @@ def test_decode_A_rejects_identity_and_junk():
 
 def test_simulated_perm_matrices_decode_back():
     path = simulate_perm(Permutation((4, 3, 2, 1)), [0, 1, 1, 0, 1])
-    for mat, record in zip(path.matrices, path.moves):
-        t, k, p = decode_A(mat)
-        assert t == record.type_tag
+    for mat, move, t in zip(path.matrices, path.moves, path.types):
+        got, k, p = decode_A(mat)
+        assert got == t
         assert p == 1
         if t == 1:
-            assert k == record.k
+            assert k == move[0]
 
 
 def test_completeness_counting():

@@ -12,7 +12,7 @@ from itertools import chain, permutations, product
 from ietrewind import recovery
 from ietrewind.core import Pair, Permutation, inverse, is_irreducible_pair, is_irreducible_perm, make_pair
 from ietrewind.oracle import brute_force_initial_perms
-from ietrewind.rauzy import MoveRecord, c_completeness, simulate_pair, simulate_perm, type1_shift, walk_until_complete
+from ietrewind.rauzy import c_completeness, simulate_pair, simulate_perm, type1_shift, walk_until_complete
 from ietrewind.zorich import ZorichMove, accelerate
 from ietrewind.recovery import (
     AlphabetMismatch,
@@ -196,14 +196,12 @@ def test_uncertainty_profile_reads_the_move_where_each_stretch_starts(steps, dat
 
 def test_move_record_normalization():
     records = [
-        MoveRecord(1, _fs({2, 3}), power=2),
-        MoveRecord(4, _fs({1, 5}), power=2),
-        MoveRecord(6, _fs({2, 3, 4}), power=3),
+        ZorichMove(1, _fs({2, 3}), 1, _fs({2, 3})),
+        ZorichMove(4, _fs({1, 5}), 1, _fs({1, 5})),
+        ZorichMove(6, _fs({2, 3, 4}), 1, _fs({2, 3, 4})),
     ]
     pop, types = recover_pair(records)
     assert pop.q0 == _SMALL_Q0
-    with pytest.raises(ValueError):
-        recover_pair([MoveRecord(1, _fs({2, 3}), power=5), MoveRecord(2, _fs({3}))])
     with pytest.raises(ValueError):
         recover_pair([(1, set()), (2, {3})])
     with pytest.raises(ValueError):
@@ -778,10 +776,7 @@ def test_recover_perm_at_n256_builds_one_partition(monkeypatch):
         if is_irreducible_perm(start):
             break
     types, _ = walk_until_complete(start, rng, 3)
-    moves = [
-        (m.k, 1) if m.k is not None else ZorichMove(m.winner, m.losers, 1, m.losers)
-        for m in simulate_perm(start, types).moves
-    ]
+    moves = list(simulate_perm(start, types).moves)
     assert (len(moves), sum(isinstance(m, tuple) for m in moves)) == (8803, 4441)
     built = []
 

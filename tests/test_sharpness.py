@@ -71,7 +71,7 @@ def test_eight_letter_record_rewinds_to_its_own_start():
     result = build_ambiguous_path(8)
     pop, types = recover_pair(result.moves, alphabet=result.start.alphabet)
     assert pop == result.start
-    assert types == tuple(m.type_tag for m in result.moves)
+    assert types == result.types
 
 
 def test_eight_letter_ambiguity_is_genuine():
@@ -80,9 +80,8 @@ def test_eight_letter_ambiguity_is_genuine():
     assert len(agreeing) == 2
     first, second = agreeing
     assert second != inverse(first)  # not explained away by inversion
-    types = [m.type_tag for m in result.moves]
     for cand in agreeing:
-        assert forward_simulate(cand, result.moves, types)
+        assert forward_simulate(cand, result.moves, result.types)
 
 
 @pytest.mark.parametrize(
@@ -119,7 +118,7 @@ def test_construction_scales_to_256_letters():
     assert elapsed < 8.0
     pop, types = recover_pair(result.moves, alphabet=result.start.alphabet)
     assert pop == result.start
-    assert types == tuple(m.type_tag for m in result.moves)
+    assert types == result.types
 
 
 def test_construction_rejects_small_alphabets():

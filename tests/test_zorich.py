@@ -66,7 +66,7 @@ def test_split_grouping_matches_hand_products():
     z = accelerate(path, [4, 2])
     assert z.matrices[0][0] == (1, 1, 1, 1, 1)
     assert z.matrices[1][0] == (1, 0, 0, 1, 1)
-    assert [m.power for m in z.moves] == [4, 2]
+    assert [m.steps for m in z.moves] == [4, 2]
     assert z.moves[0].losers == frozenset({2, 3, 4, 5})
     assert z.moves[1].losers == frozenset({4, 5})
 
