@@ -17,6 +17,7 @@ from .core import (
     pair_to_obj,
     perm_from_obj,
     perm_to_obj,
+    symbol_tuple,
 )
 from .oracle import forward_initial_pairs, forward_initial_perms, forward_simulate
 from .rauzy import (
@@ -74,6 +75,8 @@ def _parse_matrix(raw, n: int):
     """One path-file matrix as a tuple of int tuples: n rows of n JSON integers."""
     if not isinstance(raw, list) or len(raw) != n:
         raise InputError(f"matrices must have one row per symbol ({n})")
+    if not {list}.issuperset(map(type, raw)):
+        raise MalformedMatrix("matrix rows must be JSON arrays")
     mat = tuple(map(tuple, raw))
     if any(len(row) != n for row in mat) or not {int}.issuperset(map(type, chain.from_iterable(mat))):
         raise MalformedMatrix(f"matrix rows must each hold {n} integers")
@@ -168,7 +171,7 @@ def load_path_file(obj: dict) -> dict:
         index = obj.get("index", alphabet)
         if not alphabet or not isinstance(alphabet, list) or not isinstance(index, list):
             raise InputError("pair files need an alphabet, and an index if any, as JSON arrays")
-        index, alphabet = tuple(index), tuple(alphabet)
+        alphabet, index = symbol_tuple(alphabet, "alphabet"), symbol_tuple(index, "index")
         typed = {(s, type(s)) for s in alphabet}  # by JSON type too: true is not the symbol 1
         if not len(index) == len(alphabet) == len(set(index)) or typed != set(zip(index, map(type, index))):
             raise InputError("index must list each alphabet symbol exactly once")

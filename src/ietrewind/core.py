@@ -167,12 +167,24 @@ def pair_to_obj(pair: Pair) -> dict:
     }
 
 
+def symbol_tuple(values, field: str) -> tuple:
+    """``values`` as a tuple of symbols; a value that cannot be one, such as a
+    JSON array or object, is a ValueError naming ``field``."""
+    values = tuple(values)
+    for s in values:
+        try:
+            hash(s)
+        except TypeError:
+            raise ValueError(f"{field} names {s!r}, which cannot be a symbol") from None
+    return values
+
+
 def _array(obj: dict, key: str) -> tuple:
-    """``obj[key]`` as a tuple; it must be present and a JSON array (a list), not a string."""
+    """``obj[key]`` as a tuple of symbols; it must be present and a JSON array (a list), not a string."""
     value = obj.get(key)
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a JSON array")
-    return tuple(value)
+    return symbol_tuple(value, key)
 
 
 def pair_from_obj(obj: dict) -> Pair:
@@ -185,6 +197,8 @@ def perm_to_obj(perm: Permutation) -> dict:
 
 def perm_from_obj(obj: dict) -> Permutation:
     image = _array(obj, "image")
+    if not {int}.issuperset(map(type, image)):
+        raise ValueError("image must hold JSON integers")
     n = obj.get("n")
     if n is not None and n != len(image):
         raise ValueError("declared n disagrees with the image length")

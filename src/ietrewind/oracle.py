@@ -27,23 +27,21 @@ class RealizabilityReport:
 
 
 def _unit_losers(move):
-    """The loser sets of the unit moves a move bundles, read from a block's
-    ``max_count`` and ``losers_max``; any other move is one unit."""
-    count = getattr(move, "max_count", 1)
-    return [move.losers] * (count - 1) + [getattr(move, "losers_max", move.losers)]
+    """The loser sets of the unit moves a :class:`ZorichMove` bundles."""
+    return [move.losers] * (move.max_count - 1) + [move.losers_max]
 
 
 def _clean_moves(moves):
+    # a raw move is a (winner, losers) tuple, anything else a ZorichMove
     out = []
     for m in moves:
-        winner = getattr(m, "winner", None)
-        if winner is None:
+        if isinstance(m, tuple):
             w, losers = m
             out.append((w, frozenset(losers)))
-        elif getattr(m, "max_count", 1) == 1:  # one unit move, as every simulated or sharpness pair move is
-            out.append((winner, frozenset(getattr(m, "losers_max", m.losers))))
+        elif m.max_count == 1:  # one unit move, as every simulated or sharpness pair move is
+            out.append((m.winner, frozenset(m.losers_max)))
         else:
-            out += [(winner, frozenset(losers)) for losers in _unit_losers(m)]
+            out += [(m.winner, frozenset(losers)) for losers in _unit_losers(m)]
     return out
 
 
@@ -297,15 +295,15 @@ def forward_initial_perms(entries, n: int) -> list:
     labels = tuple(range(1, n + 1))
     top, seq, types = labels, [], []
     for entry in entries:
-        if hasattr(entry, "winner"):
-            seq += [(top[-1], frozenset(top[x - 1] for x in losers)) for losers in _unit_losers(entry)]
-            types += [0] * (len(seq) - len(types))
-        else:
+        if isinstance(entry, tuple):
             k, p = entry
             seq.append((top[k - 1], frozenset((top[-1],))))
             types.append(1)
             cut = n - p % (n - k)
             top = top[:k] + top[cut:] + top[k:cut]
+        else:
+            seq += [(top[-1], frozenset(top[x - 1] for x in losers)) for losers in _unit_losers(entry)]
+            types += [0] * (len(seq) - len(types))
     pinned = [_PartialRow([], list(labels), {})]
     starts, _ = _irreducible_starts(labels, [pinned, _row_states(seq, types, 1, labels, FORWARD_LIMIT)])
     return sorted(map(project, starts), key=lambda perm: perm.image)

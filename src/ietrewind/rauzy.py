@@ -31,39 +31,21 @@ class MalformedMatrix(Exception):
     """A matrix does not have the shape its decoder requires."""
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class ZorichMove:
     """One same-winner run of moves: each symbol of ``losers_max`` loses
     ``max_count`` times, each of ``losers_min`` once less.
 
     A value: two moves with equal fields are equal and hash alike.  Its
-    fields are not to be changed once built; it is a plain slotted class,
-    not a frozen dataclass, because paths and path files hold one per move.
+    fields are not to be changed once built; it is not frozen, since paths
+    and path files hold one per move and a frozen dataclass builds slowly.
     """
 
-    __slots__ = ("winner", "losers", "max_count", "losers_max", "losers_min")
-
-    def __init__(self, winner, losers: frozenset, max_count: int, losers_max: frozenset,
-                 losers_min: frozenset = frozenset()):
-        self.winner = winner
-        self.losers = losers
-        self.max_count = max_count
-        self.losers_max = losers_max
-        self.losers_min = losers_min
-
-    def _fields(self) -> tuple:
-        return self.winner, self.losers, self.max_count, self.losers_max, self.losers_min
-
-    def __eq__(self, other):
-        if type(other) is not ZorichMove:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"ZorichMove({fields})"
+    winner: object
+    losers: frozenset
+    max_count: int
+    losers_max: frozenset
+    losers_min: frozenset = frozenset()
 
     @property
     def steps(self) -> int:

@@ -2,12 +2,12 @@
 
 Knowledge about a row is an ordered partition of the alphabet: the blocks
 are known to occupy consecutive position runs in the given order, with the
-order inside each block unknown.  Processing the record backwards refines
-this knowledge one move at a time; the case split in
-:func:`_loser_row_rewind` is the whole story.  Permutation knowledge is pair
-knowledge with a known top row (Veech's correspondence), so the permutation
-rewind plays the same rules on fixed labels, and its enumeration and
-agreement check are the pair ones.
+order inside each block unknown.  Knowledge starts as one block per row,
+and processing the record backwards refines it one move at a time; the
+case split in :func:`_loser_row_rewind` is the whole story.  Permutation
+knowledge is pair knowledge with a known top row (Veech's correspondence),
+so the permutation rewind plays the same rules on fixed labels, and its
+enumeration and agreement check are the pair ones.
 """
 from __future__ import annotations
 
@@ -323,21 +323,37 @@ def _loser_row_rewind(part: OrderedPartition, winner, losers, step: int):
         part._append(node)
 
 
+def _block_runs(move: ZorichMove) -> list:
+    """A block's unit moves as (losers, repeat) runs, oldest first.
+
+    Its max_count - 1 units that lose all of ``losers`` are one unit and then
+    one run of the rest, and each run is rewound once.  That is enough: once
+    a second rewind of the same unit succeeds, the winner is a singleton just
+    before a run of losers at its row's end, so a third changes nothing.
+    """
+    repeat = move.max_count - 1
+    runs = [(move.losers, repeat - 1)] if repeat > 1 else []
+    if repeat:
+        runs.append((move.losers, 1))
+    runs.append((move.losers_max, 1))
+    return runs
+
+
 def _unit_moves(moves) -> list:
-    """(entry, winner, losers) per unit move, entries numbered from 1."""
+    """(entry, winner, losers, repeat) per run of equal unit moves, entries numbered from 1."""
     out = []
     for src, m in enumerate(moves, 1):
         if isinstance(m, ZorichMove):
             if m.max_count == 1:
-                out.append((src, m.winner, m.losers_max))
+                out.append((src, m.winner, m.losers_max, 1))
             else:
-                out.extend((src, winner, losers) for winner, losers in m.units())
+                out.extend((src, m.winner, losers, repeat) for losers, repeat in _block_runs(m))
             continue
         winner, losers = m
         losers = frozenset(losers)
         if not losers or winner in losers:
             raise ValueError("a move needs losers, and its winner cannot also lose")
-        out.append((src, winner, losers))
+        out.append((src, winner, losers, 1))
     return out
 
 
@@ -345,47 +361,43 @@ def recover_pair(moves, alphabet=None, trace: bool = False):
     """Rebuild knowledge of the starting pair from its chronological moves.
 
     Moves are unit moves as (winner, loser set), or :class:`ZorichMove`
-    blocks, whose unit moves are rewound in turn; an
-    :class:`Unrealizable` step is the 1-based index of the failing entry.
-    Returns (knowledge, types), one type per unit move, where types fixes
-    the last move's type to 0; the true start, or its inverse, agrees with
-    the knowledge.  With ``trace`` a third element lists the knowledge
-    states from the seed backwards to the start.
+    blocks, whose unit moves are rewound in turn; an :class:`Unrealizable`
+    step is the 1-based index of the failing entry.  Knowledge starts as one
+    block per row, and every move is rewound, the last taken as type 0.
+    Returns (knowledge, types), one type per unit move; the true start, or
+    its inverse, agrees with the knowledge.  With ``trace`` a third element
+    lists the knowledge after each unit move, last move first.
     """
     seq = _unit_moves(moves)
     if not seq:
         raise ValueError("empty move record")
     if alphabet is None:
-        alphabet = sorted_symbols(set().union(*(losers for _, _, losers in seq), {w for _, w, _ in seq}))
+        alphabet = sorted_symbols(set().union(*(losers for _, _, losers, _ in seq), {w for _, w, _, _ in seq}))
     alphabet = tuple(alphabet)
     universe = set(alphabet)
     if len(universe) < 3:
         raise ValueError("need at least three symbols")
-    for step, winner, losers in seq:
+    for step, winner, losers, _ in seq:
         if winner not in universe or not losers <= universe:
             raise AlphabetMismatch(f"step {step}: symbols outside the alphabet")
 
-    _, last_winner, last_losers = seq[-1]
-    rows = [
-        OrderedPartition((universe - {last_winner}, {last_winner})),
-        OrderedPartition((universe - last_losers, last_losers)),
-    ]
-    t = 0
-    types = [0]
-    states = [(rows[0].snapshot(), rows[1].snapshot())] if trace else None
-    for j in range(len(seq) - 2, -1, -1):
-        step, winner, losers = seq[j]
-        if winner != seq[j + 1][1]:
-            t = 1 - t
+    rows = [OrderedPartition((universe,)), OrderedPartition((universe,))]
+    t, previous = 0, seq[-1][1]
+    types, history = [], []
+    for step, winner, losers, repeat in reversed(seq):
+        if winner != previous:
+            t, previous = 1 - t, winner
         _winner_row_rewind(rows[t], winner, step)
         _loser_row_rewind(rows[1 - t], winner, losers, step)
-        types.append(t)
+        if repeat == 1:
+            types.append(t)
+        else:
+            types += [t] * repeat
         if trace:
-            states.append((rows[0].snapshot(), rows[1].snapshot()))
+            history += [PartiallyOrderedPair(alphabet, rows[0].snapshot(), rows[1].snapshot())] * repeat
     types.reverse()
     pop = PartiallyOrderedPair(alphabet, rows[0].snapshot(), rows[1].snapshot())
     if trace:
-        history = [PartiallyOrderedPair(alphabet, q0, q1) for q0, q1 in states]
         return pop, tuple(types), history
     return pop, tuple(types)
 
@@ -413,8 +425,8 @@ def recover_perm(matrices, trace: bool = False):
 
     Returns the ordered partition of positions (blocks map to consecutive
     value runs), or with ``trace`` a pair (blocks, history) where history
-    runs from the seed backwards to the start, one entry per recovery item
-    (type-0 products contribute one item per unit move).
+    runs from the last item's rewind backwards to the start, one entry per
+    type-1 block and one per unit move of a type-0 block.
     """
     moves, n = decode_perm_matrices(matrices)
     return recover_perm_moves(moves, n, trace=trace)
@@ -426,25 +438,24 @@ def recover_perm_moves(moves, n: int, trace: bool = False):
     The partition is over fixed labels, and ``labels`` maps positions to
     them: a type-1 block at k is one slice of ``labels`` and pins the label
     at k, which holds n throughout the run; a type-0 unit rewinds its
-    losers' labels in O(|losers|).  Positions return for the trace and result.
+    losers' labels in O(|losers|).  Knowledge starts as one block and every
+    item is rewound.  Positions return for the trace and result.
     """
-    # one item per type-1 block, its (k, p); one per unit move of a type-0 block, its losers
+    # one item per type-1 block, its (k, p); one per run of a type-0 block, its losers
     items = []
     for src, move in enumerate(moves, 1):
         if isinstance(move, ZorichMove):
-            items.extend((src, losers) for _, losers in move.units())
+            items.extend((src, losers, repeat) for losers, repeat in _block_runs(move))
         else:
-            items.append((src, move))
+            items.append((src, move, 1))
     if not items:
         raise ValueError("empty matrix record")
     if n < 3:
         raise ValueError("need size at least three")
-    _, item = items[-1]
-    last = {item[0]} if isinstance(item, tuple) else item
-    part = OrderedPartition((set(range(1, n + 1)) - last, last))
     labels = tuple(range(1, n + 1))
-    history = [part.snapshot()] if trace else None
-    for src, item in reversed(items[:-1]):
+    part = OrderedPartition((labels,))
+    history = []
+    for src, item, repeat in reversed(items):
         if isinstance(item, tuple):
             k, p = item
             labels = type1_shift(labels, k, -p)
@@ -452,7 +463,7 @@ def recover_perm_moves(moves, n: int, trace: bool = False):
         else:
             _loser_row_rewind(part, labels[-1], {labels[x - 1] for x in item}, src)
         if trace:
-            history.append(_at_positions(part, labels))
+            history += [_at_positions(part, labels)] * repeat
     blocks = _at_positions(part, labels)
     if trace:
         return blocks, history
@@ -521,7 +532,7 @@ def uniqueness_threshold(n: int) -> int:
 def uncertainty_profile(history, boundaries, steps_per_move=None):
     """(u0, u1) at the start of each complete stretch, most refined first.
 
-    ``history`` is a recover_pair trace (seed first); ``boundaries`` the
+    ``history`` is a recover_pair trace (last move first); ``boundaries`` the
     1-based single-move indices closing each complete stretch, as
     returned by c_completeness on the expanded winner sequence.  The final
     entry is the trivial initial uncertainty (n-1, n-1).

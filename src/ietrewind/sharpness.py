@@ -84,33 +84,24 @@ class _Backward:
 
     ``push`` applies the recovery rewind for one single move, so an
     impossible construction step raises instead of producing a bogus path.
-    ``rows`` holds the two rows' :class:`OrderedPartition`, rewound in place.
-    ``moves``/``types`` are in backward order: entry 0 is the final move.
+    ``rows`` holds the two rows' :class:`OrderedPartition`, rewound in place
+    from ``rows`` if given, else from one block each as recovery starts.
+    ``moves``/``types`` are in backward order: entry 0 is the final move,
+    which recovery takes as type 0.
     """
 
     def __init__(self, alphabet, rows=None):
         self.alphabet = tuple(alphabet)
-        self.universe = frozenset(alphabet)
-        self.rows = [OrderedPartition(r) for r in rows] if rows is not None else None
+        self.rows = [OrderedPartition(r) for r in rows or ((alphabet,), (alphabet,))]
         self.moves: list = []
         self.types: list = []
 
     def push(self, winner, loser, t):
+        if self.moves:
+            assert (winner == self.moves[-1][0]) == (t == self.types[-1]), "winner change must flip the type"
         step = len(self.moves) + 1
-        if self.rows is None:
-            # Seeding fixes the path's final move; type 0 is the convention
-            # the recovery side assumes for it.
-            assert t == 0
-            self.rows = [None, None]
-            self.rows[t] = OrderedPartition((self.universe - {winner}, {winner}))
-            self.rows[1 - t] = OrderedPartition((self.universe - {loser}, {loser}))
-        else:
-            if self.moves:
-                same_winner = winner == self.moves[-1][0]
-                same_type = t == self.types[-1]
-                assert same_winner == same_type, "winner change must flip the type"
-            _winner_row_rewind(self.rows[t], winner, step)
-            _loser_row_rewind(self.rows[1 - t], winner, frozenset((loser,)), step)
+        _winner_row_rewind(self.rows[t], winner, step)
+        _loser_row_rewind(self.rows[1 - t], winner, frozenset((loser,)), step)
         self.moves.append((winner, loser))
         self.types.append(t)
 

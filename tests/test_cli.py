@@ -462,6 +462,18 @@ _PERM_0100 = [  # the matrices of simulate --script 0,1,0,0 from the permutation
           "moves": [{"winner": 10**19, "losers": [1], "type": 0}]}, "n must not pass"),
         ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3],
           "matrices": [[[1, 10**19, 10**19], [0, 1, 0], [0, 0, 1]]]}, "must not pass"),
+        # values that cannot be what their field holds, each once reported by a bare Python message
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, [4]],
+          "moves": [{"winner": 1, "losers": [2], "type": 0}]}, "alphabet names [4], which cannot be a symbol"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3], "matrices": [[1, [0, 1, 0], [0, 0, 1]]]},
+         "matrix rows must be JSON arrays"),
+        ({"version": 1, "flavor": "permutation", "n": 3, "start": {"image": [1, "a", 3]},
+          "moves": [{"winner": 3, "losers": [1], "type": 0}]}, "image must hold JSON integers"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3],
+          "start": {"alphabet": [1, 2, 3], "p0": [[1], 2, 3], "p1": [3, 2, 1]},
+          "moves": [{"winner": 3, "losers": [1], "type": 0}]}, "p0 names [1], which cannot be a symbol"),
+        ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4], "index": [1, 2, 3, {"a": 4}],
+          "moves": [{"winner": 1, "losers": [2], "type": 0}]}, "index names {'a': 4}, which cannot be a symbol"),
     ],
 )
 def test_malformed_path_files_exit_four(tmp_path, path_file, detail):
@@ -494,6 +506,16 @@ def test_simulate_start_rows_must_be_arrays(tmp_path):
     proc = _run("simulate", "--start", str(start), "--script", "0")
     assert proc.returncode == 4
     assert "start file must hold" in _json_out(proc)["detail"]
+    # a symbol that is an array, and an image entry that is not an integer (each once a bare Python message)
+    for obj, detail in (
+        ({"alphabet": [[1], 2, 3], "p0": [[1], 2, 3], "p1": [3, 2, [1]]}, "alphabet names [1], which cannot be a symbol"),
+        ({"alphabet": [1, 2, 3], "p0": [1, 2, 3], "p1": [3, 2, [1]]}, "p1 names [1], which cannot be a symbol"),
+        ({"image": [3, "a", 1]}, "image must hold JSON integers"),
+    ):
+        start.write_text(json.dumps(obj))
+        proc = _run("simulate", "--start", str(start), "--script", "0")
+        assert proc.returncode == 4
+        assert _json_out(proc)["detail"] == detail
 
 
 def test_an_out_that_cannot_be_opened_exits_four(tmp_path, pair_start_file):

@@ -791,3 +791,145 @@ def test_recover_perm_at_n256_builds_one_partition(monkeypatch):
     blocks = recover_perm_moves(moves, 256)
     assert len(built) == 1
     assert enumerate_agreeing_perms(blocks) == [start]
+
+
+# Reference copies of the seeded loops: knowledge began as the state before
+# the last move, built by hand with that move taken as type 0, and every
+# block was expanded into its unit moves, each rewound in turn.
+
+def _seeded_recover_pair(moves, alphabet, trace=False):
+    seq = []
+    for src, m in enumerate(moves, 1):
+        if isinstance(m, ZorichMove):
+            seq.extend((src, w, losers) for w, losers in m.units())
+        else:
+            seq.append((src, m[0], _fs(m[1])))
+    universe = set(alphabet)
+    _, last_winner, last_losers = seq[-1]
+    rows = [
+        OrderedPartition((universe - {last_winner}, {last_winner})),
+        OrderedPartition((universe - last_losers, last_losers)),
+    ]
+    t = 0
+    types = [0]
+    states = [(rows[0].snapshot(), rows[1].snapshot())]
+    for j in range(len(seq) - 2, -1, -1):
+        step, winner, losers = seq[j]
+        if winner != seq[j + 1][1]:
+            t = 1 - t
+        _winner_row_rewind(rows[t], winner, step)
+        _loser_row_rewind(rows[1 - t], winner, losers, step)
+        types.append(t)
+        states.append((rows[0].snapshot(), rows[1].snapshot()))
+    types.reverse()
+    knowledge = (rows[0].snapshot(), rows[1].snapshot())
+    return (knowledge, tuple(types), states) if trace else (knowledge, tuple(types))
+
+
+def _seeded_recover_perm_moves(moves, n, trace=False):
+    items = []
+    for src, move in enumerate(moves, 1):
+        if isinstance(move, ZorichMove):
+            items.extend((src, losers) for _, losers in move.units())
+        else:
+            items.append((src, move))
+    _, item = items[-1]
+    last = {item[0]} if isinstance(item, tuple) else item
+    part = OrderedPartition((set(range(1, n + 1)) - last, last))
+    labels = tuple(range(1, n + 1))
+    history = [part.snapshot()] if trace else None
+    for src, item in reversed(items[:-1]):
+        if isinstance(item, tuple):
+            k, p = item
+            labels = type1_shift(labels, k, -p)
+            _winner_row_rewind(part, labels[k - 1], src)
+        else:
+            _loser_row_rewind(part, labels[-1], {labels[x - 1] for x in item}, src)
+        if trace:
+            history.append(recovery._at_positions(part, labels))
+    blocks = recovery._at_positions(part, labels)
+    return (blocks, history) if trace else blocks
+
+
+def _pair_outcome(recover, moves, alphabet, trace):
+    try:
+        got = recover(moves, alphabet, trace=trace)
+    except Unrealizable as exc:
+        return exc.step, exc.reason
+    if isinstance(got[0], PartiallyOrderedPair):  # recover_pair's own forms, read as the reference's
+        knowledge = (got[0].q0, got[0].q1)
+        return (knowledge, got[1], [(h.q0, h.q1) for h in got[2]]) if trace else (knowledge, got[1])
+    return got
+
+
+def _random_block(draw, symbols, winner):
+    """A ZorichMove with max_count at most 6 whose losers are drawn from ``symbols``."""
+    losers = _fs(draw(st.sets(st.sampled_from(symbols), min_size=1)))
+    max_count = draw(st.integers(1, 6))
+    losers_max = losers if max_count == 1 else _fs(draw(st.sets(st.sampled_from(sorted(losers)), min_size=1)))
+    return ZorichMove(winner, losers, max_count, losers_max, losers - losers_max)
+
+
+@st.composite
+def _records(draw):
+    """A pair or permutation record from a simulated walk, plain or grouped by
+    type runs, with up to two entries perturbed: a block's max_count set to
+    1..6, or the entry replaced by a random block or type-1 power."""
+    flavor = draw(st.sampled_from(["pair", "permutation"]))
+    n = draw(st.integers(3, 7))
+    image = tuple(draw(st.permutations(range(1, n + 1))))
+    runs = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(1, 3 * n)), min_size=1, max_size=6))
+    types = [t for t, length in runs for _ in range(length)]
+    if flavor == "pair":
+        start = make_pair(range(1, n + 1), image)
+        assume(is_irreducible_pair(start))
+        path = simulate_pair(start, types)
+    else:
+        start = Permutation(image)
+        assume(is_irreducible_perm(start))
+        path = simulate_perm(start, types)
+    moves = list(accelerate(path, _type_runs(types)).moves if draw(st.booleans()) else path.moves)
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, len(moves) - 1))
+        m = moves[j]
+        kind = draw(st.sampled_from(["count", "block", "power"]))
+        if kind == "count" and isinstance(m, ZorichMove) and len(m.losers) > 1:
+            moves[j] = ZorichMove(m.winner, m.losers, draw(st.integers(1, 6)), m.losers_max, m.losers - m.losers_max)
+        elif kind == "power" and flavor == "permutation":
+            moves[j] = (draw(st.integers(1, n - 1)), draw(st.integers(1, 2 * n)))
+        elif flavor == "pair":
+            winner = draw(st.integers(1, n))
+            moves[j] = _random_block(draw, [s for s in range(1, n + 1) if s != winner], winner)
+        else:
+            moves[j] = _random_block(draw, list(range(1, n)), n)
+    return flavor, n, moves
+
+
+@given(_records(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_rewinding_from_one_block_matches_the_seeded_loops(record, trace):
+    # Knowledge, types, trace and (step, reason) are those of the seeded,
+    # fully expanded loops, so a block's repeated units rewind once per run.
+    flavor, n, moves = record
+    if flavor == "pair":
+        alphabet = tuple(range(1, n + 1))
+        got = _pair_outcome(recover_pair, moves, alphabet, trace)
+        assert got == _pair_outcome(_seeded_recover_pair, moves, alphabet, trace)
+    else:
+        got = _outcome(recover_perm_moves, moves, n, trace)
+        assert got == _outcome(_seeded_recover_perm_moves, moves, n, trace)
+
+
+def test_a_block_rewinds_a_bounded_number_of_times(monkeypatch):
+    # the 99-byte file [[1, E, E], [0, 1, 0], [0, 0, 1]]: E units of winner 1
+    # losing 2 and 3 rewind three times, and still report one type per unit
+    rewinds = []
+    rewind = recovery._loser_row_rewind
+    monkeypatch.setattr(recovery, "_loser_row_rewind", lambda *args: rewinds.append(1) or rewind(*args))
+    big = 10**6
+    move = ZorichMove(1, _fs({2, 3}), big, _fs({2, 3}))
+    pop, types = recover_pair([move], (1, 2, 3))
+    assert (pop.q0, pop.q1) == ((_fs({2, 3}), _fs({1})), (_fs({1}), _fs({2, 3})))
+    assert types == (0,) * big and len(rewinds) == 3
+    blocks = recover_perm_moves([ZorichMove(3, _fs({1, 2}), big, _fs({1, 2}))], 3)
+    assert blocks == (_fs({3}), _fs({1, 2})) and len(rewinds) == 6
