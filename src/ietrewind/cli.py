@@ -7,8 +7,8 @@ import json
 import random
 import re
 import sys
+from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
 
 from .core import (
     Pair,
@@ -56,20 +56,6 @@ class InputError(ValueError):
 
 
 # --- path files ------------------------------------------------------------
-
-def _serialize_moves(moves, types, position):
-    """One v1 record per move and its type: a ZorichMove, or a permutation
-    type-1 power ``(k, p)``, whose one loser is the last position n."""
-    records = []
-    for m, t in zip(moves, types):
-        if type(m) is tuple:
-            k, p = m
-            records.append({"winner": k, "losers": [len(position)], "type": 1, "k": k, "power": p})
-        else:
-            losers = sorted(m.losers, key=position.__getitem__)
-            records.append({"winner": m.winner, "losers": losers, "type": t, "k": None, "power": m.steps})
-    return records
-
 
 def _parse_matrix(raw, n: int):
     """One path-file matrix as a tuple of int tuples: n rows of n JSON integers."""
@@ -239,22 +225,35 @@ def _read_json(path):
 # Every output is json.dumps(obj, sort_keys=True, indent=2) plus a newline.
 # ``indent`` makes that call run Python's pure-Python encoder, which costs
 # most of ``simulate``, ``sharpness`` and ``recover --trace``.  So a top-level
-# ``matrices``, ``moves`` or permutation ``trace`` array (a permutation trace
-# nests as matrices do), and a flat integer ``types`` list at top level
-# (``recover``) or under ``recovered`` (``verify``), are laid out at their
-# known depth: a matrix from the text of each distinct row object, a move
-# from one template per record, the types a few thousand at a time; any
-# other value goes through json.dumps.  Each bulk array is checked whole,
-# then laid out one matrix, record or run of types at a time as the pieces
-# are written, so the text of an output is never held whole.
+# ``matrices`` or permutation ``trace`` array (a permutation trace nests as
+# matrices do), the ``moves`` of a path file, which ``simulate`` and
+# ``sharpness`` hand over as the moves themselves (:class:`_Records`), and
+# a flat integer ``types`` list at top level (``recover``) or under
+# ``recovered`` (``verify``), are laid out at their known depth: a matrix
+# from the text of each distinct row object, a record straight from its
+# move into one template, the types a few thousand at a time; any other
+# value, a list of record dicts included, goes through json.dumps.  Each
+# bulk array is checked whole, then laid out one matrix, record or run of
+# types at a time as the pieces are written, so the text of an output is
+# never held whole.
 
-_MOVE_KEYS = frozenset(("k", "losers", "power", "type", "winner"))
-_MOVE = (
-    '{\n      "k": %s,\n      "losers": [\n        %s\n      ],\n'
-    '      "power": %s,\n      "type": %s,\n      "winner": %s\n    }'
-)
+# a record is the head with its k, its losers, then the tail with its power, type and winner
+_MOVE_HEAD = '{\n      "k": %s,\n      "losers": [\n        '
+_MOVE_TAIL = '\n      ],\n      "power": %s,\n      "type": %s,\n      "winner": %s\n    }'
+
+
+@dataclass(frozen=True, slots=True)
+class _Records:
+    """The ``moves`` of a path file before they are written: the moves
+    (each a ZorichMove or a type-1 ``(k, p)``), one type per move, and each
+    symbol's position in the index, by which a record lists its losers."""
+
+    moves: tuple
+    types: tuple
+    position: dict
+
+
 _ARRAYS = {list, tuple}
-_SCALARS = {int, str, type(None)}  # no two values of these types are equal with different JSON
 _INTS_PER_PIECE = 4096
 
 
@@ -292,29 +291,40 @@ def _matrices_json(mats):
     return _joined("[\n    [\n      ", "\n    ],\n    [\n      ", matrices, "\n    ]\n  ]")
 
 
-def _moves_json(moves):
-    """The pieces of a top-level list of move records as indent=2 lays it out, else None."""
-    if type(moves) not in _ARRAYS or not moves or set(map(type, moves)) != {dict}:
-        return None
-    if set(map(frozenset, moves)) != {_MOVE_KEYS}:
-        return None
-    scalars = itemgetter("k", "power", "type", "winner")
-    losers = list(map(itemgetter("losers"), moves))
-    if not _ARRAYS.issuperset(map(type, losers)) or not all(losers):
-        return None
+def _records_json(records):
+    """The pieces of a top-level ``moves`` array of :class:`_Records` as indent=2
+    lays it out, one v1 record per move, else None.
 
-    def values():
-        return chain(chain.from_iterable(map(scalars, moves)), chain.from_iterable(losers))
-
-    if not _SCALARS.issuperset(map(type, values())):
+    A ZorichMove's record lists its losers by position, and a type-1 ``(k, p)``
+    is the record of winner k, the one loser n, type 1 and power p.  Each
+    symbol's text is rendered once, and so are the two halves of a unit
+    move's record around it, so a unit move costs one concatenation.
+    """
+    if type(records) is not _Records:
         return None
-    text = {v: json.dumps(v) for v in set(values())}.__getitem__
-    sep = ",\n        "
-    records = (
-        _MOVE % (text(k), sep.join(map(text, b)), text(power), text(t), text(winner))
-        for (k, power, t, winner), b in zip(map(scalars, moves), losers)
-    )
-    return _joined("[\n    ", ",\n    ", records, "\n  ]")
+    moves, types, position = records.moves, records.types, records.position
+    if not moves:
+        return ("[]",)
+    text = {s: json.dumps(s) for s in position}
+    heads = {s: _MOVE_HEAD % "null" + x for s, x in text.items()}
+    tails = [{s: _MOVE_TAIL % (1, t, x) for s, x in text.items()} for t in (0, 1)]
+    last, sep = json.dumps(len(position)), ",\n        "
+
+    def laid_out():
+        for m, t in zip(moves, types):
+            if type(m) is tuple:
+                k, p = m
+                yield _MOVE_HEAD % k + last + _MOVE_TAIL % (p, 1, k)
+                continue
+            losers = m.losers
+            if m.max_count == 1 and m.losers_max is losers and len(losers) == 1:  # a unit move, built as rauzy._unit builds it
+                (loser,) = losers
+                yield heads[loser] + tails[t][m.winner]
+            else:
+                named = sep.join([text[s] for s in sorted(losers, key=position.__getitem__)])
+                yield _MOVE_HEAD % "null" + named + _MOVE_TAIL % (m.steps, t, text[m.winner])
+
+    return _joined("[\n    ", ",\n    ", laid_out(), "\n  ]")
 
 
 def _ints_json(values, pad="\n    "):
@@ -336,7 +346,7 @@ def _report_json(report):
 
 _BULK = {
     "matrices": _matrices_json,
-    "moves": _moves_json,
+    "moves": _records_json,
     "trace": _matrices_json,
     "types": _ints_json,
     "recovered": _report_json,
@@ -439,6 +449,11 @@ def cmd_simulate(args) -> int:
     elif type(obj) is dict and "p0" in obj:
         start = pair_from_obj(obj)
         flavor = "pair"
+        # the records write each symbol as the alphabet writes it: 1, not true
+        texts = {s: json.dumps(s) for s in start.alphabet}
+        for s in chain(start.row0, start.row1):
+            if json.dumps(s) != texts[s]:
+                raise InputError(f"start names {json.dumps(s)} where its alphabet has {texts[s]}")
     else:
         raise InputError("start file must hold a pair (p0/p1) or a permutation (image)")
 
@@ -469,7 +484,7 @@ def cmd_simulate(args) -> int:
         "flavor": flavor,
         "index": list(index),
         "start": pair_to_obj(start) if flavor == "pair" else perm_to_obj(start),
-        "moves": _serialize_moves(path.moves, path.types, position),
+        "moves": _Records(path.moves, path.types, position),
         "matrices": path.matrices,
     }
     if flavor == "pair":
@@ -579,8 +594,9 @@ def cmd_verify(args) -> int:
 # --- sharpness -------------------------------------------------------------
 
 def _sharpness_obj(n):
-    """The output of ``sharpness --n n``; the builder's result, with its
-    moves and checkpoints, is freed on return."""
+    """The output of ``sharpness --n n``; it keeps the builder's moves and
+    types, and the rest of the builder's result, its checkpoints among
+    it, is freed on return."""
     result = build_ambiguous_path(n)
     n = result.n
     index = tuple(range(1, n + 1))
@@ -600,7 +616,7 @@ def _sharpness_obj(n):
         "flavor": "pair",
         "alphabet": list(index),
         "index": list(index),
-        "moves": _serialize_moves(result.moves, result.types, position),
+        "moves": _Records(result.moves, result.types, position),
         "report": {
             "stretches": result.depth,
             "unresolved": result.unresolved,
@@ -620,8 +636,17 @@ def cmd_sharpness(args) -> int:
 
 # --- entry point -----------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a usage error is malformed input (exit 4, with
+    the JSON body) instead of argparse's exit 2, which means unrealizable."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iet-rewind",
         description="Simulate interval-exchange induction moves and recover the start from the record.",
     )
@@ -674,10 +699,11 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    args = build_parser().parse_args(argv)
-    out = getattr(args, "out", None)
+    out = None
     try:
         try:
+            args = build_parser().parse_args(argv)
+            out = getattr(args, "out", None)
             return args.func(args)
         except Unrealizable as exc:
             _emit({"error": "unrealizable", "step": exc.step, "reason": exc.reason}, out)

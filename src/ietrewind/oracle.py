@@ -73,6 +73,20 @@ def _replay(pair: Pair, seq, types) -> bool:
             return False
         r = 1 - t
         nxt, prv = after[r], before[r]
+        if len(losers) == 1:  # one unit move, as every sharpness move is: no fallen set
+            if end[0] == end[1]:
+                return False
+            loser = end[r]
+            if loser not in losers:
+                return False
+            last = prv[loser]
+            if last != winner:
+                end[r] = last
+                del nxt[last]
+                follow = nxt[winner]
+                nxt[winner], nxt[loser] = loser, follow
+                prv[follow], prv[loser] = loser, winner
+            continue
         fallen = set()
         for _ in range(len(losers)):
             if end[0] == end[1]:

@@ -325,6 +325,16 @@ def test_bad_inputs_exit_four(tmp_path, pair_start_file):
     assert proc.returncode == 4
     assert "version" in _json_out(proc)["detail"]
 
+    # usage errors once exited 2, which means unrealizable, with no JSON body
+    for argv, detail in (
+        (("sharpness", "--n", "0x10"), "iet-rewind sharpness: argument --n: invalid int value: '0x10'"),
+        (("recover", str(unversioned), "--no-such-option"), "iet-rewind: unrecognized arguments: --no-such-option"),
+        (("sharpness",), "iet-rewind sharpness: the following arguments are required: --n"),
+    ):
+        proc = _run(*argv)
+        assert proc.returncode == 4, argv
+        assert _json_out(proc) == {"error": "bad input", "detail": detail}
+
 
 _PAIR_MATRIX_4 = [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 _TYPE1_4 = [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0]]  # type-1 at k=2, n=4
@@ -511,6 +521,9 @@ def test_simulate_start_rows_must_be_arrays(tmp_path):
         ({"alphabet": [[1], 2, 3], "p0": [[1], 2, 3], "p1": [3, 2, [1]]}, "alphabet names [1], which cannot be a symbol"),
         ({"alphabet": [1, 2, 3], "p0": [1, 2, 3], "p1": [3, 2, [1]]}, "p1 names [1], which cannot be a symbol"),
         ({"image": [3, "a", 1]}, "image must hold JSON integers"),
+        # a row symbol written unlike its alphabet entry: the file was one its own reader rejects
+        ({"alphabet": [1, 2, 3], "p0": [1, 2, 3], "p1": [3, True, 2]}, "start names true where its alphabet has 1"),
+        ({"alphabet": [0.0, 1, 2], "p0": [-0.0, 1, 2], "p1": [2, 1, 0.0]}, "start names -0.0 where its alphabet has 0.0"),
     ):
         start.write_text(json.dumps(obj))
         proc = _run("simulate", "--start", str(start), "--script", "0")
@@ -582,8 +595,15 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, enabled):
             _set_collector(enabled)
             assert main(argv) == code, argv
             assert gc.isenabled() is enabled, argv
-        with pytest.raises(SystemExit):  # argparse's own exit
-            main(["recover", "--no-such-option"])
+        # a usage error is malformed input, its body on stdout
+        capsys.readouterr()
+        _set_collector(enabled)
+        assert main(["recover", "--no-such-option"]) == 4
+        assert json.loads(capsys.readouterr().out)["error"] == "bad input"
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit) as exc:  # argparse's own exit, for --help
+            main(["recover", "--help"])
+        assert exc.value.code == 0
         assert gc.isenabled() is enabled
     finally:
         _set_collector(was)
@@ -683,6 +703,18 @@ def test_the_forward_moves_are_the_moves_the_reader_reads(pair, n, seed, types, 
     if not grouped:  # the records alone give the same moves
         del data["matrices"]
         assert cli.load_path_file(data)["moves"] == list(want)
+
+
+def test_a_sharpness_file_reads_back_as_the_builders_moves(tmp_path):
+    # the writer renders each record from its move; the reader must give the move back
+    from ietrewind import cli
+    from ietrewind.sharpness import build_ambiguous_path
+
+    out = tmp_path / "sharp.json"
+    for n in range(8, 41):
+        assert cli.main(["sharpness", "--n", str(n), "--out", str(out)]) == 0
+        data = cli.load_path_file(json.loads(out.read_text()))
+        assert data["moves"] == list(build_ambiguous_path(n).moves), n
 
 
 def test_verify_grouped_perm_record_with_oracle(tmp_path):

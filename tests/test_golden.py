@@ -46,6 +46,7 @@ GOLDEN = {
     'recover-trace-sharpness-40': (0, '73c657741876cfbc74cbf65fce7ae26faf87a1f162c8c433d43219bc5bf2eef3'),
     'recover-sharpness-40': (0, 'ba92cf4ba24eccd9471cf6a58aff6401d8e88856ff275e65aa673e0f6010d58b'),
     'verify-sharpness-40': (0, 'c8538b86c7df8293aa3947486e8f823234021a936b19013904211ffd3631bcb1'),
+    'sharpness-129': (0, '24c25455432a6e6468381d3acec9b2f0e5effe77b2be3e54bcc2d59ab6f9701a'),
 }
 
 
@@ -99,6 +100,7 @@ def golden_outputs(work: Path) -> dict:
     run("recover-trace-sharpness-40", "recover", sharp, "--trace")
     run("recover-sharpness-40", "recover", sharp)
     run("verify-sharpness-40", "verify", sharp)
+    run("sharpness-129", "sharpness", "--n", "129")  # the benchmark's smallest size
     return outputs
 
 

@@ -2,7 +2,10 @@
 
 ``cli._emit`` lays the bulk ``matrices`` and ``moves`` arrays out itself; the
 bytes must stay exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
-for every output the commands write, whatever the pair symbols are.
+for every output the commands write, whatever the pair symbols are.  A
+command hands the writer its moves themselves (``cli._Records``), so each
+comparison encodes the object with its records built by
+:func:`_serialize_moves`, the record builder the writer once used.
 """
 from __future__ import annotations
 
@@ -27,26 +30,63 @@ _SYMBOL = st.one_of(
 )
 
 
+def _serialize_moves(moves, types, position):
+    """One v1 record per move and its type: a ZorichMove, or a permutation
+    type-1 power ``(k, p)``, whose one loser is the last position n."""
+    records = []
+    for m, t in zip(moves, types):
+        if type(m) is tuple:
+            k, p = m
+            records.append({"winner": k, "losers": [len(position)], "type": 1, "k": k, "power": p})
+        else:
+            losers = sorted(m.losers, key=position.__getitem__)
+            records.append({"winner": m.winner, "losers": losers, "type": t, "k": None, "power": m.steps})
+    return records
+
+
+def _plain(obj):
+    """``obj`` with its moves as the records :func:`_serialize_moves` builds, which json.dumps encodes."""
+    if type(obj) is dict and type(obj.get("moves")) is cli._Records:
+        records = obj["moves"]
+        return {**obj, "moves": _serialize_moves(records.moves, records.types, records.position)}
+    return obj
+
+
+def _stdlib_text(obj):
+    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+
+
 def _written(argv):
-    """Run a command in-process; its exit code and each (object, bytes) it wrote."""
-    seen = []
-    real = cli._emit
+    """Run a command in-process; its exit code, each (object, bytes) it wrote,
+    and every value the command handed to json.dumps with an indent."""
+    seen, indented = [], []
+    real, real_dumps = cli._emit, json.dumps
 
     def emit(obj, out_path):
         real(obj, out_path)
         seen.append((obj, Path(out_path).read_bytes()))
 
-    cli._emit = emit
+    def dumps(obj, **kwargs):
+        if "indent" in kwargs:
+            indented.append(obj)
+        return real_dumps(obj, **kwargs)
+
+    cli._emit, json.dumps = emit, dumps
     try:
         code = cli.main(argv)
     finally:
-        cli._emit = real
-    return code, seen
+        cli._emit, json.dumps = real, real_dumps
+    return code, seen, indented
 
 
 def _assert_stdlib_bytes(seen):
     for obj, written in seen:
-        assert written == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+        assert written == _stdlib_text(obj).encode()
+
+
+def _assert_moves_laid_out(obj, indented):
+    """The indent encoder never received the moves, nor the whole output."""
+    assert not any(value is obj or value is obj["moves"] for value in indented)
 
 
 def _runs(types):
@@ -73,14 +113,14 @@ def _simulate_both(work, start, types):
     files = []
     for name, script in (("plain", moves), ("grouped", f"{moves},group({','.join(map(str, _runs(types)))})")):
         out = work / f"{name}.json"
-        code, seen = _written(["simulate", "--start", str(start_file), "--script", script, "--out", str(out)])
+        code, seen, indented = _written(["simulate", "--start", str(start_file), "--script", script, "--out", str(out)])
         assert code == 0
         _assert_stdlib_bytes(seen)
         (obj, _), = seen
         # the laid-out paths were taken, not the json.dumps fallback
-        assert cli._moves_json(obj["moves"]) is not None
+        _assert_moves_laid_out(obj, indented)
         assert cli._matrices_json(obj["matrices"]) is not None
-        files.append((out, obj))
+        files.append((out, _plain(obj)))
     return files
 
 
@@ -90,7 +130,7 @@ def _check_pair(alphabet, row1, types, outside):
         work = Path(tmp)
         files = _simulate_both(work, {"alphabet": alphabet, "p0": alphabet, "p1": row1}, types)
         for out, _ in files:
-            code, seen = _written(["recover", str(out), "--trace", "--out", str(work / "report.json")])
+            code, seen, _ = _written(["recover", str(out), "--trace", "--out", str(work / "report.json")])
             assert code == 0
             _assert_stdlib_bytes(seen)
         # an error body that quotes a symbol
@@ -99,7 +139,7 @@ def _check_pair(alphabet, row1, types, outside):
             "version": 1, "flavor": "pair", "alphabet": alphabet,
             "moves": [{"winner": alphabet[0], "losers": [outside], "type": 0}],
         }))
-        code, seen = _written(["recover", str(bad), "--out", str(work / "error.json")])
+        code, seen, _ = _written(["recover", str(bad), "--out", str(work / "error.json")])
         assert code == 4 and seen[0][0]["error"] == "bad input"
         _assert_stdlib_bytes(seen)
     return files[1][1]
@@ -110,7 +150,7 @@ def _check_perm(image, types):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         files = _simulate_both(work, {"n": len(image), "image": image}, types)
-        code, seen = _written(["recover", str(files[0][0]), "--trace", "--out", str(work / "report.json")])
+        code, seen, _ = _written(["recover", str(files[0][0]), "--trace", "--out", str(work / "report.json")])
         assert code == 0
         _assert_stdlib_bytes(seen)
     return files[1][1]
@@ -156,11 +196,11 @@ def test_long_blocks_are_the_stdlib_bytes():
 
 def test_sharpness_output_is_the_stdlib_bytes(tmp_path):
     out = tmp_path / "sharp.json"
-    code, seen = _written(["sharpness", "--n", "12", "--out", str(out)])
+    code, seen, indented = _written(["sharpness", "--n", "12", "--out", str(out)])
     assert code == 0
     _assert_stdlib_bytes(seen)
-    assert cli._moves_json(seen[0][0]["moves"]) is not None
-    code, seen = _written(["recover", str(out), "--trace", "--out", str(tmp_path / "report.json")])
+    _assert_moves_laid_out(seen[0][0], indented)
+    code, seen, _ = _written(["recover", str(out), "--trace", "--out", str(tmp_path / "report.json")])
     assert code == 0
     _assert_stdlib_bytes(seen)
 
@@ -179,6 +219,8 @@ def test_other_shapes_fall_back_to_the_stdlib():
     ]
     for obj in cases:
         assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    # no moves at all: laid out as json.dumps lays out an empty list
+    assert cli._dumps({"moves": cli._Records((), (), {1: 0})}) == json.dumps({"moves": []}, indent=2)
 
 
 def test_permutation_trace_skips_the_indent_encoder(tmp_path, monkeypatch):
@@ -271,7 +313,7 @@ def test_simulate_matrices_share_the_identity_rows(tmp_path, monkeypatch):
     # type-1 matrices share their rows too
     start.write_text(json.dumps({"n": 16, "image": list(range(16, 0, -1))}))
     obj = _emitted(monkeypatch, ["simulate", "--start", str(start), "--seed", "2", "--length", "300"])
-    assert {m["type"] for m in obj["moves"]} == {0, 1}
+    assert {m["type"] for m in _plain(obj)["moves"]} == {0, 1}
     assert len(_row_objects(obj["matrices"])) <= 16 + 300
 
 
@@ -308,14 +350,14 @@ def test_emit_holds_no_whole_output_text(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
         written = out.read_bytes()
-        assert written == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+        assert written == _stdlib_text(obj).encode()
         assert peak < len(written) / 4, (peak, len(written))
 
 
 def test_stdout_gets_the_bytes_of_a_file(tmp_path, monkeypatch, capsys):
     obj = _pair_path(tmp_path, monkeypatch, 8, 300)
     monkeypatch.undo()
-    expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    expected = _stdlib_text(obj)
     for out_path in (None, "-"):
         cli._emit(obj, out_path)
         assert capsys.readouterr().out == expected
@@ -370,7 +412,8 @@ def test_a_late_fallback_is_decided_before_the_first_byte(monkeypatch):
 
 
 def test_sharpness_frees_the_builder_result_before_writing(monkeypatch):
-    # the builder's per-move records and checkpoints are not alive while the output is written
+    # the builder's result and its checkpoints are not alive while the output
+    # is written: the output keeps only its moves and types
     real, refs, alive = cli.build_ambiguous_path, [], []
 
     def build(n):
