@@ -182,7 +182,7 @@ def load_path_file(obj: dict) -> dict:
         moves = [extract_move(m, index) for m in matrices] if flavor == "pair" else decode_perm_matrices(matrices)[0]
     kind = {s: type(s) for s in index}
     moves = [_record_move(item, flavor, kind, j, move) for j, (item, move) in enumerate(zip(records, moves), 1)] or moves
-    grouping = _array_field(obj, "grouping")
+    _array_field(obj, "grouping")  # checked only: each record and matrix carries its block
     start = obj.get("start")
     if start is not None:
         if type(start) is not dict:
@@ -202,8 +202,6 @@ def load_path_file(obj: dict) -> dict:
         "index": index,
         "records": records,
         "moves": moves,
-        "matrices": matrices,
-        "grouping": tuple(grouping) if grouping else None,
         "start": start,
     }
 
@@ -568,11 +566,7 @@ def cmd_verify(args) -> int:
         if start is not None:
             checks["start_agrees"] = agrees(start, recovered) or agrees(inverse(start), recovered)
             stored = [item.get("type") for item in data["records"]]
-            if (
-                not data["grouping"]
-                and all(t is not None for t in stored)
-                and len(stored) == len(types)
-            ):
+            if all(t is not None for t in stored) and len(stored) == len(types):
                 flipped = [1 - t for t in types]
                 checks["types_agree"] = stored in (list(types), flipped)
         if args.oracle:

@@ -3,16 +3,16 @@
 A labeling tau attaches symbols to positions.  Under induction the labeling
 drifts: p type-1 moves at position k rotate slots k+1..n p places right
 (tau composed with ``delta(k, n)`` p times), a type-0 move leaves it alone.
-Relabelling a permutation-flavor matrix's rows by the labeling before the
-move and its columns by the one after gives the symbol-indexed matrix of the
-lifted pair path: the conjugate Psi_tau . A . Psi*_tau', without products.
+Relabelling a permutation-flavor move's winner by the labeling before the
+move and its losers by the one after gives the block of the lifted pair
+path, whose matrix is the conjugate Psi_tau . A . Psi*_tau'.
 """
 from __future__ import annotations
 
 from .core import Permutation, sorted_symbols
 from .matrices import Matrix, matmul  # noqa: F401  (matmul kept importable: perfbench/trace_child.py wraps it)
-from .rauzy import decode_A, type1_shift
-from .zorich import ZorichPath, extract_move
+from .rauzy import RauzyPath, block_move, type1_shift
+from .rauzy import decode_A  # noqa: F401  (kept importable: perfbench/trace_child.py wraps lifting.decode_A)
 
 
 class BadK(Exception):
@@ -53,43 +53,41 @@ def psi_matrix(tau, legend) -> Matrix:
     return tuple(tuple(1 if tau[i] == a else 0 for i in range(n)) for a in legend)
 
 
-def lift_step(matrix: Matrix, tau, legend, t: int, k: int | None = None, power: int = 1):
-    """Relabel one permutation-flavor matrix into symbol indexing.
+def lift_step(move, tau):
+    """Relabel one permutation-flavor move into the symbols of ``tau``.
 
-    Returns (theta, next_tau), next_tau the labeling after the move(s) and
-    theta[a][b] the entry at a's tau-position and b's next_tau-position,
-    which is Psi_tau . matrix . Psi*_next_tau.
+    Returns (block, next_tau), next_tau the labeling after the move and
+    block the pair ZorichMove whose matrix is Psi_tau . A . Psi*_next_tau:
+    the winner row of A (row n, or row k of ``(k, p)``) with its rows read
+    in tau and its columns in next_tau.
     """
-    tau, legend = tuple(tau), tuple(legend)
+    tau = tuple(tau)
     n = len(tau)
-    if len(legend) != n or set(legend) != set(tau):
-        raise ValueError("legend must order exactly the labeling's symbols")
-    if t == 0:
-        nxt = tau
-    elif not 1 <= k <= n - 1:
+    if len(set(tau)) != n:
+        raise ValueError("a labeling must not repeat a symbol")
+    if type(move) is not tuple:
+        if move.winner != n:
+            raise ValueError("labeling size must match the move")
+        return block_move(tau[-1], {tau[x - 1]: c for x, c in move.counts().items()}), tau
+    k, p = move
+    if not 1 <= k <= n - 1:
         raise BadK(f"shift index {k} outside 1..{n - 1}")
-    else:
-        nxt = type1_shift(tau, k, power)
-    cols = [nxt.index(b) for b in legend]
-    theta = tuple(tuple(matrix[tau.index(a)][j] for j in cols) for a in legend)
-    return theta, nxt
+    nxt = type1_shift(tau, k, p)
+    # row k of type1_matrix, whose counts are positive up to column k + p
+    counts = {nxt[j - 1]: (p + n - j) // (n - k) for j in range(k + 1, min(n, k + p) + 1)}
+    return block_move(tau[k - 1], counts), nxt
 
 
-def lift_zorich_path(path: ZorichPath, tau=None):
-    """Lift a permutation-flavor path blockwise; returns (pair path, final tau)."""
+def lift_zorich_path(path: RauzyPath, tau=None):
+    """Lift a permutation-flavor path movewise; returns (pair path, final tau)."""
     if path.flavor != "permutation":
         raise ValueError("only permutation-flavor paths can be lifted")
-    n = path.n
-    current = tuple(tau) if tau is not None else tuple(range(1, n + 1))
-    if len(current) != n:
+    current = tuple(tau) if tau is not None else path.index
+    if len(current) != path.n:
         raise ValueError("labeling size must match the path")
     legend = sorted_symbols(current)
-    thetas = []
-    for mat in path.matrices:
-        t, k, p = decode_A(mat)
-        if t == 0:
-            extract_move(mat)  # decode_A leaves checking the type-0 row to its reader
-        theta, current = lift_step(mat, current, legend, t, k, p)
-        thetas.append(theta)
-    lifted = ZorichPath("pair", legend, tuple(thetas), path.grouping, None)
-    return lifted, current
+    lifted = []
+    for move in path.moves:
+        block, current = lift_step(move, current)
+        lifted.append(block)
+    return RauzyPath("pair", legend, None, tuple(lifted), path.types, grouping=path.grouping), current

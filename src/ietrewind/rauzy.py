@@ -56,19 +56,37 @@ class ZorichMove:
         """The bundled unit moves as (winner, losers), oldest first."""
         return [(self.winner, self.losers)] * (self.max_count - 1) + [(self.winner, self.losers_max)]
 
+    def counts(self) -> dict:
+        """Each loser's number of losses."""
+        counts = dict.fromkeys(self.losers_min, self.max_count - 1)
+        counts.update(dict.fromkeys(self.losers_max, self.max_count))
+        return counts
+
 
 def _unit(winner, loser) -> ZorichMove:
     losers = frozenset((loser,))
     return ZorichMove(winner, losers, 1, losers)
 
 
+def block_move(winner, counts) -> ZorichMove:
+    """The ZorichMove of a run won by ``winner`` in which each loser s loses
+    ``counts[s]`` times: the Zorich block whose winner row holds the counts.
+    The counts must be positive and take at most two adjacent values."""
+    low, top = min(counts.values()), max(counts.values())
+    if low < 1 or top - low > 1:
+        raise MalformedMatrix("off-diagonal entries must be positive and take at most two adjacent values")
+    losers = frozenset(counts)
+    losers_max = frozenset(s for s, c in counts.items() if c == top)
+    return ZorichMove(winner, losers, top, losers_max, losers - losers_max)
+
+
 @dataclass(frozen=True)
 class RauzyPath:
-    """A simulated path: one move per single move, and its type.
+    """A path: one move per block, and its type.
 
     ``index`` is the matrix legend (alphabet symbols for pair flavor, the
-    tuple 1..n otherwise); ``states`` holds the visited states including the
-    start, hence one entry more than ``moves``.
+    tuple 1..n otherwise); ``grouping`` the block lengths, None for single
+    moves; ``states``, when kept, the visited states from the start on.
     """
 
     flavor: str
@@ -77,6 +95,7 @@ class RauzyPath:
     moves: tuple
     types: tuple
     states: tuple | None = None
+    grouping: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -155,8 +174,7 @@ def record_matrix(move, index) -> Matrix:
     if type(move) is tuple:
         return type1_matrix(n, *move)
     position = {s: i for i, s in enumerate(index)}
-    counts = dict.fromkeys(map(position.__getitem__, move.losers_min), move.max_count - 1)
-    counts.update(dict.fromkeys(map(position.__getitem__, move.losers_max), move.max_count))
+    counts = {position[s]: c for s, c in move.counts().items()}
     return winner_row_matrix(n, position[move.winner], counts)
 
 

@@ -1,20 +1,18 @@
-"""Grouping runs of moves into product matrices and reading them back.
+"""Grouping runs of moves into blocks and reading block matrices back.
 
 A same-winner run of pair moves multiplies out to identity plus a winner row
 holding each loser's count; the counts take at most two values M-1 and M.
-:func:`accelerate` builds a block's :class:`ZorichMove` straight from its moves
-and renders it with :func:`~ietrewind.rauzy.record_matrix`, :func:`extract_move`
-reads the row back as the same move, and :meth:`ZorichMove.units` lists the
-unit moves it bundles (full loser set first, repeated M-1 times, then the
-maximal losers once).  A permutation-flavor type-0 product is such a matrix
-with winner n, and :func:`extract_move` reads it too; a type-1 run is a
-closed-form power of the type-1 matrix.
+:func:`accelerate` builds a block's :class:`ZorichMove` straight from its
+moves' loser counts, :func:`extract_move` reads a rendered row back as the
+same move, and :meth:`ZorichMove.units` lists the unit moves it bundles
+(full loser set first, repeated M-1 times, then the maximal losers once).
+A permutation-flavor type-0 product is such a matrix with winner n, and
+:func:`extract_move` reads it too; a type-1 run is ``(k, p)``.
 """
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 from .matrices import Matrix, identity
 from .rauzy import (
@@ -22,47 +20,30 @@ from .rauzy import (
     RauzyPath,
     ZorichMove,
     _check_square,
-    decode_A,
+    block_move,
     record_matrix,
     type1_shift,
 )
+from .rauzy import decode_A  # noqa: F401  (kept importable: perfbench/trace_child.py wraps zorich.decode_A)
 
 
 class MixedTypeBlock(Exception):
     """A grouping block mixes winners (pair flavor) or types (permutation)."""
 
 
-@dataclass(frozen=True)
-class ZorichPath:
-    """An accelerated path: one product matrix per block.
-
-    ``grouping`` stores the block lengths in single moves; ``moves`` and
-    ``types``, when kept, hold each block's move and type.
-    """
-
-    flavor: str
-    index: tuple
-    matrices: tuple
-    grouping: tuple | None = None
-    moves: tuple | None = None
-    types: tuple | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.index)
-
-
-def accelerate(path: RauzyPath, grouping) -> ZorichPath:
-    """The product of the path's matrices over each block, built from its moves.
+def accelerate(path: RauzyPath, grouping) -> RauzyPath:
+    """The path with each block of ``grouping`` made one move, states dropped.
 
     Pair-flavor blocks must share one winner; permutation-flavor blocks one
-    type.  ``grouping`` lists the block lengths and must cover the path.  A
-    winner never loses, so a block is one ZorichMove of its loser counts,
+    type.  ``grouping`` lists int block lengths covering an ungrouped path.
+    A winner never loses, so a block is one ZorichMove of its loser counts,
     which a same-winner run keeps within one of each other; a type-1 block
     at k is ``(k, length)``.
     """
-    lengths = tuple(int(g) for g in grouping)
-    if any(g <= 0 for g in lengths) or sum(lengths) != len(path.moves):
+    if path.grouping is not None:
+        raise ValueError("the path is grouped already: its moves would be miscounted")
+    lengths = tuple(grouping)
+    if any(type(g) is not int or g <= 0 for g in lengths) or sum(lengths) != len(path.moves):
         raise ValueError("grouping must consist of positive lengths covering the path")
     moves, types = [], []
     pos = 0
@@ -77,14 +58,10 @@ def accelerate(path: RauzyPath, grouping) -> ZorichPath:
         if type(first) is tuple:
             moves.append((first[0], length))
         else:
-            counts = Counter(s for m in block for s in m.losers)
-            top = max(counts.values())
-            losers, losers_max = frozenset(counts), frozenset(s for s, c in counts.items() if c == top)
-            moves.append(ZorichMove(first.winner, losers, top, losers_max, losers - losers_max))
+            moves.append(block_move(first.winner, Counter(s for m in block for s in m.losers)))
         types.append(path.types[pos])
         pos += length
-    mats = tuple(record_matrix(m, path.index) for m in moves)
-    return ZorichPath(path.flavor, path.index, mats, lengths, tuple(moves), tuple(types))
+    return RauzyPath(path.flavor, path.index, path.start, tuple(moves), tuple(types), grouping=lengths)
 
 
 def extract_move(matrix: Matrix, legend=None) -> ZorichMove:
@@ -107,15 +84,10 @@ def extract_move(matrix: Matrix, legend=None) -> ZorichMove:
     if winner_row is None:
         raise MalformedMatrix("the identity matrix encodes no move")
     i, off = winner_row
-    top = max(v for _, v in off)
-    if top < 1 or any(v not in (top - 1, top) for _, v in off):
-        raise MalformedMatrix("off-diagonal entries must be positive and take at most two adjacent values")
-    if top > sys.maxsize:  # its unit moves could not even be counted in a list
+    move = block_move(legend[i], {legend[j]: v for j, v in off})
+    if move.max_count > sys.maxsize:  # its unit moves could not even be counted in a list
         raise MalformedMatrix(f"off-diagonal entries must not pass {sys.maxsize}")
-    losers = frozenset(legend[j] for j, _ in off)
-    losers_max = frozenset(legend[j] for j, v in off if v == top)
-    losers_min = frozenset() if top == 1 else losers - losers_max
-    return ZorichMove(legend[i], losers, top, losers_max, losers_min)
+    return move
 
 
 def breakup(matrix: Matrix, legend=None) -> list:
@@ -129,20 +101,14 @@ def breakup(matrix: Matrix, legend=None) -> list:
     return [record_matrix(ZorichMove(w, losers, 1, losers), index) for w, losers in units]
 
 
-def winners_with_multiplicity(path: ZorichPath) -> list:
+def winners_with_multiplicity(path: RauzyPath) -> list:
     """(winner, single-move count) per block, winners in start labels."""
-    if path.flavor == "pair":
-        return [(m.winner, m.steps) for m in (extract_move(mat, path.index) for mat in path.matrices)]
-    # Permutation flavor: positions are relabeled by every type-1 move, so
-    # track the labeling to report winners consistently.
-    out = []
-    n = path.n
-    tau = list(path.index)
-    for mat in path.matrices:
-        t, k, p = decode_A(mat)
-        if t == 0:
-            out.append((tau[n - 1], extract_move(mat).steps))
-        else:
+    out, tau = [], path.index
+    for m in path.moves:
+        if type(m) is tuple:  # p type-1 moves at k win with the label at k, then relabel
+            k, p = m
             out.append((tau[k - 1], p))
             tau = type1_shift(tau, k, p)
+        else:
+            out.append((m.winner if path.flavor == "pair" else tau[-1], m.steps))
     return out

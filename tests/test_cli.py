@@ -178,6 +178,21 @@ def test_verify_pair_with_oracle(tmp_path, pair_start_file):
     assert out["checks"]["oracle_matches"] is True
 
 
+def test_verify_checks_the_types_of_a_file_with_a_grouping(tmp_path, pair_start_file):
+    # a grouping of single moves leaves one record per move: the types are still checked
+    path_file = tmp_path / "path.json"
+    _run("simulate", "--start", pair_start_file, "--script", "1x3,0x2,1", "--out", str(path_file))
+    data = json.loads(path_file.read_text())
+    del data["matrices"]
+    data["moves"][1]["type"] = 1 - data["moves"][1]["type"]
+    for name, extra in (("flipped.json", {}), ("flipped_grouped.json", {"grouping": [1] * 6})):
+        flipped = tmp_path / name
+        flipped.write_text(json.dumps({**data, **extra}))
+        proc = _run("verify", str(flipped))
+        assert proc.returncode == 3, proc.stdout
+        assert _json_out(proc)["checks"]["types_agree"] is False
+
+
 def test_verify_oracle_past_the_brute_force_cap(tmp_path):
     # eight symbols: the brute-force pair oracle stops at six
     start = tmp_path / "start8.json"

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from ietrewind.core import Permutation, identity_perm, is_irreducible_perm, lift_perm, perm_power
 from ietrewind.lifting import BadK, delta, lift_step, lift_zorich_path, psi_matrix, relabel, sigma
 from ietrewind.matrices import identity, matmul, transpose, winner_row_matrix
-from ietrewind.rauzy import MalformedMatrix, simulate_pair, simulate_perm, type1_matrix
-from ietrewind.zorich import ZorichPath, accelerate, extract_move
+from ietrewind.rauzy import MalformedMatrix, RauzyPath, block_move, record_matrix, simulate_pair, simulate_perm, type1_matrix
+from ietrewind.recovery import decode_perm_matrices
+from ietrewind.zorich import accelerate, extract_move
 
 # Visitation matrices of a hand-checked five-symbol permutation path:
 # two cycle moves interleaved with shift moves (the second a double step).
@@ -40,6 +41,13 @@ _A4 = (
     (0, 0, 0, 1, 0),
     (1, 0, 1, 0, 1),
 )
+
+
+def _perm_path(matrices):
+    """The permutation-flavor path of product matrices, one move per matrix."""
+    moves, n = decode_perm_matrices(matrices)
+    types = tuple(int(type(m) is tuple) for m in moves)
+    return RauzyPath("permutation", tuple(range(1, n + 1)), None, tuple(moves), types)
 
 
 def test_delta_golden_and_bounds():
@@ -96,10 +104,12 @@ def test_psi_rejects_bad_legend():
 
 
 def test_lift_hand_checked_path():
-    path = ZorichPath("permutation", (1, 2, 3, 4, 5), (_A1, _A2, _A3, _A4))
+    path = _perm_path((_A1, _A2, _A3, _A4))
     lifted, tau = lift_zorich_path(path)
     assert tau == (1, 3, 4, 5, 2)
+    assert lifted.types == (1, 0, 1, 0)
     got = [extract_move(theta, lifted.index) for theta in lifted.matrices]
+    assert got == list(lifted.moves)
     assert [(m.winner, set(m.losers)) for m in got] == [
         (1, {5}),
         (4, {1}),
@@ -109,9 +119,9 @@ def test_lift_hand_checked_path():
 
 
 def test_lift_step_identity_labeling_is_transparent():
-    # with tau = id and a type-0 matrix the conjugation changes nothing
-    theta, nxt = lift_step(_A2, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), 0)
-    assert theta == _A2
+    # with tau = id and a type-0 move the conjugation changes nothing
+    block, nxt = lift_step(extract_move(_A2), (1, 2, 3, 4, 5))
+    assert record_matrix(block, (1, 2, 3, 4, 5)) == _A2
     assert nxt == (1, 2, 3, 4, 5)
 
 
@@ -121,42 +131,49 @@ def _lift_cases(draw):
     tau = tuple(draw(st.permutations(["a", "b", "c", 4, 5, 6, 7][:n])))
     legend = tuple(draw(st.permutations(tau)))
     if draw(st.booleans()):
-        counts = draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1))
-        matrix = winner_row_matrix(n, n - 1, dict(enumerate(counts)))
-        return matrix, tau, legend, 0, None, 1
+        top = draw(st.integers(1, 3))
+        drawn = draw(st.lists(st.sampled_from((top - 1, top)), min_size=n - 1, max_size=n - 1))
+        counts = {x: c for x, c in enumerate(drawn, 1) if c}
+        counts[draw(st.integers(1, n - 1))] = top  # a type-0 block has a loser
+        matrix = winner_row_matrix(n, n - 1, {x - 1: c for x, c in counts.items()})
+        return block_move(n, counts), matrix, tau, legend
     k = draw(st.integers(1, n - 1))
-    p = draw(st.integers(n - k + 1, 3 * (n - k) + 1))
-    return type1_matrix(n, k, p), tau, legend, 1, k, p
+    p = draw(st.integers(1, 3 * (n - k) + 1))  # below n - k, some losers lose nothing
+    return (k, p), type1_matrix(n, k, p), tau, legend
 
 
 @given(_lift_cases())
 @settings(deadline=None, max_examples=150)
 def test_lift_step_equals_the_psi_conjugate(case):
     # reference: the dense conjugate Psi_tau . A . Psi*_tau', tau' stepped by delta powers
-    matrix, tau, legend, t, k, p = case
-    nxt = tau if t == 0 else relabel(tau, perm_power(delta(k, len(tau)), p))
+    move, matrix, tau, legend = case
+    nxt = tau if type(move) is not tuple else relabel(tau, perm_power(delta(move[0], len(tau)), move[1]))
     want = matmul(matmul(psi_matrix(tau, legend), matrix), transpose(psi_matrix(nxt, legend)))
-    assert lift_step(matrix, tau, legend, t, k, p) == (want, nxt)
+    block, got = lift_step(move, tau)
+    assert got == nxt
+    assert record_matrix(block, legend) == want
 
 
 def test_lift_step_keeps_its_errors():
     with pytest.raises(BadK):
-        lift_step(_A1, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), 1, 5)
+        lift_step((5, 1), (1, 2, 3, 4, 5))
     with pytest.raises(BadK):
-        lift_step(_A1, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), 1, 0)
+        lift_step((0, 1), (1, 2, 3, 4, 5))
     with pytest.raises(ValueError):
-        lift_step(_A2, (1, 2, 3, 4, 5), (1, 2, 3, 4, 9), 0)
+        lift_step(extract_move(_A2), (1, 2, 3, 4, 4))  # a label repeated
+    with pytest.raises(ValueError):
+        lift_step(extract_move(_A2), (1, 2, 3, 4))  # a label short
 
 
 def test_lift_rejects_pair_flavor_and_bad_tau():
-    perm_path = ZorichPath("permutation", (1, 2, 3, 4, 5), (_A1,))
+    perm_path = _perm_path((_A1,))
     with pytest.raises(ValueError):
-        lift_zorich_path(ZorichPath("pair", (1, 2), ()), None)
+        lift_zorich_path(RauzyPath("pair", (1, 2), None, (), ()), None)
     with pytest.raises(ValueError):
         lift_zorich_path(perm_path, (1, 2, 3))
     negative_type0 = identity(5)[:4] + ((1, -1, 0, 0, 1),)
     with pytest.raises(MalformedMatrix):
-        lift_zorich_path(ZorichPath("permutation", (1, 2, 3, 4, 5), (negative_type0,)))
+        lift_zorich_path(_perm_path((negative_type0,)))
 
 
 @given(

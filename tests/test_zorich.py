@@ -24,9 +24,14 @@ def test_accelerate_validates_grouping():
         accelerate(path, [4, 3])
     with pytest.raises(ValueError):
         accelerate(path, [6, 0])
+    for lengths in ([4.9, 2.0], [4.0, 2], ["4", "2"], [True, 5]):  # lengths are exact ints
+        with pytest.raises(ValueError):
+            accelerate(path, lengths)
     z = accelerate(path, [4, 2])
     assert z.grouping == (4, 2)
     assert len(z.matrices) == 2
+    with pytest.raises(ValueError):  # its moves are blocks already
+        accelerate(z, [1, 1])
 
 
 def test_accelerate_rejects_mixed_winner_blocks():
@@ -133,7 +138,6 @@ def test_winner_multiplicities_pair_flavor():
 
 def test_winner_multiplicities_perm_flavor_match_lift():
     from ietrewind.lifting import lift_zorich_path
-    from ietrewind.zorich import ZorichPath
 
     start = Permutation((5, 4, 3, 2, 1))
     types = [1, 1, 0, 1, 0, 0, 1, 1]
