@@ -19,7 +19,7 @@ from .core import (
     perm_to_obj,
     symbol_tuple,
 )
-from .oracle import forward_initial_pairs, forward_initial_perms, forward_simulate
+from .oracle import _clean_moves, forward_initial_pairs, forward_initial_perms, forward_simulate
 from .rauzy import (
     MalformedMatrix,
     NonIrreducible,
@@ -69,10 +69,11 @@ def _parse_matrix(raw, n: int):
     return mat
 
 
-def _record_move(item, flavor, kind, j, decoded=None):
+def _record_move(item, flavor, kind, j, decoded, units):
     """The move of record ``j``: ``decoded`` from its matrix, which the record must
     name exactly (type when given), else a unit ZorichMove or type-1 ``(k, p)``
-    built from it.  ``kind`` maps each symbol of the file to its JSON type."""
+    built from it.  ``kind`` maps each symbol of the file to its JSON type, and
+    ``units`` each winner and loser set read so far to their one ZorichMove."""
     try:
         winner, losers = item["winner"], item["losers"]
     except KeyError as exc:
@@ -118,7 +119,13 @@ def _record_move(item, flavor, kind, j, decoded=None):
         raise InputError("without matrices, permutation records need a type, and type 0 the winner n")
     if power != named:
         raise InputError("grouped move records need their matrices to unpack")
-    return ZorichMove(winner, losers, 1, losers)
+    by_losers = units.get(winner)
+    if by_losers is None:
+        by_losers = units[winner] = {}
+    move = by_losers.get(losers)
+    if move is None:
+        move = by_losers[losers] = ZorichMove(winner, losers, 1, losers)
+    return move
 
 
 def _unknown_symbol(j, winner, losers, kind) -> InputError:
@@ -143,9 +150,10 @@ def load_path_file(obj: dict) -> dict:
     """Read a version-1 path file, checking and decoding each entry once.
 
     ``moves`` has one move per entry, as both recoveries read them: decoded
-    from the matrices if there are any, else built from the records; a
-    :class:`ZorichMove`, or ``(k, p)`` for a type-1 power.  One rule reads
-    every record, with or without its matrix (:func:`_record_move`).
+    from the matrices if there are any, else built from the records, one
+    shared object per distinct move; a :class:`ZorichMove`, or ``(k, p)``
+    for a type-1 power.  One rule reads every record, with or without its
+    matrix (:func:`_record_move`).
     """
     if not isinstance(obj, dict) or obj.get("version") != 1:
         raise InputError("expected a version-1 path file")
@@ -180,8 +188,8 @@ def load_path_file(obj: dict) -> dict:
     moves = [None] * len(records)
     if matrices:
         moves = [extract_move(m, index) for m in matrices] if flavor == "pair" else decode_perm_matrices(matrices)[0]
-    kind = {s: type(s) for s in index}
-    moves = [_record_move(item, flavor, kind, j, move) for j, (item, move) in enumerate(zip(records, moves), 1)] or moves
+    kind, units = {s: type(s) for s in index}, {}
+    moves = [_record_move(item, flavor, kind, j, move, units) for j, (item, move) in enumerate(zip(records, moves), 1)] or moves
     _array_field(obj, "grouping")  # checked only: each record and matrix carries its block
     start = obj.get("start")
     if start is not None:
@@ -229,11 +237,11 @@ def _read_json(path):
 # a flat integer ``types`` list at top level (``recover``) or under
 # ``recovered`` (``verify``), are laid out at their known depth: a matrix
 # from the text of each distinct row object, a record straight from its
-# move into one template, the types a few thousand at a time; any other
-# value, a list of record dicts included, goes through json.dumps.  Each
-# bulk array is checked whole, then laid out one matrix, record or run of
-# types at a time as the pieces are written, so the text of an output is
-# never held whole.
+# move into one template, the records a few hundred and the types a few
+# thousand at a time; any other value, a list of record dicts included,
+# goes through json.dumps.  Each bulk array is checked whole, then laid out
+# one matrix or run of records or types at a time as the pieces are
+# written, so the text of an output is never held whole.
 
 # a record is the head with its k, its losers, then the tail with its power, type and winner
 _MOVE_HEAD = '{\n      "k": %s,\n      "losers": [\n        '
@@ -253,6 +261,7 @@ class _Records:
 
 _ARRAYS = {list, tuple}
 _INTS_PER_PIECE = 4096
+_RECORDS_PER_PIECE = 256
 
 
 def _joined(head, sep, texts, tail):
@@ -304,23 +313,26 @@ def _records_json(records):
     if not moves:
         return ("[]",)
     text = {s: json.dumps(s) for s in position}
-    heads = {s: _MOVE_HEAD % "null" + x for s, x in text.items()}
+    heads = {frozenset((s,)): _MOVE_HEAD % "null" + x for s, x in text.items()}
     tails = [{s: _MOVE_TAIL % (1, t, x) for s, x in text.items()} for t in (0, 1)]
     last, sep = json.dumps(len(position)), ",\n        "
 
+    def record(m, t):
+        if type(m) is tuple:
+            k, p = m
+            return _MOVE_HEAD % k + last + _MOVE_TAIL % (p, 1, k)
+        named = sep.join([text[s] for s in sorted(m.losers, key=position.__getitem__)])
+        return _MOVE_HEAD % "null" + named + _MOVE_TAIL % (m.steps, t, text[m.winner])
+
     def laid_out():
-        for m, t in zip(moves, types):
-            if type(m) is tuple:
-                k, p = m
-                yield _MOVE_HEAD % k + last + _MOVE_TAIL % (p, 1, k)
-                continue
-            losers = m.losers
-            if m.max_count == 1 and m.losers_max is losers and len(losers) == 1:  # a unit move, built as rauzy._unit builds it
-                (loser,) = losers
-                yield heads[loser] + tails[t][m.winner]
-            else:
-                named = sep.join([text[s] for s in sorted(losers, key=position.__getitem__)])
-                yield _MOVE_HEAD % "null" + named + _MOVE_TAIL % (m.steps, t, text[m.winner])
+        for i in range(0, len(moves), _RECORDS_PER_PIECE):
+            piece = zip(moves[i:i + _RECORDS_PER_PIECE], types[i:i + _RECORDS_PER_PIECE])
+            yield ",\n    ".join([
+                heads[m.losers] + tails[t][m.winner]  # a unit move, built as rauzy._unit builds it
+                if type(m) is not tuple and m.max_count == 1 and m.losers_max is m.losers and len(m.losers) == 1
+                else record(m, t)
+                for m, t in piece
+            ])
 
     return _joined("[\n    ", ",\n    ", laid_out(), "\n  ]")
 
@@ -602,8 +614,9 @@ def _sharpness_obj(n):
         if cand != inverse(first):
             mate = cand
             break
-    verified = forward_simulate(first, result.moves, result.types) and (
-        mate is None or forward_simulate(mate, result.moves, result.types)
+    record = _clean_moves(result.moves)  # cleaned once for both replays
+    verified = forward_simulate(first, record, result.types) and (
+        mate is None or forward_simulate(mate, record, result.types)
     )
     return {
         "version": 1,

@@ -31,9 +31,18 @@ def _unit_losers(move):
     return [move.losers] * (move.max_count - 1) + [move.losers_max]
 
 
+class _Cleaned(list):
+    """A record as :func:`_clean_moves` gives it: (winner, loser set) per unit move."""
+
+    __slots__ = ()
+
+
 def _clean_moves(moves):
-    # a raw move is a (winner, losers) tuple, anything else a ZorichMove
-    out = []
+    # a raw move is a (winner, losers) tuple, anything else a ZorichMove; a
+    # record cleaned already is kept, so that two replays can share one
+    if type(moves) is _Cleaned:
+        return moves
+    out = _Cleaned()
     for m in moves:
         if isinstance(m, tuple):
             w, losers = m

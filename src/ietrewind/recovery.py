@@ -72,7 +72,7 @@ def _check_partition(blocks, universe: set):
     for b in blocks:
         if not b:
             raise ValueError("blocks must be non-empty")
-        if seen & b:
+        if not seen.isdisjoint(b):
             raise ValueError("blocks must be disjoint")
         seen |= b
     if seen != universe:
@@ -151,9 +151,8 @@ class _Block:
 
     __slots__ = ("items", "prev", "next")
 
-    def __init__(self, items):
-        self.items = items
-        self.prev = self.next = None
+    def __init__(self, items, prev=None, next=None):
+        self.items, self.prev, self.next = items, prev, next
 
 
 class OrderedPartition:
@@ -186,7 +185,7 @@ class OrderedPartition:
         return self._blocks_from(self._root.next)
 
     def snapshot(self) -> tuple:
-        return tuple(frozenset(b) for b in self)
+        return tuple(map(frozenset, self))
 
     def block_of(self, symbol):
         """The block holding ``symbol``, live."""
@@ -238,11 +237,16 @@ class OrderedPartition:
 
 
 def _winner_row_rewind(part: OrderedPartition, winner, step: int):
-    """Before its move the winner sat at the far right of its own row."""
-    last = part._root.prev
+    """Before its move the winner sat at the far right of its own row.  It runs
+    once per unit move, so it does its list steps inline."""
+    root = part._root
+    last = root.prev
     if part._where.get(winner) is not last:
         raise Unrealizable(step, "winner not available at the right end of its row")
-    part._pin_after(last, winner)
+    if len(last.items) > 1:
+        last.items.discard(winner)
+        last.next = root.prev = part._where[winner] = _Block({winner}, last, root)
+        part._count += 1
 
 
 def _loser_row_rewind(part: OrderedPartition, winner, losers, step: int):
@@ -253,7 +257,8 @@ def _loser_row_rewind(part: OrderedPartition, winner, losers, step: int):
     end.  Undoing that pins the winner as a new singleton and sends the
     losers to the back, splitting whatever blocks they were drawn from.
     Every loser must be a symbol of the partition.  A single loser, as every
-    unit pair move has, takes a short path through the same rules.
+    unit pair move has, takes a short path through the same rules, with its
+    list steps inline.
     """
     where = part._where
     if len(losers) == 1:
@@ -265,8 +270,19 @@ def _loser_row_rewind(part: OrderedPartition, winner, losers, step: int):
         if winner_node is not node:
             if winner_node is not node.prev:
                 raise Unrealizable(step, "winner not adjacent to the loser run")
-            part._pin_after(winner_node, winner)
-        part._append(part._take(node, {x}))
+            if len(winner_node.items) > 1:  # pin the winner between its block and the loser's
+                winner_node.items.discard(winner)
+                winner_node.next = node.prev = where[winner] = _Block({winner}, winner_node, node)
+                part._count += 1
+        if len(node.items) == 1:  # the loser's block moves to the back whole
+            node.prev.next, node.next.prev = node.next, node.prev
+        else:
+            node.items.discard(x)
+            node = where[x] = _Block({x})
+            part._count += 1
+        root = part._root
+        node.prev, node.next = root.prev, root
+        root.prev.next = root.prev = node
         return
     hit: dict = {}  # block -> the losers it holds
     for x in losers:
@@ -382,12 +398,14 @@ def recover_pair(moves, alphabet=None, trace: bool = False):
             raise AlphabetMismatch(f"step {step}: symbols outside the alphabet")
 
     rows = [OrderedPartition((universe,)), OrderedPartition((universe,))]
-    t, previous = 0, seq[-1][1]
+    t, previous = 1, object()  # so that the last move, rewound first, is type 0
     types, history = [], []
     for step, winner, losers, repeat in reversed(seq):
         if winner != previous:
+            # a run keeps its type and leaves its winner row alone, so past its
+            # first move the winner sits alone at that row's end: no rewind left
             t, previous = 1 - t, winner
-        _winner_row_rewind(rows[t], winner, step)
+            _winner_row_rewind(rows[t], winner, step)
         _loser_row_rewind(rows[1 - t], winner, losers, step)
         if repeat == 1:
             types.append(t)

@@ -82,12 +82,13 @@ def pivot_form(pop: PartiallyOrderedPair):
 class _Backward:
     """Builds a path last-move-first, checking each claim as it is made.
 
-    ``push`` applies the recovery rewind for one single move, so an
-    impossible construction step raises instead of producing a bogus path.
+    ``push`` applies the recovery rewind for each single move of a run, so
+    an impossible construction step raises instead of producing a bogus path.
     ``rows`` holds the two rows' :class:`OrderedPartition`, rewound in place
     from ``rows`` if given, else from one block each as recovery starts.
     ``moves``/``types`` are in backward order: entry 0 is the final move,
-    which recovery takes as type 0.
+    which recovery takes as type 0.  ``moves`` holds one shared unit
+    ZorichMove per distinct (winner, loser).
     """
 
     def __init__(self, alphabet, rows=None):
@@ -95,15 +96,28 @@ class _Backward:
         self.rows = [OrderedPartition(r) for r in rows or ((alphabet,), (alphabet,))]
         self.moves: list = []
         self.types: list = []
+        self.units: dict = {}  # winner -> loser -> its ZorichMove
 
-    def push(self, winner, loser, t):
-        if self.moves:
-            assert (winner == self.moves[-1][0]) == (t == self.types[-1]), "winner change must flip the type"
-        step = len(self.moves) + 1
-        _winner_row_rewind(self.rows[t], winner, step)
-        _loser_row_rewind(self.rows[1 - t], winner, frozenset((loser,)), step)
-        self.moves.append((winner, loser))
-        self.types.append(t)
+    def push(self, winner, losers, t):
+        """Push, in turn, the moves of type ``t`` in which ``winner`` beats each
+        of ``losers``.  The winner row is rewound as recover_pair does it, once
+        per same-winner run."""
+        moves, types = self.moves, self.types
+        if not losers:
+            return
+        if moves:
+            assert (winner == moves[-1].winner) == (t == types[-1]), "winner change must flip the type"
+        if not moves or winner != moves[-1].winner:
+            _winner_row_rewind(self.rows[t], winner, len(moves) + 1)
+        lost = self.rows[1 - t]
+        units = self.units.setdefault(winner, {})
+        for loser in losers:
+            move = units.get(loser)
+            if move is None:
+                move = units[loser] = _unit(winner, loser)
+            _loser_row_rewind(lost, winner, move.losers, len(moves) + 1)
+            moves.append(move)
+            types.append(t)
 
     def snapshot(self) -> tuple:
         return self.rows[0].snapshot(), self.rows[1].snapshot()
@@ -118,52 +132,42 @@ class _Backward:
         raise AssertionError("no fully settled row")
 
     def singleton_letters(self, t: int):
-        return {_only(b) for b in self.rows[t] if len(b) == 1}
-
-    def forward_moves(self) -> tuple:
-        """The moves as unit ZorichMoves, first move first."""
-        return tuple(_unit(w, l) for w, l in reversed(self.moves))
+        return {x for b in self.rows[t] if len(b) == 1 for x in b}
 
 
 def _push_first_segment(builder: _Backward, n: int):
     # A ladder 1 beats 2, 2 beats 3, ... settles one row completely once n
     # sweeps the survivors of the other row.
     for i in range(1, n):
-        builder.push(i, i + 1, (i + 1) % 2)
-    t = 1 if n % 2 == 0 else 0
-    for loser in range(n - 2, 0, -2):
-        builder.push(n, loser, t)
+        builder.push(i, (i + 1,), (i + 1) % 2)
+    builder.push(n, range(n - 2, 0, -2), 1 if n % 2 == 0 else 0)
 
 
 def _push_refresh(builder: _Backward, r: int):
     """A complete stretch that returns to the exact same knowledge state."""
     start = builder.snapshot()
-    row = start[r]
-    sing_positions = [i for i, b in enumerate(row) if len(b) == 1]
-    hinge = _only(row[sing_positions[0]])
+    hinge, *tail = [x for b in start[r] if len(b) == 1 for x in b]
     both = builder.singleton_letters(r) & builder.singleton_letters(1 - r)
-    tail = [_only(row[i]) for i in sing_positions[1:]]
+    other = builder.rows[1 - r]
     for letter in tail:
-        builder.push(hinge, letter, 1 - r)
+        builder.push(hinge, (letter,), 1 - r)
         if letter in both:
-            other = builder.rows[1 - r]
             assert other.block_of(letter) == {letter}
-            after = list(other.blocks_after(letter))
-            assert all(len(blk) == 1 for blk in after)
-            for x in [_only(blk) for blk in after]:
-                builder.push(letter, x, r)
+            blocks = list(other.blocks_after(letter))
+            after = [x for b in blocks for x in b]
+            assert len(after) == len(blocks)  # every block after the letter is a singleton
+            builder.push(letter, after, r)
     assert builder.snapshot() == start
 
 
 def _row_signature(builder: _Backward, r: int):
     """(singletons of row r in order, singletons of row 1-r after its block)."""
-    s = [_only(b) for b in builder.rows[r] if len(b) == 1]
-    sig = []
-    for i, blk in enumerate(builder.rows[1 - r]):
-        if i == 0 and len(blk) > 1:
-            continue
-        assert len(blk) == 1
-        sig.append(_only(blk))
+    s = [x for b in builder.rows[r] if len(b) == 1 for x in b]
+    blocks = list(builder.rows[1 - r])
+    if len(blocks[0]) > 1:
+        del blocks[0]
+    sig = [x for b in blocks for x in b]
+    assert len(sig) == len(blocks)  # every block but a leading one is a singleton
     return s, sig
 
 
@@ -176,13 +180,10 @@ def _push_pair_path(builder: _Backward, r: int, b1, b2):
     s, sig = _row_signature(builder, r)
     d0 = s.index(b1)
     e0 = s.index(b2)
-    for x in s[1:d0 + 1]:
-        builder.push(s[0], x, 1 - r)
-    builder.push(b1, b2, r)
-    for x in s[e0 + 1:]:
-        builder.push(b2, x, 1 - r)
-    for x in sig[1:]:
-        builder.push(sig[0], x, r)
+    builder.push(s[0], s[1:d0 + 1], 1 - r)
+    builder.push(b1, (b2,), r)
+    builder.push(b2, s[e0 + 1:], 1 - r)
+    builder.push(sig[0], sig[1:], r)
 
 
 def _push_odd_path(builder: _Backward, r: int, b3):
@@ -190,10 +191,8 @@ def _push_odd_path(builder: _Backward, r: int, b3):
     # on its own, becoming the new hinge of its row.
     s, sig = _row_signature(builder, r)
     f0 = s.index(b3)
-    for x in s[1:f0 + 1]:
-        builder.push(s[0], x, 1 - r)
-    for x in sig:
-        builder.push(b3, x, r)
+    builder.push(s[0], s[1:f0 + 1], 1 - r)
+    builder.push(b3, sig, r)
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,7 @@ def build_ambiguous_path(n: int) -> SharpnessResult:
             _push_odd_path(builder, r, order[-1])
             checkpoints.append((f"odd{i}", builder.pop_state()))
     start = builder.pop_state()
-    moves = builder.forward_moves()
+    moves = tuple(reversed(builder.moves))
     winners = [m.winner for m in moves]
     stretches, _ = c_completeness(winners, alphabet)
     assert stretches == depth
@@ -266,7 +265,7 @@ def refresh_cycle_path(witness: PivotWitness) -> list:
         raise PreconditionFailed("every letter must be settled in some row")
     builder = _Backward(pop.alphabet, rows=(pop.q0, pop.q1))
     _push_refresh(builder, 0)
-    return [(w, l) for w, l in reversed(builder.moves)]
+    return [(m.winner, _only(m.losers)) for m in reversed(builder.moves)]
 
 
 def halving_path(witness: PivotWitness, r: int):
@@ -292,7 +291,7 @@ def halving_path(witness: PivotWitness, r: int):
         _push_odd_path(builder, r, order[-1])
     start = pivot_form(builder.pop_state())
     assert start is not None
-    return [(w, l) for w, l in reversed(builder.moves)], start
+    return [(m.winner, _only(m.losers)) for m in reversed(builder.moves)], start
 
 
 def has_definitive_positions(pop: PartiallyOrderedPair) -> dict:

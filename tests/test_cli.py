@@ -721,15 +721,17 @@ def test_the_forward_moves_are_the_moves_the_reader_reads(pair, n, seed, types, 
 
 
 def test_a_sharpness_file_reads_back_as_the_builders_moves(tmp_path):
-    # the writer renders each record from its move; the reader must give the move back
+    # the writer renders each record from its move; the reader must give the
+    # move back, one shared object per distinct move
     from ietrewind import cli
     from ietrewind.sharpness import build_ambiguous_path
 
     out = tmp_path / "sharp.json"
     for n in range(8, 41):
         assert cli.main(["sharpness", "--n", str(n), "--out", str(out)]) == 0
-        data = cli.load_path_file(json.loads(out.read_text()))
-        assert data["moves"] == list(build_ambiguous_path(n).moves), n
+        moves = cli.load_path_file(json.loads(out.read_text()))["moves"]
+        assert moves == list(build_ambiguous_path(n).moves), n
+        assert len({id(m) for m in moves}) == len(set(moves)), n
 
 
 def test_verify_grouped_perm_record_with_oracle(tmp_path):

@@ -96,11 +96,17 @@ def test_forward_simulate_unit_and_grouped():
     assert forward_simulate(_ANCHOR, unit, [1] * 6)
     grouped = [(1, {2, 3, 4, 5}), (1, {4, 5})]
     assert forward_simulate(_ANCHOR, grouped, [1, 1])
+    # a record cleaned once is taken as it is, as sharpness hands it to both replays
+    for moves, types in ((unit, [1] * 6), (grouped, [1, 1])):
+        cleaned = oracle._clean_moves(moves)
+        assert oracle._clean_moves(cleaned) is cleaned
+        assert forward_simulate(_ANCHOR, cleaned, types)
 
 
 def test_forward_simulate_rejections():
     assert not forward_simulate(_ANCHOR, [(2, {5})], [1])  # wrong winner
     assert not forward_simulate(_ANCHOR, [(1, {3})], [1])  # wrong loser set
+    assert not forward_simulate(_ANCHOR, oracle._clean_moves([(1, {3})]), [1])
     clash = make_pair((1, 2, 3), (2, 1, 3))  # both rows end in 3
     assert not forward_simulate(clash, [(3, {1})], [0])
     with pytest.raises(ValueError):

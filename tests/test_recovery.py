@@ -332,15 +332,33 @@ def _random_partition(rng, n):
 
 
 def _random_step(rng, blocks, n):
-    """A winner and a loser set over 1..n, half the time a plausible run."""
-    if rng.random() < 0.5:
+    """A winner and a loser set over 1..n: a third of the time any, a third a
+    plausible run, and a third one loser placed after the winner, as a unit
+    move's loser is, so that the one-loser path meets blocks of every size."""
+    pick = rng.random()
+    if pick < 1 / 3:
         winner = rng.randint(1, n)
         others = [x for x in range(1, n + 1) if x != winner]
         return winner, _fs(rng.sample(others, rng.randint(1, len(others))))
     row = [x for b in blocks for x in rng.sample(sorted(b), len(b))]
     i = rng.randint(1, n - 1)
-    j = rng.randint(i + 1, n)
+    j = rng.randint(i + 1, n) if pick < 2 / 3 else i + 1
     return row[i - 1], _fs(row[i:j])
+
+
+def _one_loser_case(blocks, winner, loser) -> tuple:
+    """The branch a one-loser step takes: where its winner sits against the
+    loser's block (in it, just before it and alone there or not, or anywhere
+    else, which is a rejection) and whether the loser is alone in its block."""
+    at = {x: i for i, b in enumerate(blocks) for x in b}
+    gap = at[loser] - at[winner]
+    if gap == 0:
+        place = "same"
+    elif gap == 1:
+        place = "alone before" if len(blocks[at[winner]]) == 1 else "shared before"
+    else:
+        place = "elsewhere"
+    return place, len(blocks[at[loser]]) == 1
 
 
 def test_linked_rewind_matches_the_tuple_rules():
@@ -349,6 +367,7 @@ def test_linked_rewind_matches_the_tuple_rules():
     # step must leave the partition as it was.
     rng = random.Random(20221)
     reasons, accepted = set(), 0
+    one_loser = {}  # _one_loser_case -> how many loser-row steps with one loser took it
     for _ in range(10000):
         n = rng.randint(3, 9)
         ref = _random_partition(rng, n)
@@ -356,6 +375,9 @@ def test_linked_rewind_matches_the_tuple_rules():
         for step in range(1, 13):
             winner, losers = _random_step(rng, ref, n)
             on_winner_row = rng.random() < 0.3
+            if len(losers) == 1 and not on_winner_row:
+                case = _one_loser_case(ref, winner, *losers)
+                one_loser[case] = one_loser.get(case, 0) + 1
             try:
                 if on_winner_row:
                     expected = _ref_winner_row_rewind(ref, winner, step)
@@ -381,6 +403,10 @@ def test_linked_rewind_matches_the_tuple_rules():
             accepted += 1
     assert accepted > 10000
     assert len(reasons) == 5  # every rejection but foreign losers
+    # the one-loser path met every branch, its rejection included
+    places = ("same", "alone before", "shared before", "elsewhere")
+    assert set(one_loser) == {(p, alone) for p in places for alone in (True, False)} - {("same", True)}
+    assert min(one_loser.values()) > 100, one_loser
 
 
 def _general_loser_row_rewind(part: OrderedPartition, winner, losers, step: int):

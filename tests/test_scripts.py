@@ -30,6 +30,18 @@ def test_script_exits_zero(name, argv, capsys):
     assert out.splitlines()[0].split()[0] == "n"
 
 
+def test_ab_cli_runs_one_command_from_both_trees(capsys):
+    src = str(_ROOT / "src")
+    ab = _load(_ROOT / "scripts" / "ab_cli.py")
+    assert ab.main([src, src, "--rounds", "2", "--", "sharpness", "--n", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sides = {line.split()[0]: line.split() for line in lines[1:3]}
+    assert set(sides) == {"A", "B"}
+    for fields in sides.values():
+        assert float(fields[1]) > 0 and float(fields[-4]) > 0  # a wall time and a peak RSS
+    assert lines[-1].startswith("B/A cpu_s median ratio")
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/trace_child.py replaces these attributes to time the CLI's layers
     tracer = _load(_ROOT / "perfbench" / "trace_child.py")

@@ -187,6 +187,17 @@ def test_halving_reaches_the_construction_start():
     assert start.pivots == (8, 2)
 
 
+def test_a_path_holds_one_move_object_per_distinct_move():
+    # the builder makes each distinct unit move once and pushes that object
+    for n in range(8, 41):
+        moves = build_ambiguous_path(n).moves
+        assert len({id(m) for m in moves}) == len(set(moves)) < len(moves), n
+    # the stretch builders still give plain (winner, loser) pairs
+    for moves in (refresh_cycle_path(pivot_form(_P3)), halving_path(pivot_form(_P1), 0)[0]):
+        assert {type(m) for m in moves} == {tuple} and {len(m) for m in moves} == {2}
+        assert {type(s) for m in moves for s in m} == {int}
+
+
 def test_halving_needs_enough_private_letters():
     with pytest.raises(PreconditionFailed):
         halving_path(pivot_form(_P3), 0)
