@@ -7,11 +7,13 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
+from importlib import import_module
 from itertools import chain, repeat
 
 from .core import (
-    Pair,
+    BoundExceeded,
+    Frozen,
+    Unrealizable,
     inverse,
     pair_from_obj,
     pair_to_obj,
@@ -19,7 +21,6 @@ from .core import (
     perm_to_obj,
     symbol_tuple,
 )
-from .oracle import _clean_moves, forward_initial_pairs, forward_initial_perms, forward_simulate
 from .rauzy import (
     MalformedMatrix,
     NonIrreducible,
@@ -27,28 +28,42 @@ from .rauzy import (
     simulate_perm,
     walk_until_complete,
 )
-from .recovery import (
-    BoundExceeded,
-    Unrealizable,
-    agrees,
-    agrees_perm,
-    decode_perm_matrices,
-    enumerate_agreeing,
-    enumerate_agreeing_perms,
-    enumerate_starting,
-    recover_pair,
-    recover_perm_moves,
-)
-from .sharpness import BadN, build_ambiguous_path
 from .zorich import MixedTypeBlock, ZorichMove, accelerate, extract_move
 
 # Kept importable: perfbench/trace_child.py wraps these names in this module.
-from .lifting import relabel  # noqa: F401
 from .matrices import matmul  # noqa: F401
-from .oracle import brute_force_initial_pairs, brute_force_initial_perms  # noqa: F401
 from .rauzy import c_completeness, decode_A, rauzy_step_pair, rauzy_step_perm  # noqa: F401
-from .recovery import recover_perm  # noqa: F401
 from .zorich import breakup  # noqa: F401
+
+# Only what ``simulate`` runs is imported above.  A command calls the names
+# below as globals of this module, bound by ``_bind`` (or ``__getattr__``) on
+# first use; a name bound already is kept, so that a wrapper that
+# perfbench/trace_child.py installs here before a command runs sees every call.
+_LAZY = {
+    "recovery": ("agrees", "agrees_perm", "decode_perm_matrices", "enumerate_agreeing", "enumerate_agreeing_perms",
+                 "enumerate_starting", "recover_pair", "recover_perm", "recover_perm_moves"),
+    "oracle": ("_clean_moves", "brute_force_initial_pairs", "brute_force_initial_perms", "forward_initial_pairs",
+               "forward_initial_perms", "forward_simulate"),
+    "sharpness": ("build_ambiguous_path",),
+    "lifting": ("relabel",),
+}
+
+
+def _bind(*modules):
+    """Import each of ``modules`` and bind its ``_LAZY`` names here, keeping any bound already."""
+    bound = globals()
+    for module in modules:
+        names = vars(import_module(f".{module}", __package__))
+        for name in _LAZY[module]:
+            bound.setdefault(name, names[name])
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class InputError(ValueError):
@@ -155,6 +170,7 @@ def load_path_file(obj: dict) -> dict:
     for a type-1 power.  One rule reads every record, with or without its
     matrix (:func:`_record_move`).
     """
+    _bind("recovery")  # its decoder, and the recovery of what is read
     if not isinstance(obj, dict) or obj.get("version") != 1:
         raise InputError("expected a version-1 path file")
     flavor = obj.get("flavor")
@@ -248,15 +264,25 @@ _MOVE_HEAD = '{\n      "k": %s,\n      "losers": [\n        '
 _MOVE_TAIL = '\n      ],\n      "power": %s,\n      "type": %s,\n      "winner": %s\n    }'
 
 
-@dataclass(frozen=True, slots=True)
-class _Records:
+class _Records(Frozen):
     """The ``moves`` of a path file before they are written: the moves
     (each a ZorichMove or a type-1 ``(k, p)``), one type per move, and each
     symbol's position in the index, by which a record lists its losers."""
 
-    moves: tuple
-    types: tuple
-    position: dict
+    __slots__ = ("moves", "types", "position")
+
+    def __init__(self, moves: tuple, types: tuple, position: dict):
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "position", position)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.moves, self.types, self.position) == (other.moves, other.types, other.position)
+
+    def __hash__(self):
+        return hash((self.moves, self.types, self.position))
 
 
 _ARRAYS = {list, tuple}
@@ -572,6 +598,8 @@ def cmd_verify(args) -> int:
     report, recovered, types, starts = _recover_report(data)
     if args.oracle and starts is None:
         raise BoundExceeded("the oracle needs the agreeing starts, which are over the enumeration bound")
+    if args.oracle:
+        _bind("oracle")
     checks = {}
     start = data["start"]
     if data["flavor"] == "pair":
@@ -603,6 +631,7 @@ def _sharpness_obj(n):
     """The output of ``sharpness --n n``; it keeps the builder's moves and
     types, and the rest of the builder's result, its checkpoints among
     it, is freed on return."""
+    _bind("sharpness", "recovery", "oracle")
     result = build_ambiguous_path(n)
     n = result.n
     index = tuple(range(1, n + 1))
@@ -721,7 +750,6 @@ def _run(argv) -> int:
             MixedTypeBlock,
             NonIrreducible,
             BoundExceeded,
-            BadN,
             KeyError,
             TypeError,
             ValueError,

@@ -9,8 +9,45 @@ them, only equality and membership.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+
+class BoundExceeded(Exception):
+    """An enumeration or search would go past the work it is bounded by."""
+
+
+class Unrealizable(Exception):
+    """No induction path can produce the given record.
+
+    ``step`` is the 1-based index, counted from the path start, of the move
+    at which the contradiction surfaced.
+    """
+
+    def __init__(self, step: int, reason: str):
+        super().__init__(f"step {step}: {reason}")
+        self.step = step
+        self.reason = reason
+
+
+class Frozen:
+    """Base of the immutable value classes: ``__init__`` sets each slot once
+    through ``object.__setattr__``, and any later assignment raises.  Each
+    class writes its own ``__eq__`` and ``__hash__`` over its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name != "__weakref__")
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, as assignment raises
+        return type(self), tuple(getattr(self, name) for name in self.__slots__ if name != "__weakref__")
 
 
 def check_alphabet(symbols: Iterable) -> tuple:
@@ -30,24 +67,32 @@ def sorted_symbols(symbols: Iterable) -> tuple:
         return tuple(sorted(symbols, key=repr))
 
 
-@dataclass(frozen=True)
-class Pair:
+class Pair(Frozen):
     """Two orderings of one alphabet.
 
     ``alphabet`` fixes the index order used for visitation matrices; ``row0``
     and ``row1`` list the symbols of the two rows in position order.
     """
 
-    alphabet: tuple
-    row0: tuple
-    row1: tuple
+    __slots__ = ("alphabet", "row0", "row1")
 
-    def __post_init__(self):
-        check_alphabet(self.alphabet)
-        universe = set(self.alphabet)
-        for row in (self.row0, self.row1):
-            if len(row) != len(self.alphabet) or set(row) != universe:
+    def __init__(self, alphabet: tuple, row0: tuple, row1: tuple):
+        check_alphabet(alphabet)
+        universe = set(alphabet)
+        for row in (row0, row1):
+            if len(row) != len(alphabet) or set(row) != universe:
                 raise ValueError("each row must order exactly the alphabet symbols")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "row0", row0)
+        object.__setattr__(self, "row1", row1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.row0, self.row1) == (other.alphabet, other.row0, other.row1)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.row0, self.row1))
 
     @property
     def n(self) -> int:
@@ -87,15 +132,23 @@ def is_irreducible_pair(pair: Pair) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A permutation of 1..n, stored as its image tuple (1-based)."""
 
-    image: tuple
+    __slots__ = ("image",)
 
-    def __post_init__(self):
-        if sorted(self.image) != list(range(1, len(self.image) + 1)):
+    def __init__(self, image: tuple):
+        if sorted(image) != list(range(1, len(image) + 1)):
             raise ValueError("image must be a bijection of 1..n")
+        object.__setattr__(self, "image", image)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.image,) == (other.image,)
+
+    def __hash__(self):
+        return hash((self.image,))
 
     @property
     def n(self) -> int:

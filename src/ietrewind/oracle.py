@@ -8,22 +8,30 @@ is known); the brute forces try every arrangement and stay as their cross-check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
-from .core import Pair, Permutation, is_irreducible_pair, is_irreducible_perm, project, sorted_symbols
-from .recovery import BoundExceeded
+from .core import BoundExceeded, Frozen, Pair, Permutation, is_irreducible_pair, is_irreducible_perm, project, sorted_symbols
 
 PAIR_BRUTE_LIMIT = 6
 PERM_BRUTE_LIMIT = 8
 FORWARD_LIMIT = 10**5  # branches per row, and row pairs expanded, in forward_initial_pairs
 
 
-@dataclass(frozen=True)
-class RealizabilityReport:
-    candidates_checked: int
-    realizers: tuple  # (Pair, types) entries
+class RealizabilityReport(Frozen):
+    __slots__ = ("candidates_checked", "realizers")
+
+    def __init__(self, candidates_checked: int, realizers: tuple):  # realizers: (Pair, types) entries
+        object.__setattr__(self, "candidates_checked", candidates_checked)
+        object.__setattr__(self, "realizers", realizers)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.candidates_checked, self.realizers) == (other.candidates_checked, other.realizers)
+
+    def __hash__(self):
+        return hash((self.candidates_checked, self.realizers))
 
 
 def _unit_losers(move):

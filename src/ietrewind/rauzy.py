@@ -11,9 +11,9 @@ matrix, ``identity + E(winner, loser)`` for a unit pair move.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .core import (
+    Frozen,
     Pair,
     Permutation,
     is_irreducible_pair,
@@ -31,21 +31,37 @@ class MalformedMatrix(Exception):
     """A matrix does not have the shape its decoder requires."""
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class ZorichMove:
     """One same-winner run of moves: each symbol of ``losers_max`` loses
     ``max_count`` times, each of ``losers_min`` once less.
 
     A value: two moves with equal fields are equal and hash alike.  Its
     fields are not to be changed once built; it is not frozen, since paths
-    and path files hold one per move and a frozen dataclass builds slowly.
+    and path files hold one per move and a frozen class builds slowly.
     """
 
-    winner: object
-    losers: frozenset
-    max_count: int
-    losers_max: frozenset
-    losers_min: frozenset = frozenset()
+    __slots__ = ("winner", "losers", "max_count", "losers_max", "losers_min")
+
+    def __init__(self, winner, losers: frozenset, max_count: int, losers_max: frozenset,
+                 losers_min: frozenset = frozenset()):
+        self.winner = winner
+        self.losers = losers
+        self.max_count = max_count
+        self.losers_max = losers_max
+        self.losers_min = losers_min
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.winner, self.losers, self.max_count, self.losers_max, self.losers_min) == (
+            other.winner, other.losers, other.max_count, other.losers_max, other.losers_min)
+
+    def __hash__(self):
+        return hash((self.winner, self.losers, self.max_count, self.losers_max, self.losers_min))
+
+    def __repr__(self):
+        return (f"ZorichMove(winner={self.winner!r}, losers={self.losers!r}, max_count={self.max_count!r}, "
+                f"losers_max={self.losers_max!r}, losers_min={self.losers_min!r})")
 
     @property
     def steps(self) -> int:
@@ -80,8 +96,7 @@ def block_move(winner, counts) -> ZorichMove:
     return ZorichMove(winner, losers, top, losers_max, losers - losers_max)
 
 
-@dataclass(frozen=True)
-class RauzyPath:
+class RauzyPath(Frozen):
     """A path: one move per block, and its type.
 
     ``index`` is the matrix legend (alphabet symbols for pair flavor, the
@@ -89,13 +104,26 @@ class RauzyPath:
     moves; ``states``, when kept, the visited states from the start on.
     """
 
-    flavor: str
-    index: tuple
-    start: object
-    moves: tuple
-    types: tuple
-    states: tuple | None = None
-    grouping: tuple | None = None
+    __slots__ = ("flavor", "index", "start", "moves", "types", "states", "grouping")
+
+    def __init__(self, flavor: str, index: tuple, start, moves: tuple, types: tuple,
+                 states: tuple | None = None, grouping: tuple | None = None):
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "grouping", grouping)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.flavor, self.index, self.start, self.moves, self.types, self.states, self.grouping) == (
+            other.flavor, other.index, other.start, other.moves, other.types, other.states, other.grouping)
+
+    def __hash__(self):
+        return hash((self.flavor, self.index, self.start, self.moves, self.types, self.states, self.grouping))
 
     @property
     def n(self) -> int:

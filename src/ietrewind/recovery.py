@@ -12,17 +12,10 @@ enumeration and agreement check are the pair ones.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, chain, permutations, product
 
-from .core import (
-    Pair,
-    Permutation,
-    is_irreducible_pair,
-    lift_perm,
-    project,
-    sorted_symbols,
-)
+from .core import BoundExceeded, Frozen, Pair, Permutation, Unrealizable  # the two errors re-exported
+from .core import is_irreducible_pair, lift_perm, project, sorted_symbols
 from .core import is_irreducible_perm  # noqa: F401  (kept importable: perfbench/trace_child.py wraps it)
 from .rauzy import decode_A, type1_shift
 from .zorich import ZorichMove, extract_move
@@ -31,23 +24,6 @@ from .zorich import breakup  # noqa: F401  (kept importable: perfbench/trace_chi
 
 class AlphabetMismatch(Exception):
     """Two objects built over different symbol sets were combined."""
-
-
-class BoundExceeded(Exception):
-    """An enumeration or search would go past the work it is bounded by."""
-
-
-class Unrealizable(Exception):
-    """No induction path can produce the given record.
-
-    ``step`` is the 1-based index, counted from the path start, of the move
-    at which the contradiction surfaced.
-    """
-
-    def __init__(self, step: int, reason: str):
-        super().__init__(f"step {step}: {reason}")
-        self.step = step
-        self.reason = reason
 
 
 MAX_CANDIDATES = 10**5  # row orders an enumeration may try
@@ -79,18 +55,26 @@ def _check_partition(blocks, universe: set):
         raise ValueError("blocks must cover exactly the alphabet")
 
 
-@dataclass(frozen=True)
-class PartiallyOrderedPair:
+class PartiallyOrderedPair(Frozen):
     """Ordered-partition knowledge about both rows of a pair."""
 
-    alphabet: tuple
-    q0: tuple
-    q1: tuple
+    __slots__ = ("alphabet", "q0", "q1")
 
-    def __post_init__(self):
-        universe = set(self.alphabet)
-        _check_partition(self.q0, universe)
-        _check_partition(self.q1, universe)
+    def __init__(self, alphabet: tuple, q0: tuple, q1: tuple):
+        universe = set(alphabet)
+        _check_partition(q0, universe)
+        _check_partition(q1, universe)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "q1", q1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.q0, self.q1) == (other.alphabet, other.q0, other.q1)
+
+    def __hash__(self):
+        return hash((self.alphabet, self.q0, self.q1))
 
     @property
     def n(self) -> int:

@@ -17,8 +17,8 @@ of one more complete stretch (``halving_path``).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
+from .core import Frozen
 from .rauzy import _unit, c_completeness
 from .recovery import (
     OrderedPartition,
@@ -41,16 +41,26 @@ def _only(block):
     return next(iter(block))
 
 
-@dataclass(frozen=True)
-class PivotWitness:
+class PivotWitness(Frozen):
     """A knowledge state in pivot form, with its two hinge letters.
 
     ``pivots[t]`` is row t's leftmost singleton letter, which pivot form
     places at the right end of row 1-t.
     """
 
-    pop: PartiallyOrderedPair
-    pivots: tuple
+    __slots__ = ("pop", "pivots")
+
+    def __init__(self, pop: PartiallyOrderedPair, pivots: tuple):
+        object.__setattr__(self, "pop", pop)
+        object.__setattr__(self, "pivots", pivots)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pop, self.pivots) == (other.pop, other.pivots)
+
+    def __hash__(self):
+        return hash((self.pop, self.pivots))
 
     @property
     def alphabet(self) -> tuple:
@@ -195,19 +205,31 @@ def _push_odd_path(builder: _Backward, r: int, b3):
     builder.push(b3, sig, r)
 
 
-@dataclass(frozen=True)
-class SharpnessResult:
+class SharpnessResult(Frozen):
     """An ambiguous path: ``depth`` complete stretches, settled start not
     recoverable; ``unresolved`` letters stay bunched per row.  ``moves``
     are unit ZorichMoves, and ``types`` holds each one's type."""
 
-    n: int
-    depth: int
-    moves: tuple
-    types: tuple
-    start: PartiallyOrderedPair
-    checkpoints: tuple
-    unresolved: int
+    __slots__ = ("n", "depth", "moves", "types", "start", "checkpoints", "unresolved", "__weakref__")
+
+    def __init__(self, n: int, depth: int, moves: tuple, types: tuple, start: PartiallyOrderedPair,
+                 checkpoints: tuple, unresolved: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "checkpoints", checkpoints)
+        object.__setattr__(self, "unresolved", unresolved)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.depth, self.moves, self.types, self.start, self.checkpoints, self.unresolved) == (
+            other.n, other.depth, other.moves, other.types, other.start, other.checkpoints, other.unresolved)
+
+    def __hash__(self):
+        return hash((self.n, self.depth, self.moves, self.types, self.start, self.checkpoints, self.unresolved))
 
 
 def build_ambiguous_path(n: int) -> SharpnessResult:
