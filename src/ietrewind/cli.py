@@ -21,12 +21,14 @@ from .core import (
     perm_to_obj,
     symbol_tuple,
 )
+from .matrices import identity
 from .rauzy import (
     MalformedMatrix,
     NonIrreducible,
     simulate_pair,
     simulate_perm,
-    walk_until_complete,
+    type1_matrix,
+    walk_path,
 )
 from .zorich import MixedTypeBlock, ZorichMove, accelerate, extract_move
 
@@ -248,16 +250,17 @@ def _read_json(path):
 # ``indent`` makes that call run Python's pure-Python encoder, which costs
 # most of ``simulate``, ``sharpness`` and ``recover --trace``.  So a top-level
 # ``matrices`` or permutation ``trace`` array (a permutation trace nests as
-# matrices do), the ``moves`` of a path file, which ``simulate`` and
-# ``sharpness`` hand over as the moves themselves (:class:`_Records`), and
-# a flat integer ``types`` list at top level (``recover``) or under
-# ``recovered`` (``verify``), are laid out at their known depth: a matrix
-# from the text of each distinct row object, a record straight from its
-# move into one template, the records a few hundred and the types a few
-# thousand at a time; any other value, a list of record dicts included,
-# goes through json.dumps.  Each bulk array is checked whole, then laid out
-# one matrix or run of records or types at a time as the pieces are
-# written, so the text of an output is never held whole.
+# matrices do), the ``moves`` and ``matrices`` of a path file, which
+# ``simulate`` and ``sharpness`` hand over as the moves themselves
+# (:class:`_Records`), and a flat integer ``types`` list at top level
+# (``recover``) or under ``recovered`` (``verify``), are laid out at their
+# known depth: a matrix of rows from the text of each distinct row object,
+# a path file's matrix from its move between the identity rows, a record
+# straight from its move into one template, the matrices a few dozen, the
+# records a few hundred and the types a few thousand at a time; any other
+# value, a list of record dicts included, goes through json.dumps.  Each
+# bulk array is checked whole, then laid out one run at a time as the
+# pieces are written, so the text of an output is never held whole.
 
 # a record is the head with its k, its losers, then the tail with its power, type and winner
 _MOVE_HEAD = '{\n      "k": %s,\n      "losers": [\n        '
@@ -265,9 +268,10 @@ _MOVE_TAIL = '\n      ],\n      "power": %s,\n      "type": %s,\n      "winner":
 
 
 class _Records(Frozen):
-    """The ``moves`` of a path file before they are written: the moves
-    (each a ZorichMove or a type-1 ``(k, p)``), one type per move, and each
-    symbol's position in the index, by which a record lists its losers."""
+    """The ``moves`` and ``matrices`` of a path file before they are written:
+    the moves (each a ZorichMove or a type-1 ``(k, p)``), one type per move,
+    and each symbol's position in the index, by which a record lists its
+    losers and a matrix lays out its rows."""
 
     __slots__ = ("moves", "types", "position")
 
@@ -298,16 +302,26 @@ def _joined(head, sep, texts, tail):
     yield tail
 
 
+_ROW_HEAD, _ENTRY_SEP, _ROW_TAIL, _ROW_SEP = "[\n        ", ",\n        ", "\n      ]", ",\n      "
+_MATRICES_HEAD, _MATRIX_SEP, _MATRICES_TAIL = "[\n    [\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"
+_MATRIX_CHARS_PER_PIECE = 1 << 18
+
+
+def _row_json(row) -> str:
+    return _ROW_HEAD + _ENTRY_SEP.join(map(str, row)) + _ROW_TAIL
+
+
 def _matrices_json(mats):
     """The pieces of a top-level list of non-empty integer matrices as indent=2
-    lays it out, else None.
+    lays it out, or of the matrices of :class:`_Records`, else None.
 
     Each distinct row object is checked and rendered once, before the first
-    piece: the producers share rows (the identity rows of every winner-row
-    and type-1 matrix, the equal blocks of a permutation trace), so most rows
-    are a dict hit on ``id(row)``.  The ids are stable because ``mats`` keeps
-    every row alive.
+    piece: the producers share rows (the equal blocks of a permutation
+    trace), so most rows are a dict hit on ``id(row)``.  The ids are stable
+    because ``mats`` keeps every row alive.
     """
+    if type(mats) is _Records:
+        return _move_matrices_json(mats)
     if type(mats) not in _ARRAYS or not mats or not _ARRAYS.issuperset(map(type, mats)) or not all(mats):
         return None
     seen = {}  # id(row) -> its text
@@ -318,10 +332,69 @@ def _matrices_json(mats):
             if id(row) not in seen:
                 if type(row) not in _ARRAYS or not row or not {int}.issuperset(map(type, row)):
                     return None
-                seen[id(row)] = "[\n        " + ",\n        ".join(map(str, row)) + "\n      ]"
+                seen[id(row)] = _row_json(row)
     text = seen.__getitem__
-    matrices = (",\n      ".join(map(text, map(id, m))) for m in mats)
-    return _joined("[\n    [\n      ", "\n    ],\n    [\n      ", matrices, "\n    ]\n  ]")
+    matrices = (_ROW_SEP.join(map(text, map(id, m))) for m in mats)
+    return _joined(_MATRICES_HEAD, _MATRIX_SEP, matrices, _MATRICES_TAIL)
+
+
+def _move_matrices_json(records):
+    """The pieces of the v1 matrices of :class:`_Records`, one per move, as
+    indent=2 lays them out.
+
+    Every row of a move's matrix but one is a row of the identity: a
+    ZorichMove's own row is its winner row of loser counts, and a type-1
+    ``(k, p)``'s is row k of :func:`type1_matrix`, whose rows below k are
+    identity rows in turn.  So each identity row and each distinct move's
+    own row is rendered once, and a matrix is laid out from those texts, a
+    few dozen matrices to a piece; no matrix is built.  No whole matrix text
+    is kept: at n=32 there are hundreds of distinct ones.
+    """
+    moves, position = records.moves, records.position
+    if not moves:
+        return ("[]",)
+    n = len(position)
+    unit = identity(n)
+
+    def led(row, i):  # the text of a row at position i, after the separator from the row above
+        return (_ROW_SEP if i else "") + _row_json(row)
+
+    rows = [led(row, i) for i, row in enumerate(unit)]
+    by_id = {id(row): text for row, text in zip(unit, rows)}
+    own = {}  # id(move) -> (the position of its own row, that row's text, the texts below it or None)
+
+    def own_row(m):
+        if type(m) is tuple:
+            k = m[0]
+            mat = type1_matrix(n, *m)
+            below = [by_id.get(id(row)) or led(row, i) for i, row in enumerate(mat[k:], k)]
+            return k - 1, led(mat[k - 1], k - 1), below
+        w = position[m.winner]
+        row = [0] * n
+        row[w] = 1
+        for s, c in m.counts().items():
+            row[position[s]] += c
+        return w, led(row, w), None
+
+    def laid_out():
+        per_piece = max(1, _MATRIX_CHARS_PER_PIECE // sum(map(len, rows)))
+        head = _MATRICES_HEAD
+        for i in range(0, len(moves), per_piece):
+            piece = []
+            for m in moves[i:i + per_piece]:
+                mine = own.get(id(m))
+                if mine is None:
+                    mine = own[id(m)] = own_row(m)
+                w, text, below = mine
+                piece.append(head)
+                piece += rows[:w]
+                piece.append(text)
+                piece += rows[w + 1:] if below is None else below
+                head = _MATRIX_SEP
+            yield "".join(piece)
+        yield _MATRICES_TAIL
+
+    return laid_out()
 
 
 def _records_json(records):
@@ -493,7 +566,7 @@ def cmd_simulate(args) -> int:
     else:
         raise InputError("start file must hold a pair (p0/p1) or a permutation (image)")
 
-    grouping = None
+    grouping = path = None
     if args.script:
         types, grouping = parse_script(args.script)
     else:
@@ -501,7 +574,7 @@ def cmd_simulate(args) -> int:
         if args.until_c_complete is not None:
             if args.until_c_complete < 1:
                 raise InputError("--until-c-complete must be at least 1")
-            types, _ = walk_until_complete(start, rng, args.until_c_complete)
+            path, _ = walk_path(start, rng, args.until_c_complete)
         elif args.length is not None:
             if args.length < 1:
                 raise InputError("--length must be at least 1")
@@ -509,19 +582,20 @@ def cmd_simulate(args) -> int:
         else:
             raise InputError("give --script, or --seed with --length/--until-c-complete")
 
-    path = simulate_pair(start, types) if flavor == "pair" else simulate_perm(start, types)
+    if path is None:
+        path = simulate_pair(start, types) if flavor == "pair" else simulate_perm(start, types)
     if grouping:
         path = accelerate(path, grouping)
 
     index = path.index
-    position = {s: i for i, s in enumerate(index)}
+    records = _Records(path.moves, path.types, {s: i for i, s in enumerate(index)})
     out = {
         "version": 1,
         "flavor": flavor,
         "index": list(index),
         "start": pair_to_obj(start) if flavor == "pair" else perm_to_obj(start),
-        "moves": _Records(path.moves, path.types, position),
-        "matrices": path.matrices,
+        "moves": records,
+        "matrices": records,
     }
     if flavor == "pair":
         out["alphabet"] = list(start.alphabet)

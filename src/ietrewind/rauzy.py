@@ -11,6 +11,7 @@ matrix, ``identity + E(winner, loser)`` for a unit pair move.
 from __future__ import annotations
 
 import operator
+import sys
 
 from .core import (
     Frozen,
@@ -101,29 +102,28 @@ class RauzyPath(Frozen):
 
     ``index`` is the matrix legend (alphabet symbols for pair flavor, the
     tuple 1..n otherwise); ``grouping`` the block lengths, None for single
-    moves; ``states``, when kept, the visited states from the start on.
+    moves.
     """
 
-    __slots__ = ("flavor", "index", "start", "moves", "types", "states", "grouping")
+    __slots__ = ("flavor", "index", "start", "moves", "types", "grouping")
 
     def __init__(self, flavor: str, index: tuple, start, moves: tuple, types: tuple,
-                 states: tuple | None = None, grouping: tuple | None = None):
+                 grouping: tuple | None = None):
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "moves", moves)
         object.__setattr__(self, "types", types)
-        object.__setattr__(self, "states", states)
         object.__setattr__(self, "grouping", grouping)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.flavor, self.index, self.start, self.moves, self.types, self.states, self.grouping) == (
-            other.flavor, other.index, other.start, other.moves, other.types, other.states, other.grouping)
+        return (self.flavor, self.index, self.start, self.moves, self.types, self.grouping) == (
+            other.flavor, other.index, other.start, other.moves, other.types, other.grouping)
 
     def __hash__(self):
-        return hash((self.flavor, self.index, self.start, self.moves, self.types, self.states, self.grouping))
+        return hash((self.flavor, self.index, self.start, self.moves, self.types, self.grouping))
 
     @property
     def n(self) -> int:
@@ -133,6 +133,19 @@ class RauzyPath(Frozen):
     def matrices(self) -> tuple:
         """One visitation matrix per move, rendered by :func:`record_matrix`."""
         return tuple(record_matrix(m, self.index) for m in self.moves)
+
+    @property
+    def states(self) -> tuple | None:
+        """The visited states from the start on, replayed through the single
+        steps; None for a grouped path or one without a start."""
+        if self.grouping is not None or self.start is None:
+            return None
+        step = rauzy_step_pair if self.flavor == "pair" else rauzy_step_perm
+        state, states = self.start, [self.start]
+        for t in self.types:
+            state, _ = step(state, t)
+            states.append(state)
+        return tuple(states)
 
 
 def rauzy_step_pair(pair: Pair, t: int):
@@ -206,22 +219,114 @@ def record_matrix(move, index) -> Matrix:
     return winner_row_matrix(n, position[move.winner], counts)
 
 
-def _simulate(flavor, index, step, start, types) -> RauzyPath:
-    state, moves, states = start, [], [start]
-    types = tuple(types)
+# --- stepping on labels ----------------------------------------------------
+#
+# Rauzy induction keeps a start irreducible, so ``simulate_pair``,
+# ``simulate_perm`` and the walks check it once and then step on labels.
+# Each row is a linked list (symbol -> next, symbol -> previous, and its
+# end), so a move costs O(1): the loser leaves the end of its row for the
+# place right after the winner.  A permutation steps as a pair whose bottom
+# row is linked and whose top row lists the labels by position, 1..n at the
+# start, which a type-1 move shifts as :func:`type1_shift` does.  Its
+# records need the top position of the bottom row's end, which the top row
+# gives by one C-level search when it is a str of ``chr(label)``.  Each
+# distinct move is handed out as one shared object.
+
+
+def _linked(row) -> list:
+    """``row`` as [symbol -> next, symbol -> previous, last symbol]."""
+    return [dict(zip(row, row[1:])), dict(zip(row[1:], row)), row[-1]]
+
+
+def _pair_steps(rows, types):
+    """(move, winner) for each type, stepping the two linked ``rows`` in place."""
+    units, single = {}, {s: frozenset((s,)) for s in (*rows[0][0], rows[0][2])}  # one loser set per symbol
     for t in types:
-        state, move = step(state, t)
-        moves.append(move)
-        states.append(state)
-    return RauzyPath(flavor, index, start, tuple(moves), types, tuple(states))
+        if t not in (0, 1):
+            raise ValueError("move type must be 0 or 1")
+        lose = rows[1 - t]
+        winner, loser = rows[t][2], lose[2]
+        move = units.get((winner, loser))
+        if move is None:
+            losers = single[loser]
+            move = units[winner, loser] = ZorichMove(winner, losers, 1, losers)
+        after, before = lose[0], lose[1]
+        last = before[loser]
+        if last != winner:  # else the loser is already right after the winner
+            lose[2] = last
+            del after[last]
+            follow = after[winner]
+            after[winner], after[loser] = loser, follow
+            before[follow], before[loser] = loser, winner
+        yield move, winner
+
+
+def _perm_steps(rows, types):
+    """(move, winner label) for each type, stepping ``rows`` in place: the top
+    row's labels by position (a str of ``chr(label)``, or a tuple of the
+    labels themselves), then the linked bottom row."""
+    top, bottom = rows
+    n = len(top)
+    code, label = (chr, ord) if type(top) is str else (int, int)  # a label's entry in ``top``, and back
+    after, before = bottom[0], bottom[1]
+    k = top.index(code(bottom[2])) + 1  # the top position of the bottom row's end
+    units, powers = {}, {}
+    for t in types:
+        if t == 0:  # the label at n wins, the one at k loses
+            winner, loser = label(top[-1]), bottom[2]
+            move = units.get(k)
+            if move is None:
+                move = units[k] = _unit(n, k)
+            last = before[loser]
+            if last != winner:
+                bottom[2] = last
+                del after[last]
+                follow = after[winner]
+                after[winner], after[loser] = loser, follow
+                before[follow], before[loser] = loser, winner
+                k = top.index(code(last)) + 1
+        elif t == 1:  # the bottom row's end wins and stays at k; the label at n moves to k + 1
+            winner = bottom[2]
+            move = powers.get(k)
+            if move is None:
+                move = powers[k] = (k, 1)
+            top = rows[0] = top[:k] + top[-1:] + top[k:-1]
+        else:
+            raise ValueError("move type must be 0 or 1")
+        yield move, winner
+
+
+def _label_steps(start, types):
+    """(move, winner) for each type from ``start``, a Pair or Permutation
+    checked irreducible here once; a permutation's winners are labels."""
+    if isinstance(start, Pair):
+        if not is_irreducible_pair(start):
+            raise NonIrreducible("induction needs an irreducible pair")
+        return _pair_steps((_linked(start.row0), _linked(start.row1)), types)
+    if not is_irreducible_perm(start):
+        raise NonIrreducible("induction needs an irreducible permutation")
+    labels = range(1, start.n + 1)
+    top = "".join(map(chr, labels)) if start.n <= sys.maxunicode else tuple(labels)
+    return _perm_steps([top, _linked(start.inverse().image)], types)  # the bottom row holds top positions
+
+
+def _path(start, moves: tuple, types: tuple) -> RauzyPath:
+    if isinstance(start, Pair):
+        return RauzyPath("pair", start.alphabet, start, moves, types)
+    return RauzyPath("permutation", tuple(range(1, start.n + 1)), start, moves, types)
+
+
+def _simulate(start, types) -> RauzyPath:
+    types = tuple(types)
+    return _path(start, tuple(move for move, _ in _label_steps(start, types)), types)
 
 
 def simulate_pair(start: Pair, types) -> RauzyPath:
-    return _simulate("pair", start.alphabet, rauzy_step_pair, start, types)
+    return _simulate(start, types)
 
 
 def simulate_perm(start: Permutation, types) -> RauzyPath:
-    return _simulate("permutation", tuple(range(1, start.n + 1)), rauzy_step_perm, start, types)
+    return _simulate(start, types)
 
 
 def _check_square(a) -> Matrix:
@@ -281,6 +386,29 @@ def c_completeness(winners, alphabet):
 MAX_WALK_MOVES = 100_000
 
 
+def _drawn(rng, types, limit):
+    """Up to ``limit`` types drawn with ``rng.randint(0, 1)``, each noted in ``types``."""
+    for _ in range(limit):
+        t = rng.randint(0, 1)
+        types.append(t)
+        yield t
+
+
+def walk_path(start, rng, target: int):
+    """The path of random moves from a Pair or Permutation until ``target``
+    complete stretches, and its winners: as :func:`walk_until_complete`."""
+    types, moves, winners, seen, stretches = [], [], [], set(), 0
+    for move, winner in _label_steps(start, _drawn(rng, types, MAX_WALK_MOVES)):
+        moves.append(move)
+        winners.append(winner)
+        seen.add(winner)
+        if len(seen) == start.n:
+            stretches, seen = stretches + 1, set()
+        if stretches >= target:
+            return _path(start, tuple(moves), tuple(types)), winners
+    raise ValueError(f"no {target}-complete path within {MAX_WALK_MOVES} moves")
+
+
 def walk_until_complete(start, rng, target: int):
     """Random moves from a Pair or Permutation until ``target`` complete stretches.
 
@@ -290,21 +418,5 @@ def walk_until_complete(start, rng, target: int):
     Stretches are counted as the walk goes, as :func:`c_completeness` counts
     them.  Raises ValueError once ``MAX_WALK_MOVES`` moves fall short.
     """
-    is_pair = isinstance(start, Pair)
-    labels = tuple(range(1, start.n + 1))
-    state, types, winners, seen, stretches = start, [], [], set(), 0
-    while len(types) < MAX_WALK_MOVES:
-        t = rng.randint(0, 1)
-        state, move = (rauzy_step_pair if is_pair else rauzy_step_perm)(state, t)
-        if type(move) is tuple:  # a type-1 move (k, 1) wins with the label at k
-            winners.append(labels[move[0] - 1])
-            labels = type1_shift(labels, move[0])
-        else:
-            winners.append(move.winner if is_pair else labels[-1])
-        types.append(t)
-        seen.add(winners[-1])
-        if len(seen) == start.n:
-            stretches, seen = stretches + 1, set()
-        if stretches >= target:
-            return types, winners
-    raise ValueError(f"no {target}-complete path within {MAX_WALK_MOVES} moves")
+    path, winners = walk_path(start, rng, target)
+    return list(path.types), winners

@@ -806,6 +806,8 @@ def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypat
     monkeypatch.setattr(recovery, "decode_A", counted("decode_A", recovery.decode_A))
     monkeypatch.setattr(cli, "_parse_matrix", counted("parse", cli._parse_matrix))
     monkeypatch.setattr(rauzy, "record_matrix", counted("render", rauzy.record_matrix))
+    for module in (rauzy, matrices):
+        monkeypatch.setattr(module, "winner_row_matrix", counted("render", module.winner_row_matrix))
     for name in ("rauzy_step_pair", "rauzy_step_perm"):
         monkeypatch.setattr(rauzy, name, counted("record", getattr(rauzy, name)))
     for module in (rauzy, zorich):
@@ -825,11 +827,12 @@ def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypat
     for flavor, obj in starts.items():
         start = tmp_path / f"{flavor}.json"
         start.write_text(json.dumps(obj))
-        for argv in (["--until-c-complete", "2"], ["--length", "40"]):
-            # an ungrouped simulate renders each matrix it writes once, from a stepper's move
-            calls.update(render=0, record=0)
+        for argv in (["--until-c-complete", "2"], ["--length", "40"], ["--script", script]):
+            # simulate lays each matrix it writes out from its move: it builds no dense matrix
+            calls.update(render=0)
             data = run("simulate", "--start", str(start), "--seed", "4", *argv)
-            assert calls["render"] == len(data["matrices"]) <= calls["record"]
+            assert calls["render"] == 0
+            assert len(data["matrices"]) == len(data["moves"]) > 0
         for argv in (["--script", script], ["--seed", "4", "--length", "40"]):
             path_file = tmp_path / f"{flavor}-path.json"
             data = run("simulate", "--start", str(start), *argv, out=path_file)

@@ -127,7 +127,7 @@ def _values():
         (ZorichMove(1, frozenset({2}), 1, frozenset({2})), ZorichMove(1, frozenset([2]), 1, frozenset([2])),
          ZorichMove(2, frozenset({1}), 1, frozenset({1}))),
         (path, RauzyPath(*[getattr(path, name) for name in RauzyPath.__slots__]),
-         RauzyPath(path.flavor, path.index, path.start, path.moves, path.types)),
+         RauzyPath(path.flavor, path.index, path.start, path.moves, path.types, grouping=(1, 1))),
         (pop, PartiallyOrderedPair((1, 2, 3), tuple(q), (q[1], q[0])), PartiallyOrderedPair((1, 2, 3), q, q)),
         (RealizabilityReport(2, ((pair, (0, 1)),)), RealizabilityReport(2, ((pair, (0, 1)),)),
          RealizabilityReport(3, ())),
@@ -166,7 +166,7 @@ def test_value_classes_keep_the_field_repr():
     assert repr(Permutation((2, 1))) == "Permutation(image=(2, 1))"
     assert repr(RealizabilityReport(0, ())) == "RealizabilityReport(candidates_checked=0, realizers=())"
     path = RauzyPath("pair", (1, 2), None, (), ())
-    assert repr(path) == "RauzyPath(flavor='pair', index=(1, 2), start=None, moves=(), types=(), states=None, grouping=None)"
+    assert repr(path) == "RauzyPath(flavor='pair', index=(1, 2), start=None, moves=(), types=(), grouping=None)"
     result = build_ambiguous_path(8)
     assert repr(result).startswith("SharpnessResult(n=8, depth=2, moves=(ZorichMove(winner=")
     assert repr(result).endswith(f"unresolved={result.unresolved})")

@@ -3,9 +3,11 @@
 ``cli._emit`` lays the bulk ``matrices`` and ``moves`` arrays out itself; the
 bytes must stay exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
 for every output the commands write, whatever the pair symbols are.  A
-command hands the writer its moves themselves (``cli._Records``), so each
-comparison encodes the object with its records built by
-:func:`_serialize_moves`, the record builder the writer once used.
+command hands the writer its moves themselves (``cli._Records``), for its
+records and its matrices alike, so each comparison encodes the object with
+its records built by :func:`_serialize_moves`, the record builder the writer
+once used, and its matrices rendered by ``rauzy.record_matrix``, the
+library's renderer.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ietrewind import cli
 from ietrewind.core import Permutation, is_irreducible_pair, is_irreducible_perm, make_pair
+from ietrewind.rauzy import record_matrix
 
 # strings that look like the JSON around them, plus non-ASCII and a NUL
 _TRICKY = ['"', "\\", ",", '", "', "[", "]", "{", "}", ": ", "\n", "é", "☃", "\u0000", "1"]
@@ -45,11 +48,18 @@ def _serialize_moves(moves, types, position):
 
 
 def _plain(obj):
-    """``obj`` with its moves as the records :func:`_serialize_moves` builds, which json.dumps encodes."""
-    if type(obj) is dict and type(obj.get("moves")) is cli._Records:
+    """``obj`` with its moves as the records :func:`_serialize_moves` builds,
+    and its matrices as :func:`record_matrix` renders them, which json.dumps encodes."""
+    if type(obj) is not dict:
+        return obj
+    plain = dict(obj)
+    if type(obj.get("moves")) is cli._Records:
         records = obj["moves"]
-        return {**obj, "moves": _serialize_moves(records.moves, records.types, records.position)}
-    return obj
+        plain["moves"] = _serialize_moves(records.moves, records.types, records.position)
+    if type(obj.get("matrices")) is cli._Records:
+        records = obj["matrices"]
+        plain["matrices"] = [record_matrix(m, tuple(records.position)) for m in records.moves]
+    return plain
 
 
 def _stdlib_text(obj):
@@ -301,20 +311,23 @@ def _row_objects(arrays):
 
 
 def test_simulate_matrices_share_the_identity_rows(tmp_path, monkeypatch):
-    # the writer's cost follows the distinct row objects: a winner-row matrix
-    # shares all but its winner row with identity(n), so n + L at most
+    # simulate hands the writer its moves for the matrices as for the records,
+    # and the writer lays each matrix out from its move; the reference
+    # renderer shares all but a winner row with identity(n), so n + L at most
     n, length = 32, 2000
     start = tmp_path / "start.json"
     start.write_text(json.dumps({"alphabet": list(range(1, n + 1)), "p0": list(range(1, n + 1)),
                                  "p1": list(range(n, 0, -1))}))
     obj = _emitted(monkeypatch, ["simulate", "--start", str(start), "--seed", "1", "--length", str(length)])
-    assert len(obj["matrices"]) == length
-    assert len(_row_objects(obj["matrices"])) <= n + length
+    assert obj["matrices"] is obj["moves"]
+    mats = _plain(obj)["matrices"]
+    assert len(mats) == length
+    assert len(_row_objects(mats)) <= n + length
     # type-1 matrices share their rows too
     start.write_text(json.dumps({"n": 16, "image": list(range(16, 0, -1))}))
     obj = _emitted(monkeypatch, ["simulate", "--start", str(start), "--seed", "2", "--length", "300"])
     assert {m["type"] for m in _plain(obj)["moves"]} == {0, 1}
-    assert len(_row_objects(obj["matrices"])) <= 16 + 300
+    assert len(_row_objects(_plain(obj)["matrices"])) <= 16 + 300
 
 
 def test_permutation_trace_rows_are_shared(tmp_path, monkeypatch):

@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ietrewind.core import Permutation, lift_perm, make_pair, perm_power, project
+from ietrewind import rauzy
+from ietrewind.core import Pair, Permutation, is_irreducible_perm, lift_perm, make_pair, perm_power, project
 from ietrewind.lifting import delta
 from ietrewind.matrices import determinant, identity, matmul, mat_product
 from ietrewind.rauzy import (
@@ -283,3 +284,112 @@ def test_walk_until_complete_gives_up_at_the_cap(monkeypatch):
     monkeypatch.setattr(rauzy, "MAX_WALK_MOVES", 10)
     with pytest.raises(ValueError, match="no 50-complete path within 10 moves"):
         walk_until_complete(Permutation((3, 2, 1)), random.Random(0), 50)
+
+
+# --- label stepping against the single steps ---------------------------------
+
+def _unlinked(linked) -> tuple:
+    """A row kept as [symbol -> next, symbol -> previous, last symbol], in order."""
+    _, before, last = linked
+    row = [last]
+    while row[-1] in before and len(row) <= len(before):
+        row.append(before[row[-1]])
+    return tuple(reversed(row))
+
+
+def _image(top, bottom) -> tuple:
+    """The permutation of a top row of labels by position and a linked bottom row."""
+    labels = [ord(s) for s in top] if type(top) is str else top
+    slot = {label: j for j, label in enumerate(_unlinked(bottom), 1)}
+    return tuple(slot[label] for label in labels)
+
+
+def _walk_reference(start, rng, target):
+    """walk_until_complete as it was written on the single steps, kept as the reference."""
+    is_pair = isinstance(start, Pair)
+    labels = tuple(range(1, start.n + 1))
+    state, types, winners, seen, stretches = start, [], [], set(), 0
+    while len(types) < rauzy.MAX_WALK_MOVES:
+        t = rng.randint(0, 1)
+        state, move = (rauzy_step_pair if is_pair else rauzy_step_perm)(state, t)
+        if type(move) is tuple:  # a type-1 move (k, 1) wins with the label at k
+            winners.append(labels[move[0] - 1])
+            labels = type1_shift(labels, move[0])
+        else:
+            winners.append(move.winner if is_pair else labels[-1])
+        types.append(t)
+        seen.add(winners[-1])
+        if len(seen) == start.n:
+            stretches, seen = stretches + 1, set()
+        if stretches >= target:
+            return types, winners
+    raise ValueError(f"no {target}-complete path within {rauzy.MAX_WALK_MOVES} moves")
+
+
+_STARTS = st.integers(3, 12).flatmap(lambda n: st.permutations(range(1, n + 1))).filter(
+    lambda image: is_irreducible_perm(Permutation(tuple(image))))
+
+
+@given(_STARTS, st.lists(st.integers(0, 1), max_size=60), st.booleans(), st.integers(0, 2**32), st.integers(1, 2))
+@settings(deadline=None, max_examples=150)
+def test_label_stepping_matches_the_single_steps(image, types, pair_flavor, seed, target):
+    n = len(image)
+    perm = Permutation(tuple(image))
+    if pair_flavor:  # symbols that are not positions, and an alphabet order that is neither row's
+        alphabet = tuple(f"s{i}" for i in range(n))
+        start = lift_perm(perm, alphabet[::2] + alphabet[1::2])
+        rows = (rauzy._linked(start.row0), rauzy._linked(start.row1))
+        runs = [(rauzy._pair_steps(rows, types), lambda: (_unlinked(rows[0]), _unlinked(rows[1])))]
+        step, state_of = rauzy_step_pair, (lambda pair: (pair.row0, pair.row1))
+    else:  # the top row as a str of chr(label), and as the tuple kept past chr's range
+        start = perm
+        runs = []
+        for top in ("".join(map(chr, range(1, n + 1))), tuple(range(1, n + 1))):
+            rows = [top, rauzy._linked(tuple(perm.inverse().image))]
+            runs.append((rauzy._perm_steps(rows, types), lambda rows=rows: _image(*rows)))
+        step, state_of = rauzy_step_perm, (lambda p: p.image)
+    states = [start]
+    for t in types:
+        states.append(step(states[-1], t)[0])
+    for steps, label_state in runs:
+        for (move, _), t, before, after in zip(steps, types, states, states[1:]):
+            assert move == step(before, t)[1]
+            assert label_state() == state_of(after)
+    path = (simulate_pair if pair_flavor else simulate_perm)(start, types)
+    assert path.states == tuple(states)
+    assert list(path.moves) == [step(s, t)[1] for s, t in zip(states, types)]
+    # the walk steps on labels too, and draws and stops as the single-step loop did
+    try:
+        expected = _walk_reference(start, random.Random(seed), target)
+    except ValueError:
+        with pytest.raises(ValueError):
+            walk_until_complete(start, random.Random(seed), target)
+    else:
+        assert walk_until_complete(start, random.Random(seed), target) == expected
+
+
+def test_simulate_checks_irreducibility_once_and_each_type():
+    with pytest.raises(NonIrreducible):
+        simulate_pair(make_pair((1, 2, 3), (1, 3, 2)), [0])
+    with pytest.raises(NonIrreducible):
+        simulate_perm(Permutation((1, 3, 2)), [1])
+    for simulate, start in ((simulate_pair, make_pair((1, 2, 3), (3, 2, 1))), (simulate_perm, Permutation((3, 2, 1)))):
+        with pytest.raises(ValueError, match="move type must be 0 or 1"):
+            simulate(start, [0, 1, 2])
+
+
+def test_a_simulated_path_holds_one_move_object_per_distinct_move():
+    # the steppers hand out each distinct unit move, and each type-1 (k, 1), once
+    rng = random.Random(3)
+    for n in range(4, 24):
+        image = list(range(1, n + 1))
+        while not is_irreducible_perm(Permutation(tuple(image))):
+            rng.shuffle(image)
+        types = [rng.randint(0, 1) for _ in range(40 * n)]
+        pair_moves = simulate_pair(lift_perm(Permutation(tuple(image)), range(1, n + 1)), types).moves
+        perm_moves = simulate_perm(Permutation(tuple(image)), types).moves
+        walked = rauzy.walk_path(Permutation(tuple(image)), rng, 2)[0].moves
+        for moves in (pair_moves, [m for m in perm_moves if type(m) is not tuple], walked):
+            assert len({id(m) for m in moves}) == len(set(moves)) < len(moves), n
+        powers = [m for m in perm_moves if type(m) is tuple]
+        assert len({id(m) for m in powers}) == len(set(powers)) <= n - 1
