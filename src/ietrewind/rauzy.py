@@ -107,7 +107,7 @@ class RauzyPath(Frozen):
 
     __slots__ = ("flavor", "index", "start", "moves", "types", "grouping")
 
-    def __init__(self, flavor: str, index: tuple, start, moves: tuple, types: tuple,
+    def __init__(self, flavor: str, index: tuple, start, moves: tuple, types: tuple, *,
                  grouping: tuple | None = None):
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "index", index)
@@ -124,6 +124,10 @@ class RauzyPath(Frozen):
 
     def __hash__(self):
         return hash((self.flavor, self.index, self.start, self.moves, self.types, self.grouping))
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, ``grouping`` by keyword
+        from functools import partial
+        return partial(RauzyPath, grouping=self.grouping), (self.flavor, self.index, self.start, self.moves, self.types)
 
     @property
     def n(self) -> int:
@@ -224,13 +228,14 @@ def record_matrix(move, index) -> Matrix:
 # Rauzy induction keeps a start irreducible, so ``simulate_pair``,
 # ``simulate_perm`` and the walks check it once and then step on labels.
 # Each row is a linked list (symbol -> next, symbol -> previous, and its
-# end), so a move costs O(1): the loser leaves the end of its row for the
-# place right after the winner.  A permutation steps as a pair whose bottom
-# row is linked and whose top row lists the labels by position, 1..n at the
-# start, which a type-1 move shifts as :func:`type1_shift` does.  Its
+# end), so a pair move costs O(1): the loser leaves the end of its row for
+# the place right after the winner.  A permutation steps as a pair whose
+# bottom row is linked and whose top row lists the labels by position, 1..n
+# at the start, which a type-1 move shifts as :func:`type1_shift` does.  Its
 # records need the top position of the bottom row's end, which the top row
-# gives by one C-level search when it is a str of ``chr(label)``.  Each
-# distinct move is handed out as one shared object.
+# gives by one search when it is a str of ``chr(label)``.  So a permutation
+# move is still O(n), a copy or a search of the top row, but done in C.
+# Each distinct move is handed out as one shared object.
 
 
 def _linked(row) -> list:

@@ -126,7 +126,7 @@ def _values():
         (Permutation((2, 1)), Permutation(tuple([2, 1])), Permutation((1, 2))),
         (ZorichMove(1, frozenset({2}), 1, frozenset({2})), ZorichMove(1, frozenset([2]), 1, frozenset([2])),
          ZorichMove(2, frozenset({1}), 1, frozenset({1}))),
-        (path, RauzyPath(*[getattr(path, name) for name in RauzyPath.__slots__]),
+        (path, RauzyPath(*[getattr(path, name) for name in RauzyPath.__slots__[:-1]], grouping=path.grouping),
          RauzyPath(path.flavor, path.index, path.start, path.moves, path.types, grouping=(1, 1))),
         (pop, PartiallyOrderedPair((1, 2, 3), tuple(q), (q[1], q[0])), PartiallyOrderedPair((1, 2, 3), q, q)),
         (RealizabilityReport(2, ((pair, (0, 1)),)), RealizabilityReport(2, ((pair, (0, 1)),)),
@@ -170,3 +170,10 @@ def test_value_classes_keep_the_field_repr():
     result = build_ambiguous_path(8)
     assert repr(result).startswith("SharpnessResult(n=8, depth=2, moves=(ZorichMove(winner=")
     assert repr(result).endswith(f"unresolved={result.unresolved})")
+
+
+def test_rauzy_path_takes_grouping_by_keyword_only():
+    path = RauzyPath("pair", (1, 2), None, (), (), grouping=())
+    assert copy.copy(path) == path == pickle.loads(pickle.dumps(path)) and path.grouping == ()
+    with pytest.raises(TypeError):  # a sixth positional field, as ``states`` once was, is refused
+        RauzyPath("pair", (1, 2), None, (), (), ())

@@ -22,7 +22,7 @@ def _load(path):
     [
         ("random_roundtrip", ["--trials", "30", "--max-n", "6"]),
         ("ambiguity_table", ["--max-n", "12"]),
-        ("step_cost", ["--sizes", "8", "16", "--moves", "300", "--repeats", "2", "--walk-n", "32"]),
+        ("step_cost", ["--sizes", "8", "16", "--moves", "300"]),
     ],
 )
 def test_script_exits_zero(name, argv, capsys):
