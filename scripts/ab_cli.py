@@ -5,28 +5,33 @@
 
 Each round runs ``python -m ietrewind.cli <cli arguments>`` once with
 ``SRC_A`` and once with ``SRC_B`` on ``PYTHONPATH``, alternating which side
-goes first.  The command's output is discarded.  Per side it prints the
-median and quartiles of wall time and of CPU time (user + system), and the
-median and largest peak RSS.  CPU time and peak RSS are the child's own, read
-from ``os.wait4``; this script imports nothing of the package, so that its
-own size does not show in the child's peak.
+goes first.  Each side's stdout goes to a file in a temporary directory, and
+the script exits non-zero, naming the round, as soon as the two sides' bytes
+differ.  Per side it prints the median and quartiles of wall time and of CPU
+time (user + system), and the median and largest peak RSS.  CPU time and
+peak RSS are the child's own, read from ``os.wait4``; this script imports
+nothing of the package, so that its own size does not show in the child's
+peak.
 """
 from __future__ import annotations
 
 import argparse
+import filecmp
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 
-def run_once(src, cli_args):
-    """(wall_s, cpu_s, peak_rss_mb) of one run of the command from ``src``."""
+def run_once(src, cli_args, out_path):
+    """(wall_s, cpu_s, peak_rss_mb) of one run of the command from ``src``,
+    its stdout written to ``out_path``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     begin = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-m", "ietrewind.cli", *cli_args], env=env,
-                             stdout=subprocess.DEVNULL)
+    with open(out_path, "wb") as out:
+        child = subprocess.Popen([sys.executable, "-m", "ietrewind.cli", *cli_args], env=env, stdout=out)
     _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - begin
     child.returncode = os.waitstatus_to_exitcode(status)
@@ -53,9 +58,13 @@ def main(argv=None) -> int:
         parser.error("give at least two rounds and, after --, a CLI command")
     sides = {"A": args.src_a, "B": args.src_b}
     samples = {side: [] for side in sides}
-    for i in range(args.rounds):
-        for side in ("A", "B") if i % 2 == 0 else ("B", "A"):
-            samples[side].append(run_once(sides[side], cli_args))
+    with tempfile.TemporaryDirectory() as work:
+        outs = {side: os.path.join(work, f"{side}.out") for side in sides}
+        for i in range(args.rounds):
+            for side in ("A", "B") if i % 2 == 0 else ("B", "A"):
+                samples[side].append(run_once(sides[side], cli_args, outs[side]))
+            if not filecmp.cmp(outs["A"], outs["B"], shallow=False):
+                raise SystemExit(f"round {i + 1}: the outputs of A and B differ")
     print("side  wall_s median [q1, q3]   cpu_s median [q1, q3]    peak_rss_mb median / max  src")
     for side, runs in samples.items():
         wall, cpu, rss = zip(*runs)

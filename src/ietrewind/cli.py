@@ -75,15 +75,21 @@ class InputError(ValueError):
 # --- path files ------------------------------------------------------------
 
 def _parse_matrix(raw, n: int):
-    """One path-file matrix as a tuple of int tuples: n rows of n JSON integers."""
-    if not isinstance(raw, list) or len(raw) != n:
+    """One path-file matrix as a tuple of int tuples: n rows of n JSON integers.
+
+    A tuple is a matrix that :func:`_read_json` read from the file's bytes,
+    its rows int tuples already, so only its shape is checked."""
+    if not isinstance(raw, (list, tuple)) or len(raw) != n:
         raise InputError(f"matrices must have one row per symbol ({n})")
-    if not {list}.issuperset(map(type, raw)):
-        raise MalformedMatrix("matrix rows must be JSON arrays")
-    mat = tuple(map(tuple, raw))
-    if any(len(row) != n for row in mat) or not {int}.issuperset(map(type, chain.from_iterable(mat))):
+    if isinstance(raw, list):
+        if not {list}.issuperset(map(type, raw)):
+            raise MalformedMatrix("matrix rows must be JSON arrays")
+        raw = tuple(map(tuple, raw))
+        if not {int}.issuperset(map(type, chain.from_iterable(raw))):
+            raise MalformedMatrix(f"matrix rows must each hold {n} integers")
+    if any(len(row) != n for row in raw):
         raise MalformedMatrix(f"matrix rows must each hold {n} integers")
-    return mat
+    return raw
 
 
 def _record_move(item, flavor, kind, j, decoded, units):
@@ -170,7 +176,8 @@ def load_path_file(obj: dict) -> dict:
     from the matrices if there are any, else built from the records, one
     shared object per distinct move; a :class:`ZorichMove`, or ``(k, p)``
     for a type-1 power.  One rule reads every record, with or without its
-    matrix (:func:`_record_move`).
+    matrix (:func:`_record_move`).  ``types`` has the type each record
+    names, or None; the records themselves are not kept.
     """
     _bind("recovery")  # its decoder, and the recovery of what is read
     if not isinstance(obj, dict) or obj.get("version") != 1:
@@ -226,19 +233,130 @@ def load_path_file(obj: dict) -> dict:
         "flavor": flavor,
         "alphabet": alphabet,
         "index": index,
-        "records": records,
+        "types": list(map(dict.get, records, repeat("type"))),  # each record is a dict by now
         "moves": moves,
         "start": start,
     }
 
 
+_WHITESPACE = json.decoder.WHITESPACE.match
+_scanstring = json.decoder.scanstring
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _laid_out_matrices(data, i):
+    """The matrices array laid out as the writer lays it out (below), whose
+    first row's entries open at ``data[i]``: each matrix a tuple of int
+    tuples, and the index past the array; ValueError where the text is not
+    that layout.
+
+    A matrix's text is found by its separator from the next one, or by the
+    close of the array, and split on the separator between rows.  Each holds
+    a raw newline, which no JSON string can, so every split falls at a
+    bracket, and a row whose text holds anything but integers fails.  The
+    text of a unit row (one 1, all else 0) maps to one shared tuple; any
+    other row is read with ``json.loads`` on its own."""
+    row_break = (_ROW_TAIL + _ROW_SEP + _ROW_HEAD).encode()
+    matrix_break = (_ROW_TAIL + _MATRIX_SEP + _ROW_HEAD).encode()
+    last = (_ROW_TAIL + _MATRICES_TAIL).encode()
+    units, matrices, find = {}, [], data.find
+    get = units.get
+    while True:
+        end = find(matrix_break, i)
+        if end < 0:
+            end = find(last, i)
+            if end < 0:
+                raise ValueError("the matrices array is not closed")
+        pieces = data[i:end].split(row_break)
+        rows = tuple(map(get, pieces))
+        if None in rows:
+            rows = tuple(get(piece) or _laid_out_row(piece, units) for piece in pieces)
+        matrices.append(rows)
+        if data.startswith(last, end):
+            return matrices, end + len(last)
+        i = end + len(matrix_break)
+
+
+def _laid_out_row(piece, units):
+    """The int tuple of a matrix row whose text between its brackets is
+    ``piece``, kept in ``units`` by its text if it is a unit row."""
+    row = json.loads("[" + piece.decode("ascii") + "]")
+    if not {int}.issuperset(map(type, row)):
+        raise ValueError("a matrix row holds a value other than an integer")
+    row = tuple(row)
+    if row.count(1) == 1 and row.count(0) == len(row) - 1:
+        units[piece] = row
+    return row
+
+
+def _laid_out_object(data):
+    """``json.loads`` of the UTF-8 text ``data`` when it is a JSON object whose
+    top-level ``matrices`` array is laid out as the writer lays it out; that
+    array is read from its bytes (:func:`_laid_out_matrices`), and only the
+    rest of the text is decoded and read by the JSON scanner, with a ``0``
+    in the array's place.  ValueError (or RecursionError) where it is not."""
+    head = (_MATRICES_HEAD + _ROW_HEAD).encode()
+    at = data.find(b'"matrices": ' + head)
+    if at < 0:
+        raise ValueError("no matrices laid out as the writer lays them out")
+    at += len(b'"matrices": ')
+    matrices, end = _laid_out_matrices(data, at + len(head))
+    before = data[:at].decode("utf-8")
+    text, splice = before + "0" + data[end:].decode("utf-8"), len(before)
+    obj = {}
+    i = _WHITESPACE(text, 0).end()
+    if not text.startswith("{", i):
+        raise ValueError("not a JSON object")
+    i = _WHITESPACE(text, i + 1).end()
+    while True:
+        if not text.startswith('"', i):
+            raise ValueError("a key is not a string")
+        key, i = _scanstring(text, i + 1)
+        i = _WHITESPACE(text, i).end()
+        if not text.startswith(":", i):
+            raise ValueError("a key has no value")
+        i = _WHITESPACE(text, i + 1).end()
+        if i == splice:  # the array's place, the value of a top-level key
+            obj[key], i, splice = matrices, i + 1, None
+        else:
+            obj[key], i = _raw_decode(text, i)  # a repeated key keeps its last value
+        i = _WHITESPACE(text, i).end()
+        mark = text[i:i + 1]
+        i = _WHITESPACE(text, i + 1).end()
+        if mark == "}":
+            if i != len(text) or splice is not None:
+                raise ValueError("extra data, or the array inside another value")
+            return obj
+        if mark != ",":
+            raise ValueError("the object is not closed")
+
+
 def _read_json(path):
+    """The JSON value of the UTF-8 file at ``path`` ("-" for stdin), as
+    ``json.loads`` gives it, except that a top-level ``matrices`` array laid
+    out as the writer lays it out is read from the file's bytes
+    (:func:`_laid_out_object`), its matrices tuples of int tuples.  Any other
+    file, and any that fails a check there, is read by ``json.loads``, with
+    its errors."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.loads(sys.stdin.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            return _laid_out_object(data)
+        except (ValueError, RecursionError):
+            pass
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            text = None
+        del data
+        if text is None or "\r" in text:  # the text reader raises its error, or makes each line end "\n"
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
     except OSError as exc:
         raise InputError(str(exc)) from exc
@@ -679,7 +797,7 @@ def cmd_verify(args) -> int:
     if data["flavor"] == "pair":
         if start is not None:
             checks["start_agrees"] = agrees(start, recovered) or agrees(inverse(start), recovered)
-            stored = [item.get("type") for item in data["records"]]
+            stored = data["types"]
             if all(t is not None for t in stored) and len(stored) == len(types):
                 flipped = [1 - t for t in types]
                 checks["types_agree"] = stored in (list(types), flipped)
@@ -830,6 +948,10 @@ def _run(argv) -> int:
         ) as exc:
             _emit({"error": "bad input", "detail": str(exc)}, out)
             return 4
+        except MemoryError:
+            pass  # answered below, once the frames that held the record are gone
+        _emit({"error": "bad input", "detail": "the record does not fit in memory"}, out)
+        return 4
     except OSError as exc:
         # --out cannot be written, for the output or for the error body
         _emit({"error": "bad input", "detail": str(exc)}, None)

@@ -563,6 +563,39 @@ def test_an_out_that_cannot_be_opened_exits_four(tmp_path, pair_start_file):
     assert not (tmp_path / "missing").exists()
 
 
+def test_deeply_nested_json_exits_four(tmp_path):
+    # once a RecursionError traceback with exit 1, for a path file and a start file alike
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for argv in (["recover", str(deep)], ["verify", str(deep)], ["simulate", "--start", str(deep), "--script", "0"]):
+        proc = _run(*argv)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == ""
+        out = _json_out(proc)
+        assert out["error"] == "bad input"
+        assert out["detail"].startswith("not valid JSON: maximum recursion depth exceeded")
+
+
+def test_a_record_that_does_not_fit_in_memory_exits_four(tmp_path):
+    # a 128-byte file whose counts ask for 10^12 types once ended in a
+    # MemoryError traceback with exit 1; the child's address space is capped,
+    # so that the allocation fails whatever the machine's overcommit setting
+    resource = pytest.importorskip("resource")
+    e = 10**12
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3],
+                                "matrices": [[[1, e, e], [0, 1, 0], [0, 0, 1]]]}))
+    assert path.stat().st_size == 128
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(_CLI + ["recover", str(path)], capture_output=True, text=True, preexec_fn=cap)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == ""
+    assert _json_out(proc) == {"error": "bad input", "detail": "the record does not fit in memory"}
+
+
 def _collector_inputs(tmp_path):
     """(argv, exit code) for each way ``main`` returns, its files written in ``tmp_path``."""
     pair = tmp_path / "pair.json"

@@ -3,9 +3,11 @@
 Each example takes a valid path file (a golden start's walk, a simulated
 pair or permutation record, plain, records-only or grouped, or a sharpness
 file), changes one to three places in its JSON tree, and runs ``recover``,
-``recover --trace``, ``verify`` and ``verify --oracle`` on it in-process.  A
-traceback, an exit code outside {0, 2, 3, 4}, an output that is not one
-JSON value, or a run past the deadline fails the example.
+``recover --trace``, ``verify`` and ``verify --oracle`` on it in-process, once
+written compact and once in the layout that the commands write, which the
+reader takes from its text.  A traceback, an exit code outside {0, 2, 3, 4},
+an output that is not one JSON value, two layouts that give different exit
+codes or bytes, or a run past the deadline fails the example.
 
 Integers drawn into a file stay small or pass ``sys.maxsize``: a size or
 count in between is read, and may take memory in proportion to its value.
@@ -103,12 +105,19 @@ def test_mutated_path_files_end_with_an_exit_code_and_one_json_body(base_files, 
     obj = json.loads(json.dumps(data.draw(st.sampled_from(files))))
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(data, obj)
-    path = work / "mutated.json"
-    path.write_text(json.dumps(obj))
-    out = work / "out.json"
+    compact, laid_out = work / "compact.json", work / "laid-out.json"
+    compact.write_text(json.dumps(obj))
+    # the commands' layout, whose matrices are read from their text; the keys
+    # keep one order in both, since an error detail may show an object's repr
+    laid_out.write_text(json.dumps(obj, indent=2))
     for command in _COMMANDS:
-        out.unlink(missing_ok=True)
-        code = main([command[0], str(path), *command[1:], "--out", str(out)])
-        assert code in (0, 2, 3, 4), command
-        body = json.loads(out.read_text())
-        assert isinstance(body, dict) and (code in (0, 3)) == ("error" not in body), command
+        bodies = []
+        for path in (compact, laid_out):
+            out = work / "out.json"
+            out.unlink(missing_ok=True)
+            code = main([command[0], str(path), *command[1:], "--out", str(out)])
+            assert code in (0, 2, 3, 4), command
+            body = json.loads(out.read_text())
+            assert isinstance(body, dict) and (code in (0, 3)) == ("error" not in body), command
+            bodies.append((code, out.read_bytes()))
+        assert bodies[0] == bodies[1], command

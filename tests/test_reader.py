@@ -1,0 +1,187 @@
+"""The path-file reader: ``cli._read_json`` reads a top-level ``matrices``
+array in the layout that every command writes from the file's bytes, and
+must give what the text reader it replaces gave, errors included."""
+from __future__ import annotations
+
+import json
+import random
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ietrewind import cli
+from ietrewind.core import Permutation, is_irreducible_pair, is_irreducible_perm, make_pair, pair_to_obj, perm_to_obj
+
+
+def _in_file(read):
+    """``read`` as a function of the file's text (bytes, or a str in UTF-8)."""
+    def reader(text):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "path.json"
+            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+            return read(str(path))
+    return reader
+
+
+@_in_file
+def _reference(path):
+    """What ``_read_json`` gave before it read matrices from bytes: ``json.load``
+    of the file in text mode, its JSON errors (and now a RecursionError) as
+    InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise cli.InputError(f"not valid JSON: {exc}") from exc
+
+
+_read = _in_file(cli._read_json)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not raised: both readers must fail alike
+        return type(exc), str(exc)
+
+
+def _plain(read, text):
+    """What ``read`` gives, its tuples made lists."""
+    return json.loads(json.dumps(read(text)))
+
+
+def _loaded(read, text):
+    """The moves and start that ``load_path_file`` reads from what ``read`` gives."""
+    data = cli.load_path_file(read(text))
+    return data["moves"], data["start"]
+
+
+def _simulated(pair, n, seed, types, grouped, with_start):
+    """The text of a ``simulate`` file, as the command writes it."""
+    rng, symbols = random.Random(seed), list(range(1, n + 1))
+    while True:
+        rng.shuffle(symbols)
+        start = make_pair(range(1, n + 1), symbols) if pair else Permutation(tuple(symbols))
+        if (is_irreducible_pair if pair else is_irreducible_perm)(start):
+            break
+    script = ",".join(map(str, types))
+    if grouped:  # one block per maximal run of a type
+        runs = [len(m[0]) for m in re.finditer(r"0+|1+", "".join(map(str, types)))]
+        script += f",group({','.join(map(str, runs))})"
+    with tempfile.TemporaryDirectory() as work:
+        start_file, out = Path(work) / "start.json", Path(work) / "path.json"
+        start_file.write_text(json.dumps(pair_to_obj(start) if pair else perm_to_obj(start)))
+        assert cli.main(["simulate", "--start", str(start_file), "--script", script, "--out", str(out)]) == 0
+        text = out.read_text()
+    if not with_start:
+        obj = json.loads(text)
+        del obj["start"]
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return text
+
+
+def test_written_matrices_are_read_from_their_text():
+    text = _simulated(True, 6, 1, [0, 1, 1, 0, 0, 1, 0], False, True)
+    obj, want = _read(text), json.loads(text)
+    matrices = obj.pop("matrices")
+    assert obj == {key: value for key, value in want.items() if key != "matrices"}
+    assert [list(map(list, m)) for m in matrices] == want["matrices"]
+    assert all(type(m) is tuple and {tuple} == set(map(type, m)) for m in matrices)
+    units = {}  # each unit row's text is read once, into one shared tuple
+    for row in (row for m in matrices for row in m if sum(row) == 1):
+        assert units.setdefault(row, row) is row
+
+
+def test_other_layouts_and_values_read_as_json_loads_reads_them():
+    text = _simulated(False, 5, 2, [1, 0, 0, 1], False, True)
+    obj = json.loads(text)
+    for other, from_bytes in (
+        (json.dumps(obj), False),  # compact
+        (json.dumps(obj, indent=4), False),
+        (text.replace('"matrices": [\n    [', '"matrices": [ \n    ['), False),  # one stray space
+        (text.replace('"version": 1', '"matrices": 7,\n  "version": 1'), False),  # a repeated key's last value holds
+        (text.replace('"version": 1', '"version": 1,\n  "matrices": []'), False),
+        (text.replace("        1\n", "        true\n", 1), False),
+        (text.rstrip() + " x", False),
+        ("\ufeff" + text, False),
+        (text.replace("\n", "\r\n"), False),  # read with its line ends made "\n", as a text file is
+        (text.replace("\n", "\r\n").rstrip() + " x", False),  # and its errors placed in that text
+        (text.replace('"matrices": [', '"x": {"matrices": [', 1).replace('\n  ],\n  "moves"', '\n  ]},\n  "moves"', 1),
+         False),  # the layout, but not at top level
+        (text.replace('"version": 1', '"version": "\u00e9\u00e9"'), True),  # not ASCII outside the matrices
+        (text.replace('"flavor": "permutation"', '"flavor": "permutation", "x": [{"matrices": 1}]'), True),
+    ):
+        got = _outcome(_read, other)
+        matrices = got.get("matrices") if type(got) is dict else None
+        assert from_bytes is (type(matrices) is list and bool(matrices) and type(matrices[0]) is tuple), other[:80]
+        assert _outcome(_plain, _read, other) == _outcome(_plain, _reference, other), other[:80]
+
+
+def test_a_file_that_is_not_utf_8_fails_as_before():
+    text = _simulated(True, 4, 3, [0, 1], False, True)
+    for data in (text.replace('"version": 1', '"version": "\udcff"').encode("utf-8", "surrogateescape"),
+                 text.replace("        0\n", "        0\udcff\n", 1).encode("utf-8", "surrogateescape")):
+        assert _outcome(_read, data)[0] is UnicodeDecodeError
+        assert _outcome(_read, data) == _outcome(_reference, data)
+
+
+def test_laid_out_matrices_of_the_wrong_shape_fail_as_before():
+    # read from bytes, each fails in load_path_file's shape checks, with their messages
+    text = _simulated(True, 4, 5, [0, 0, 1], False, True)
+    row = "[\n        1,\n        0,\n        0,\n        0\n      ]"
+    for other, error in (
+        (text.replace(row, row.replace(",\n        0\n", "\n"), 1), "matrix rows must each hold 4 integers"),
+        (text.replace(row + ",\n      ", "", 1), "matrices must have one row per symbol (4)"),
+        (text.replace(row, row + ",\n      " + row, 1), "matrices must have one row per symbol (4)"),
+    ):
+        assert type(_read(other)["matrices"][0]) is tuple
+        assert _outcome(_loaded, _read, other)[1] == error
+        assert _outcome(_loaded, _read, other) == _outcome(_loaded, _reference, other)
+
+
+_ENTRY_TOKENS = ["0.0", "-0", "00", "true", '"0"', "1e0", "1" + "0" * 40, "9" * 5000, "]", "[", ","]
+_INSERTED = ["]", "[", ",", " ", "\n"]
+_ROW_SEP = ",\n      "
+
+
+def _edit(data, text, lo, hi):
+    """``text`` with one edit drawn inside ``text[lo:hi]``, and the new ``hi``."""
+    kind = data.draw(st.sampled_from(["entry", "insert", "drop separator", "double separator"]))
+    if kind == "entry":
+        entries = [m.span() for m in re.finditer(r"-?\d+", text[lo:hi])]
+        a, b = data.draw(st.sampled_from(entries)) if entries else (0, 0)
+        token = data.draw(st.sampled_from(_ENTRY_TOKENS))
+        return text[:lo + a] + token + text[lo + b:], hi + len(token) - (b - a)
+    if kind == "insert":
+        at = data.draw(st.integers(lo, hi))
+        token = data.draw(st.sampled_from(_INSERTED))
+        return text[:at] + token + text[at:], hi + len(token)
+    seps = [m.start() for m in re.finditer(re.escape(_ROW_SEP + "["), text[lo:hi])]
+    if not seps:
+        return text, hi
+    at = lo + data.draw(st.sampled_from(seps))
+    if kind == "drop separator":
+        return text[:at] + text[at + len(_ROW_SEP):], hi - len(_ROW_SEP)
+    return text[:at] + _ROW_SEP + text[at:], hi + len(_ROW_SEP)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    pair=st.booleans(),
+    n=st.integers(3, 7),
+    seed=st.integers(0, 2**32 - 1),
+    types=st.lists(st.integers(0, 1), min_size=1, max_size=12),
+    grouped=st.booleans(),
+    with_start=st.booleans(),
+    data=st.data(),
+)
+def test_edited_matrices_read_as_json_loads_reads_them(pair, n, seed, types, grouped, with_start, data):
+    text = _simulated(pair, n, seed, types, grouped, with_start)
+    lo = text.index('"matrices": ') + len('"matrices": ')
+    hi = json.JSONDecoder().raw_decode(text, lo)[1]
+    for _ in range(data.draw(st.integers(1, 3))):
+        text, hi = _edit(data, text, lo, hi)
+    assert _outcome(_loaded, _read, text) == _outcome(_loaded, _reference, text)

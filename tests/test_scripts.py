@@ -31,7 +31,7 @@ def test_script_exits_zero(name, argv, capsys):
     assert out.splitlines()[0].split()[0] == "n"
 
 
-def test_ab_cli_runs_one_command_from_both_trees(capsys):
+def test_ab_cli_runs_one_command_from_both_trees(capsys, tmp_path):
     src = str(_ROOT / "src")
     ab = _load(_ROOT / "scripts" / "ab_cli.py")
     assert ab.main([src, src, "--rounds", "2", "--", "sharpness", "--n", "8"]) == 0
@@ -41,6 +41,13 @@ def test_ab_cli_runs_one_command_from_both_trees(capsys):
     for fields in sides.values():
         assert float(fields[1]) > 0 and float(fields[-4]) > 0  # a wall time and a peak RSS
     assert lines[-1].startswith("B/A cpu_s median ratio")
+    # a tree whose command exits 0 with other bytes stops the comparison at once
+    other = tmp_path / "ietrewind"
+    other.mkdir()
+    (other / "__init__.py").write_text("")
+    (other / "cli.py").write_text("print('{}')\n")
+    with pytest.raises(SystemExit, match="^round 1: the outputs of A and B differ$"):
+        ab.main([src, str(tmp_path), "--rounds", "2", "--", "sharpness", "--n", "8"])
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
