@@ -180,7 +180,7 @@ def load_path_file(obj: dict) -> dict:
     names, or None; the records themselves are not kept.
     """
     _bind("recovery")  # its decoder, and the recovery of what is read
-    if not isinstance(obj, dict) or obj.get("version") != 1:
+    if not isinstance(obj, dict) or obj.get("version") != 1 or type(obj["version"]) is not int:
         raise InputError("expected a version-1 path file")
     flavor = obj.get("flavor")
     if flavor not in ("pair", "permutation"):
@@ -239,11 +239,6 @@ def load_path_file(obj: dict) -> dict:
     }
 
 
-_WHITESPACE = json.decoder.WHITESPACE.match
-_scanstring = json.decoder.scanstring
-_raw_decode = json.JSONDecoder().raw_decode
-
-
 def _laid_out_matrices(data, i):
     """The matrices array laid out as the writer lays it out (below), whose
     first row's entries open at ``data[i]``: each matrix a tuple of int
@@ -293,42 +288,27 @@ def _laid_out_object(data):
     """``json.loads`` of the UTF-8 text ``data`` when it is a JSON object whose
     top-level ``matrices`` array is laid out as the writer lays it out; that
     array is read from its bytes (:func:`_laid_out_matrices`), and only the
-    rest of the text is decoded and read by the JSON scanner, with a ``0``
-    in the array's place.  ValueError (or RecursionError) where it is not."""
+    rest of the text is decoded and read by ``json.loads``, with a ``NaN`` in
+    the array's place.  The result is taken only if that ``NaN`` is the one
+    constant read and the value that ``matrices`` keeps.  ValueError (or
+    RecursionError) where it is not."""
     head = (_MATRICES_HEAD + _ROW_HEAD).encode()
     at = data.find(b'"matrices": ' + head)
     if at < 0:
         raise ValueError("no matrices laid out as the writer lays them out")
     at += len(b'"matrices": ')
     matrices, end = _laid_out_matrices(data, at + len(head))
-    before = data[:at].decode("utf-8")
-    text, splice = before + "0" + data[end:].decode("utf-8"), len(before)
-    obj = {}
-    i = _WHITESPACE(text, 0).end()
-    if not text.startswith("{", i):
-        raise ValueError("not a JSON object")
-    i = _WHITESPACE(text, i + 1).end()
-    while True:
-        if not text.startswith('"', i):
-            raise ValueError("a key is not a string")
-        key, i = _scanstring(text, i + 1)
-        i = _WHITESPACE(text, i).end()
-        if not text.startswith(":", i):
-            raise ValueError("a key has no value")
-        i = _WHITESPACE(text, i + 1).end()
-        if i == splice:  # the array's place, the value of a top-level key
-            obj[key], i, splice = matrices, i + 1, None
-        else:
-            obj[key], i = _raw_decode(text, i)  # a repeated key keeps its last value
-        i = _WHITESPACE(text, i).end()
-        mark = text[i:i + 1]
-        i = _WHITESPACE(text, i + 1).end()
-        if mark == "}":
-            if i != len(text) or splice is not None:
-                raise ValueError("extra data, or the array inside another value")
-            return obj
-        if mark != ",":
-            raise ValueError("the object is not closed")
+    constants = []
+
+    def constant(name):  # a fresh object per constant read, so each is told apart
+        constants.append(object())
+        return constants[-1]
+
+    obj = json.loads(data[:at].decode("utf-8") + "NaN" + data[end:].decode("utf-8"), parse_constant=constant)
+    if type(obj) is not dict or len(constants) != 1 or obj.get("matrices") is not constants[0]:
+        raise ValueError("another constant, or the array inside another value or under a repeated key")
+    obj["matrices"] = matrices
+    return obj
 
 
 def _read_json(path):
@@ -397,14 +377,6 @@ class _Records(Frozen):
         object.__setattr__(self, "moves", moves)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "position", position)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.moves, self.types, self.position) == (other.moves, other.types, other.position)
-
-    def __hash__(self):
-        return hash((self.moves, self.types, self.position))
 
 
 _ARRAYS = {list, tuple}

@@ -9,6 +9,7 @@ them, only equality and membership.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable
 
 
@@ -29,10 +30,40 @@ class Unrealizable(Exception):
         self.reason = reason
 
 
-class Frozen:
-    """Base of the immutable value classes: ``__init__`` sets each slot once
-    through ``object.__setattr__``, and any later assignment raises.  Each
-    class writes its own ``__eq__`` and ``__hash__`` over its fields."""
+class Value:
+    """Base of the value classes: equality, hashing, ``repr`` and pickling
+    all come from the fields named in ``__slots__``, in slot order.  Two
+    values are equal when their classes are the same and their fields are
+    equal, and a value hashes as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(name for name in cls.__slots__ if name != "__weakref__")
+        if names:  # a base such as Frozen adds no field
+            get = attrgetter(*names)  # of one name, the bare value rather than a tuple
+            cls._names, cls._fields = names, staticmethod(get if len(names) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = (f"{name}={value!r}" for name, value in zip(self._names, self._fields(self)))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields(self)
+
+
+class Frozen(Value):
+    """A value whose ``__init__`` sets each slot once through
+    ``object.__setattr__``; any later assignment or deletion raises."""
 
     __slots__ = ()
 
@@ -41,13 +72,6 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name != "__weakref__")
-        return f"{type(self).__qualname__}({', '.join(fields)})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, as assignment raises
-        return type(self), tuple(getattr(self, name) for name in self.__slots__ if name != "__weakref__")
 
 
 def check_alphabet(symbols: Iterable) -> tuple:
@@ -85,14 +109,6 @@ class Pair(Frozen):
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "row0", row0)
         object.__setattr__(self, "row1", row1)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alphabet, self.row0, self.row1) == (other.alphabet, other.row0, other.row1)
-
-    def __hash__(self):
-        return hash((self.alphabet, self.row0, self.row1))
 
     @property
     def n(self) -> int:
@@ -141,14 +157,6 @@ class Permutation(Frozen):
         if sorted(image) != list(range(1, len(image) + 1)):
             raise ValueError("image must be a bijection of 1..n")
         object.__setattr__(self, "image", image)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.image,) == (other.image,)
-
-    def __hash__(self):
-        return hash((self.image,))
 
     @property
     def n(self) -> int:
@@ -253,6 +261,6 @@ def perm_from_obj(obj: dict) -> Permutation:
     if not {int}.issuperset(map(type, image)):
         raise ValueError("image must hold JSON integers")
     n = obj.get("n")
-    if n is not None and n != len(image):
+    if n is not None and (type(n) is not int or n != len(image)):
         raise ValueError("declared n disagrees with the image length")
     return Permutation(image)

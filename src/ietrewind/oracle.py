@@ -25,14 +25,6 @@ class RealizabilityReport(Frozen):
         object.__setattr__(self, "candidates_checked", candidates_checked)
         object.__setattr__(self, "realizers", realizers)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.candidates_checked, self.realizers) == (other.candidates_checked, other.realizers)
-
-    def __hash__(self):
-        return hash((self.candidates_checked, self.realizers))
-
 
 def _unit_losers(move):
     """The loser sets of the unit moves a :class:`ZorichMove` bundles."""

@@ -17,6 +17,7 @@ from .core import (
     Frozen,
     Pair,
     Permutation,
+    Value,
     is_irreducible_pair,
     is_irreducible_perm,
 )
@@ -32,7 +33,7 @@ class MalformedMatrix(Exception):
     """A matrix does not have the shape its decoder requires."""
 
 
-class ZorichMove:
+class ZorichMove(Value):
     """One same-winner run of moves: each symbol of ``losers_max`` loses
     ``max_count`` times, each of ``losers_min`` once less.
 
@@ -50,19 +51,6 @@ class ZorichMove:
         self.max_count = max_count
         self.losers_max = losers_max
         self.losers_min = losers_min
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.winner, self.losers, self.max_count, self.losers_max, self.losers_min) == (
-            other.winner, other.losers, other.max_count, other.losers_max, other.losers_min)
-
-    def __hash__(self):
-        return hash((self.winner, self.losers, self.max_count, self.losers_max, self.losers_min))
-
-    def __repr__(self):
-        return (f"ZorichMove(winner={self.winner!r}, losers={self.losers!r}, max_count={self.max_count!r}, "
-                f"losers_max={self.losers_max!r}, losers_min={self.losers_min!r})")
 
     @property
     def steps(self) -> int:
@@ -115,15 +103,6 @@ class RauzyPath(Frozen):
         object.__setattr__(self, "moves", moves)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "grouping", grouping)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.flavor, self.index, self.start, self.moves, self.types, self.grouping) == (
-            other.flavor, other.index, other.start, other.moves, other.types, other.grouping)
-
-    def __hash__(self):
-        return hash((self.flavor, self.index, self.start, self.moves, self.types, self.grouping))
 
     def __reduce__(self):  # copy and pickle rebuild through __init__, ``grouping`` by keyword
         from functools import partial

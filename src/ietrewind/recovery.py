@@ -68,14 +68,6 @@ class PartiallyOrderedPair(Frozen):
         object.__setattr__(self, "q0", q0)
         object.__setattr__(self, "q1", q1)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alphabet, self.q0, self.q1) == (other.alphabet, other.q0, other.q1)
-
-    def __hash__(self):
-        return hash((self.alphabet, self.q0, self.q1))
-
     @property
     def n(self) -> int:
         return len(self.alphabet)

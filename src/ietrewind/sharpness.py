@@ -54,14 +54,6 @@ class PivotWitness(Frozen):
         object.__setattr__(self, "pop", pop)
         object.__setattr__(self, "pivots", pivots)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.pop, self.pivots) == (other.pop, other.pivots)
-
-    def __hash__(self):
-        return hash((self.pop, self.pivots))
-
     @property
     def alphabet(self) -> tuple:
         return self.pop.alphabet
@@ -221,15 +213,6 @@ class SharpnessResult(Frozen):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "checkpoints", checkpoints)
         object.__setattr__(self, "unresolved", unresolved)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.depth, self.moves, self.types, self.start, self.checkpoints, self.unresolved) == (
-            other.n, other.depth, other.moves, other.types, other.start, other.checkpoints, other.unresolved)
-
-    def __hash__(self):
-        return hash((self.n, self.depth, self.moves, self.types, self.start, self.checkpoints, self.unresolved))
 
 
 def build_ambiguous_path(n: int) -> SharpnessResult:

@@ -499,6 +499,13 @@ _PERM_0100 = [  # the matrices of simulate --script 0,1,0,0 from the permutation
           "moves": [{"winner": 3, "losers": [1], "type": 0}]}, "p0 names [1], which cannot be a symbol"),
         ({"version": 1, "flavor": "pair", "alphabet": [1, 2, 3, 4], "index": [1, 2, 3, {"a": 4}],
           "moves": [{"winner": 1, "losers": [2], "type": 0}]}, "index names {'a': 4}, which cannot be a symbol"),
+        # a version, and a start's n, that equal an integer but are not JSON integers (each once accepted)
+        ({"version": True, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "moves": [{"winner": 4, "losers": [3], "type": 0}]}, "expected a version-1 path file"),
+        ({"version": 1.0, "flavor": "pair", "alphabet": [1, 2, 3, 4],
+          "moves": [{"winner": 4, "losers": [3], "type": 0}]}, "expected a version-1 path file"),
+        ({"version": 1, "flavor": "permutation", "n": 3, "start": {"n": 3.0, "image": [3, 2, 1]},
+          "moves": [{"winner": 3, "losers": [1], "type": 0}]}, "declared n disagrees with the image length"),
     ],
 )
 def test_malformed_path_files_exit_four(tmp_path, path_file, detail):
@@ -539,6 +546,8 @@ def test_simulate_start_rows_must_be_arrays(tmp_path):
         # a row symbol written unlike its alphabet entry: the file was one its own reader rejects
         ({"alphabet": [1, 2, 3], "p0": [1, 2, 3], "p1": [3, True, 2]}, "start names true where its alphabet has 1"),
         ({"alphabet": [0.0, 1, 2], "p0": [-0.0, 1, 2], "p1": [2, 1, 0.0]}, "start names -0.0 where its alphabet has 0.0"),
+        # a declared size that equals the image length but is not a JSON integer (once accepted)
+        ({"n": 3.0, "image": [3, 2, 1]}, "declared n disagrees with the image length"),
     ):
         start.write_text(json.dumps(obj))
         proc = _run("simulate", "--start", str(start), "--script", "0")

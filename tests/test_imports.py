@@ -1,9 +1,10 @@
-"""What each command loads, the lazy package, and the hand-written value classes."""
+"""What each command loads, the lazy package, and the value classes."""
 from __future__ import annotations
 
 import copy
 import json
 import pickle
+import pkgutil
 import subprocess
 import sys
 from importlib import import_module
@@ -13,7 +14,7 @@ import pytest
 
 import ietrewind
 from ietrewind import cli
-from ietrewind.core import Pair, Permutation, make_pair
+from ietrewind.core import Frozen, Pair, Permutation, Value, make_pair
 from ietrewind.oracle import RealizabilityReport
 from ietrewind.rauzy import RauzyPath, ZorichMove, simulate_pair
 from ietrewind.recovery import PartiallyOrderedPair
@@ -136,19 +137,55 @@ def _values():
     ]
 
 
+def _fields(value) -> tuple:
+    return tuple(getattr(value, name) for name in type(value).__slots__ if name != "__weakref__")
+
+
+def _with_field(value, name, new):
+    """A copy of ``value`` whose field ``name`` holds ``new``, built past ``__init__``."""
+    copied = object.__new__(type(value))
+    for slot in type(value).__slots__:
+        if slot != "__weakref__":
+            object.__setattr__(copied, slot, new if slot == name else getattr(value, slot))
+    return copied
+
+
+def test_the_value_list_covers_every_value_class():
+    for info in pkgutil.iter_modules(ietrewind.__path__):
+        import_module(f"ietrewind.{info.name}")
+    found, todo = set(), [Value]
+    while todo:
+        cls = todo.pop()
+        found.add(cls)
+        todo.extend(cls.__subclasses__())
+    found = {cls for cls in found if cls.__module__.startswith("ietrewind.")} - {Value, Frozen}
+    assert found == {type(a) for a, _, _ in _values()} | {cli._Records}
+
+
 def test_value_classes_compare_and_hash_by_their_fields():
     for a, b, other in _values():
         assert a is not b and a == b and not a != b, type(a)
         assert hash(a) == hash(b) and len({a, b, other}) == 2, type(a)
         assert a != other and not a == other, type(a)
-        assert a != tuple(getattr(a, name) for name in type(a).__slots__ if name != "__weakref__")
+        assert a != _fields(a)
+        assert hash(a) == hash(_fields(a)), type(a)  # the hash values, and so set and dict orders, of before
     records = cli._Records((), (), {})
     assert records == cli._Records((), (), {}) and records != cli._Records((), (0,), {})
 
 
+def test_replacing_any_one_field_makes_a_value_unequal():
+    for a in [a for a, _, _ in _values()] + [cli._Records((), (), {})]:
+        names = [name for name in type(a).__slots__ if name != "__weakref__"]
+        assert _with_field(a, names[0], getattr(a, names[0])) == a, type(a)
+        for name in names:
+            assert _with_field(a, name, object()) != a, (type(a), name)
+
+
 def test_frozen_value_classes_reject_assignment():
-    frozen = [a for a, _, _ in _values() if type(a) is not ZorichMove] + [cli._Records((), (), {})]
-    for value in frozen:
+    values = [a for a, _, _ in _values()] + [cli._Records((), (), {})]
+    for value in values:
+        assert copy.copy(value) == value == pickle.loads(pickle.dumps(value)), type(value)
+    for value in (value for value in values if type(value) is not ZorichMove):
         name = type(value).__slots__[0]
         before = getattr(value, name)
         with pytest.raises(AttributeError):
@@ -158,12 +195,13 @@ def test_frozen_value_classes_reject_assignment():
         with pytest.raises(AttributeError):
             value.not_a_field = 1
         assert getattr(value, name) is before
-        assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
 
 
 def test_value_classes_keep_the_field_repr():
     assert repr(Pair((1, 2), (1, 2), (2, 1))) == "Pair(alphabet=(1, 2), row0=(1, 2), row1=(2, 1))"
     assert repr(Permutation((2, 1))) == "Permutation(image=(2, 1))"
+    assert repr(ZorichMove(1, frozenset({2}), 1, frozenset({2}))) == (
+        "ZorichMove(winner=1, losers=frozenset({2}), max_count=1, losers_max=frozenset({2}), losers_min=frozenset())")
     assert repr(RealizabilityReport(0, ())) == "RealizabilityReport(candidates_checked=0, realizers=())"
     path = RauzyPath("pair", (1, 2), None, (), ())
     assert repr(path) == "RauzyPath(flavor='pair', index=(1, 2), start=None, moves=(), types=(), grouping=None)"

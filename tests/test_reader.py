@@ -113,11 +113,17 @@ def test_other_layouts_and_values_read_as_json_loads_reads_them():
          False),  # the layout, but not at top level
         (text.replace('"version": 1', '"version": "\u00e9\u00e9"'), True),  # not ASCII outside the matrices
         (text.replace('"flavor": "permutation"', '"flavor": "permutation", "x": [{"matrices": 1}]'), True),
+        (text.replace('"flavor": "permutation"', '"flavor": "permutation", "matrices": 7'), True),  # the array's value holds
+        (text.replace('"version": 1', '"version": 1,\n  "x": NaN'), False),  # another constant
+        (text.replace('"version": 1', '"version": 1,\n  "x": -Infinity'), False),
+        ("[" + text + "]", False),  # the layout in an object that is not the top level
     ):
         got = _outcome(_read, other)
         matrices = got.get("matrices") if type(got) is dict else None
         assert from_bytes is (type(matrices) is list and bool(matrices) and type(matrices[0]) is tuple), other[:80]
-        assert _outcome(_plain, _read, other) == _outcome(_plain, _reference, other), other[:80]
+        # compared as text, as NaN != NaN; an error's type shows by its repr
+        got, want = (json.dumps(_outcome(_plain, read, other), default=repr) for read in (_read, _reference))
+        assert got == want, other[:80]
 
 
 def test_a_file_that_is_not_utf_8_fails_as_before():
