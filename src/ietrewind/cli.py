@@ -160,11 +160,12 @@ def _unknown_symbol(j, winner, losers, kind) -> InputError:
 
 
 def _array_field(obj, key) -> list:
-    """``obj[key]``, which must be a JSON array when present and not null; [] otherwise."""
+    """``obj[key]``, which must be a JSON array when present and not null; [] otherwise.
+    A tuple is an array that :func:`_read_json` read from the file's bytes."""
     value = obj.get(key)
     if value is None:
         return []
-    if type(value) is not list:
+    if type(value) not in (list, tuple):
         raise InputError(f"{key} must be a JSON array")
     return value
 
@@ -214,7 +215,16 @@ def load_path_file(obj: dict) -> dict:
     if matrices:
         moves = [extract_move(m, index) for m in matrices] if flavor == "pair" else decode_perm_matrices(matrices)[0]
     kind, units = {s: type(s) for s in index}, {}
-    moves = [_record_move(item, flavor, kind, j, move, units) for j, (item, move) in enumerate(zip(records, moves), 1)] or moves
+    if type(records) is tuple and not matrices:
+        # read from the file's bytes, one dict per distinct text: each distinct one is
+        # built and checked once, at its first record, so that an error names that record
+        made = {}
+        for j, item in enumerate(records, 1):
+            if id(item) not in made:
+                made[id(item)] = _record_move(item, flavor, kind, j, None, units)
+        moves = list(map(made.__getitem__, map(id, records)))
+    else:
+        moves = [_record_move(item, flavor, kind, j, move, units) for j, (item, move) in enumerate(zip(records, moves), 1)] or moves
     _array_field(obj, "grouping")  # checked only: each record and matrix carries its block
     start = obj.get("start")
     if start is not None:
@@ -284,20 +294,78 @@ def _laid_out_row(piece, units):
     return row
 
 
+def _laid_out_records(data, i):
+    """The moves array laid out as the writer lays it out (:func:`_records_json`),
+    whose first record's fields open at ``data[i]``: a tuple of its records
+    as dicts, and the index past the array; ValueError where the text is not
+    that layout.
+
+    The rest of the file is split on the separator between records, and the
+    array's close is found in the last piece.  The separator holds raw
+    newlines, which no JSON string can, so a piece that reads as the fields
+    of one object is one record.  Each distinct piece is read once, into one
+    dict that every record of that text shares (:func:`_laid_out_record`)."""
+    pieces = data[i:].split(_RECORD_BREAK)
+    last = pieces[-1]
+    close = last.find(_RECORDS_CLOSE)
+    if close < 0:
+        raise ValueError("the moves array is not closed")
+    end = len(data) - len(last) + close + len(_RECORDS_CLOSE)
+    pieces[-1] = last[:close]
+    texts, heads, tails = dict.fromkeys(pieces), {}, {}
+    for piece in texts:
+        texts[piece] = _laid_out_record(piece, heads, tails)
+    return tuple(map(texts.__getitem__, pieces)), end
+
+
+def _laid_out_record(piece, heads, tails):
+    """The dict of a record whose text between its braces is ``piece``.
+
+    A record is split where its losers array closes, and each half is read
+    with ``json.loads`` once per distinct text, kept in ``heads`` and
+    ``tails``: a file has a few hundred of each however many records it has.
+    The head read with that close, and the tail as an object of its own,
+    make the record's fields in order, a later key winning as ``json.loads``
+    lets it; a tail with no field would leave a trailing comma."""
+    head, cut, tail = piece.partition(_LOSERS_CLOSE)
+    if not cut:
+        return json.loads("{" + piece.decode("utf-8") + "}")
+    first = heads.get(head)
+    if first is None:
+        first = heads[head] = json.loads("{" + head.decode("utf-8") + "]}")
+    rest = tails.get(tail)
+    if rest is None:
+        rest = tails[tail] = json.loads("{" + tail.decode("utf-8") + "}")
+        if not rest:
+            raise ValueError("a record's losers close before a trailing comma")
+    return {**first, **rest}
+
+
+
 def _laid_out_object(data):
     """``json.loads`` of the UTF-8 text ``data`` when it is a JSON object whose
-    top-level ``matrices`` array is laid out as the writer lays it out; that
-    array is read from its bytes (:func:`_laid_out_matrices`), and only the
-    rest of the text is decoded and read by ``json.loads``, with a ``NaN`` in
-    the array's place.  The result is taken only if that ``NaN`` is the one
-    constant read and the value that ``matrices`` keeps.  ValueError (or
-    RecursionError) where it is not."""
-    head = (_MATRICES_HEAD + _ROW_HEAD).encode()
-    at = data.find(b'"matrices": ' + head)
-    if at < 0:
-        raise ValueError("no matrices laid out as the writer lays them out")
-    at += len(b'"matrices": ')
-    matrices, end = _laid_out_matrices(data, at + len(head))
+    top-level ``matrices`` array, or else ``moves`` array, is laid out as the
+    writer lays it out; that array is read from its bytes
+    (:func:`_laid_out_matrices`, :func:`_laid_out_records`), and only the rest
+    of the text is decoded and read by ``json.loads``, with a ``NaN`` in the
+    array's place.  The result is taken only if that ``NaN`` is the one
+    constant read and the value that its key keeps.  ValueError (or
+    RecursionError) where it is not.
+
+    The writer sorts keys, and those before ``matrices`` hold one value per
+    symbol or block at most, so the array is looked for only where the first
+    top-level key from ``m`` on opens: no search runs through a file's bulk.
+    In a file with matrices the records are left to ``json.loads``: there
+    is one per block, mostly distinct, so reading them from bytes saves
+    little time and holds more memory than the objects it saves."""
+    at = data.find(b'\n  "m') + 3
+    for key, head, read in (("matrices", _MATRICES_OPEN, _laid_out_matrices), ("moves", _RECORDS_OPEN, _laid_out_records)):
+        if data.startswith(b'"%s": %s' % (key.encode(), head), at):
+            break
+    else:
+        raise ValueError("no matrices or moves laid out as the writer lays them out")
+    at += len(key) + len('"": ')
+    value, end = read(data, at + len(head))
     constants = []
 
     def constant(name):  # a fresh object per constant read, so each is told apart
@@ -305,17 +373,19 @@ def _laid_out_object(data):
         return constants[-1]
 
     obj = json.loads(data[:at].decode("utf-8") + "NaN" + data[end:].decode("utf-8"), parse_constant=constant)
-    if type(obj) is not dict or len(constants) != 1 or obj.get("matrices") is not constants[0]:
+    if type(obj) is not dict or len(constants) != 1 or obj.get(key) is not constants[0]:
         raise ValueError("another constant, or the array inside another value or under a repeated key")
-    obj["matrices"] = matrices
+    obj[key] = value
     return obj
 
 
 def _read_json(path):
     """The JSON value of the UTF-8 file at ``path`` ("-" for stdin), as
-    ``json.loads`` gives it, except that a top-level ``matrices`` array laid
-    out as the writer lays it out is read from the file's bytes
-    (:func:`_laid_out_object`), its matrices tuples of int tuples.  Any other
+    ``json.loads`` gives it, except that a top-level ``matrices`` or
+    ``moves`` array laid out as the writer lays it out is read from the
+    file's bytes (:func:`_laid_out_object`): its matrices tuples of int
+    tuples, and its records a tuple in which the records of one text share
+    one dict.  Any other
     file, and any that fails a check there, is read by ``json.loads``, with
     its errors."""
     try:
@@ -363,6 +433,10 @@ def _read_json(path):
 # a record is the head with its k, its losers, then the tail with its power, type and winner
 _MOVE_HEAD = '{\n      "k": %s,\n      "losers": [\n        '
 _MOVE_TAIL = '\n      ],\n      "power": %s,\n      "type": %s,\n      "winner": %s\n    }'
+# and what the reader takes from that layout: the open of a moves array, the break
+# between two records, the array's close, and the close of a record's losers
+_RECORDS_OPEN, _RECORD_BREAK = b"[\n    {\n      ", b"\n    },\n    {\n      "
+_RECORDS_CLOSE, _LOSERS_CLOSE = b"\n    }\n  ]", b"\n      ],\n      "
 
 
 class _Records(Frozen):
@@ -394,6 +468,7 @@ def _joined(head, sep, texts, tail):
 
 _ROW_HEAD, _ENTRY_SEP, _ROW_TAIL, _ROW_SEP = "[\n        ", ",\n        ", "\n      ]", ",\n      "
 _MATRICES_HEAD, _MATRIX_SEP, _MATRICES_TAIL = "[\n    [\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"
+_MATRICES_OPEN = (_MATRICES_HEAD + _ROW_HEAD).encode()  # what the reader takes for the open of that layout
 _MATRIX_CHARS_PER_PIECE = 1 << 18
 
 

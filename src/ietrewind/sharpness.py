@@ -200,7 +200,10 @@ def _push_odd_path(builder: _Backward, r: int, b3):
 class SharpnessResult(Frozen):
     """An ambiguous path: ``depth`` complete stretches, settled start not
     recoverable; ``unresolved`` letters stay bunched per row.  ``moves``
-    are unit ZorichMoves, and ``types`` holds each one's type."""
+    are unit ZorichMoves, and ``types`` holds each one's type.
+    ``checkpoints`` pairs each stage's label with the two rows of the
+    knowledge after it, as :meth:`_Backward.snapshot` gives them; only
+    ``start`` is a :class:`PartiallyOrderedPair`."""
 
     __slots__ = ("n", "depth", "moves", "types", "start", "checkpoints", "unresolved", "__weakref__")
 
@@ -224,11 +227,11 @@ def build_ambiguous_path(n: int) -> SharpnessResult:
     alphabet = tuple(range(1, n + 1))
     builder = _Backward(alphabet)
     _push_first_segment(builder, n)
-    checkpoints = [("segment", builder.pop_state())]
+    checkpoints = [("segment", builder.snapshot())]
     for i in range(depth - 1):
         r = builder.settled_row()
         _push_refresh(builder, r)
-        checkpoints.append((f"refresh{i}", builder.pop_state()))
+        checkpoints.append((f"refresh{i}", builder.snapshot()))
         unresolved_block = next(iter(builder.rows[1 - r]))
         u = len(unresolved_block)
         assert u >= 4
@@ -236,10 +239,10 @@ def build_ambiguous_path(n: int) -> SharpnessResult:
         order = sorted(unresolved_block, key=position.__getitem__)
         for j in range(0, u - 1, 2):
             _push_pair_path(builder, r, order[j], order[j + 1])
-            checkpoints.append((f"pair{i}.{j // 2}", builder.pop_state()))
+            checkpoints.append((f"pair{i}.{j // 2}", builder.snapshot()))
         if u % 2:
             _push_odd_path(builder, r, order[-1])
-            checkpoints.append((f"odd{i}", builder.pop_state()))
+            checkpoints.append((f"odd{i}", builder.snapshot()))
     start = builder.pop_state()
     moves = tuple(reversed(builder.moves))
     winners = [m.winner for m in moves]

@@ -898,3 +898,36 @@ def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypat
                 run(command[0], str(path_file), *command[1:])
                 assert calls["decode_A"] == 0
                 assert calls["render"] == calls["record"] == 0
+
+
+def test_commands_build_each_distinct_record_once(tmp_path, monkeypatch):
+    from ietrewind import cli
+
+    path_file, out = tmp_path / "sharp.json", tmp_path / "out.json"
+    assert cli.main(["sharpness", "--n", "40", "--out", str(path_file)]) == 0
+    obj = json.loads(path_file.read_text())
+    distinct = {json.dumps(item, sort_keys=True) for item in obj["moves"]}
+    assert len(obj["moves"]) > 2 * len(distinct)
+    built = []
+
+    def record_move(item, *args):
+        built.append(json.dumps(item, sort_keys=True))
+        return real(item, *args)
+
+    real = cli._record_move
+    monkeypatch.setattr(cli, "_record_move", record_move)
+    for command in ("recover", "verify"):
+        built.clear()
+        assert cli.main([command, str(path_file), "--out", str(out)]) == 0
+        assert sorted(built) == sorted(distinct)  # once per distinct record text
+    # a bad record at entries 3 and 7, one text read once: the error names the first
+    obj["moves"][2] = obj["moves"][6] = dict(obj["moves"][2], winner=99)
+    path_file.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    records = cli._read_json(str(path_file))["moves"]
+    assert records[2] is records[6]  # one dict per distinct text: read from the file's bytes
+    for command in ("recover", "verify"):
+        built.clear()
+        assert cli.main([command, str(path_file), "--out", str(out)]) == 4
+        assert json.loads(out.read_text())["detail"] == (
+            "the winner of move record 3 names 99, which is not a symbol of the file")
+        assert len(built) == len(set(built)) == len({json.dumps(item, sort_keys=True) for item in obj["moves"][:3]})

@@ -1,6 +1,7 @@
 """The path-file reader: ``cli._read_json`` reads a top-level ``matrices``
-array in the layout that every command writes from the file's bytes, and
-must give what the text reader it replaces gave, errors included."""
+or ``moves`` array in the layout that every command writes from the file's
+bytes, and must give what the text reader it replaces gave, errors
+included."""
 from __future__ import annotations
 
 import json
@@ -54,12 +55,12 @@ def _plain(read, text):
 
 
 def _loaded(read, text):
-    """The moves and start that ``load_path_file`` reads from what ``read`` gives."""
+    """The moves, types and start that ``load_path_file`` reads from what ``read`` gives."""
     data = cli.load_path_file(read(text))
-    return data["moves"], data["start"]
+    return data["moves"], data["types"], data["start"]
 
 
-def _simulated(pair, n, seed, types, grouped, with_start):
+def _simulated(pair, n, seed, types, grouped, with_start, with_matrices=True):
     """The text of a ``simulate`` file, as the command writes it."""
     rng, symbols = random.Random(seed), list(range(1, n + 1))
     while True:
@@ -76,11 +77,21 @@ def _simulated(pair, n, seed, types, grouped, with_start):
         start_file.write_text(json.dumps(pair_to_obj(start) if pair else perm_to_obj(start)))
         assert cli.main(["simulate", "--start", str(start_file), "--script", script, "--out", str(out)]) == 0
         text = out.read_text()
-    if not with_start:
+    if not (with_start and with_matrices):
         obj = json.loads(text)
-        del obj["start"]
+        for key, kept in (("start", with_start), ("matrices", with_matrices)):
+            if not kept:
+                del obj[key]
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     return text
+
+
+def _sharpness(n):
+    """The text of a ``sharpness --n n`` file, as the command writes it."""
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "path.json"
+        assert cli.main(["sharpness", "--n", str(n), "--out", str(out)]) == 0
+        return out.read_text()
 
 
 def test_written_matrices_are_read_from_their_text():
@@ -93,6 +104,55 @@ def test_written_matrices_are_read_from_their_text():
     units = {}  # each unit row's text is read once, into one shared tuple
     for row in (row for m in matrices for row in m if sum(row) == 1):
         assert units.setdefault(row, row) is row
+
+
+def test_written_records_are_read_from_their_text():
+    for text in (_simulated(False, 5, 2, [1, 0, 0, 1, 1, 1, 0, 0], False, False, False),
+                 _simulated(True, 5, 1, [0, 0, 1, 1, 0, 1, 1, 0], True, True, False), _sharpness(9)):
+        obj = cli._laid_out_object(text.encode())  # takes no other path: it raises where the layout fails
+        assert json.loads(json.dumps(obj)) == json.loads(text)
+        assert type(obj["moves"]) is tuple
+        shared = {}  # each record's text is read once, into one dict that its records share
+        for record in obj["moves"]:
+            assert shared.setdefault(json.dumps(record, sort_keys=True), record) is record
+    assert len(shared) < len(obj["moves"])  # a sharpness file repeats records
+    # with matrices, the records are left to json.loads: one dict per record
+    text = _simulated(True, 5, 1, [0, 0, 1, 1, 0, 1, 1, 0], False, True)
+    obj = cli._laid_out_object(text.encode())
+    assert json.loads(json.dumps(obj)) == json.loads(text)
+    assert type(obj["matrices"][0]) is tuple and type(obj["moves"]) is list
+
+
+def test_other_record_layouts_read_as_json_loads_reads_them():
+    text = _sharpness(8)
+    record = text[text.index('"moves": [\n    {') + len('"moves": [\n    '):text.index("\n    },")] + "\n    }"
+    for other, from_bytes in (
+        (json.dumps(json.loads(text)), False),  # compact
+        (text.replace('"moves": [\n    {', '"moves": [ \n    {'), False),  # one stray space
+        (text.replace('"moves": [\n', '"moves": [\n    {},\n', 1), False),  # a record as json.dumps does not lay it out
+        (text.replace('"index": [', '"moves": 7,\n  "index": ['), False),  # a key from m on before the array
+        (text.replace('"version": 1', '"moves": 7,\n  "version": 1'), False),  # a repeated key's last value holds
+        (text.replace('"moves": [', '"x": {"moves": [', 1).replace('\n  ],\n  "report"', '\n  ]},\n  "report"', 1),
+         False),  # the layout, but not at top level
+        (text.replace("\n", "\r\n"), False),
+        (text.replace('"version": 1', '"version": 1,\n  "x": NaN'), False),  # another constant
+        (text.replace('"winner": 8', '"winner": NaN', 1), True),  # a constant in a record is the record's own
+        (text.replace('"winner": 8', '"winner": "\u00e9"', 1), True),  # not ASCII inside a record
+        (text.replace('"type": 0', '"type": 0,\n      "type": 1', 1), True),  # a key repeated inside a record
+        (text.replace('"k": null', '"losers": 5,\n      "k": null', 1), True),  # and across the losers' close
+        (text.replace('"version": 1', '"version": "\u00e9\u00e9"'), True),  # not ASCII outside the records
+        (text.replace(record, record + ",\n    " + record, 1), True),
+        (text.replace(record, record[:record.index("],\n") + len("],\n      ")] + "\n    }", 1),
+         False),  # a trailing comma after the losers' close
+        (text.replace(record + ",", record + ",,", 1), False),
+    ):
+        assert other != text
+        got = _outcome(_read, other)
+        moves = got.get("moves") if type(got) is dict else None
+        assert from_bytes is (type(moves) is tuple), other[:80]
+        got, want = (json.dumps(_outcome(_plain, read, other), default=repr) for read in (_read, _reference))
+        assert got == want, other[:80]
+        assert _outcome(_loaded, _read, other) == _outcome(_loaded, _reference, other)
 
 
 def test_other_layouts_and_values_read_as_json_loads_reads_them():
@@ -190,4 +250,69 @@ def test_edited_matrices_read_as_json_loads_reads_them(pair, n, seed, types, gro
     hi = json.JSONDecoder().raw_decode(text, lo)[1]
     for _ in range(data.draw(st.integers(1, 3))):
         text, hi = _edit(data, text, lo, hi)
+    assert _outcome(_loaded, _read, text) == _outcome(_loaded, _reference, text)
+
+
+_RECORD_SEP = "\n    },\n    {\n      "
+_FIELD = re.compile(r'\n      "(?:k|losers|power|type|winner)": ')
+_RECORD_VALUE = re.compile(r"(?<=: )(?:-?\d+|null)|(?<=\n        )-?\d+")
+
+
+def _edit_record(data, text, lo, hi):
+    """``text`` with one edit drawn inside the records of ``text[lo:hi]``, and the new ``hi``."""
+    def at(pattern):  # the span of one match of ``pattern`` in the records, drawn, else None
+        spans = [(lo + m.start(), lo + m.end()) for m in pattern.finditer(text[lo:hi])]
+        return data.draw(st.sampled_from(spans)) if spans else None
+
+    def replaced(a, b, new):
+        return text[:a] + new + text[b:], hi + len(new) - (b - a)
+
+    kind = data.draw(st.sampled_from(["value", "repeat key", "drop separator", "merge records", "double separator",
+                                      "span records", "stray"]))
+    if kind == "value":
+        span = at(_RECORD_VALUE)
+        return replaced(*span, data.draw(st.sampled_from(["1.0", "true", '"1"', "NaN"]))) if span else (text, hi)
+    if kind == "repeat key":
+        span = at(_FIELD)
+        key = data.draw(st.sampled_from(["k", "losers", "power", "type", "winner"]))
+        value = data.draw(st.sampled_from(["1", "2", "null", "[1]", "[]"]))
+        return replaced(span[1], span[1], f'"{key}": {value},\n      ') if span else (text, hi)
+    if kind == "stray":
+        return replaced(*(data.draw(st.integers(lo, hi)),) * 2, data.draw(st.sampled_from(["]", "}"])))
+    span = at(re.compile(re.escape(_RECORD_SEP)))
+    if span is None:
+        return text, hi
+    if kind == "drop separator":
+        return replaced(*span, "")
+    if kind == "merge records":  # two records' fields as one record's, later keys winning
+        return replaced(*span, ",\n      ")
+    if kind == "double separator":
+        return replaced(*span, _RECORD_SEP * 2)
+    # a value of one record that opens an array of objects, closed in a later record
+    opened = at(_RECORD_VALUE)
+    if opened is None or opened[0] > span[0]:
+        return text, hi
+    closed = span[1] + text[span[1]:hi].find("\n    }")  # the end of the record after the separator
+    text, hi = replaced(closed, closed, "}]")
+    return replaced(opened[0], opened[0], '[{"v": ')
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    sharpness=st.booleans(),
+    pair=st.booleans(),
+    n=st.integers(3, 9),
+    seed=st.integers(0, 2**32 - 1),
+    types=st.lists(st.integers(0, 1), min_size=1, max_size=12),
+    grouped=st.booleans(),
+    data=st.data(),
+)
+def test_edited_records_read_as_json_loads_reads_them(sharpness, pair, n, seed, types, grouped, data):
+    # a simulate file has its records read from bytes once its matrices are gone
+    with_matrices = data.draw(st.booleans())
+    text = _sharpness(n + 5) if sharpness else _simulated(pair, n, seed, types, grouped, True, with_matrices)
+    lo = text.index('"moves": ') + len('"moves": ')
+    hi = json.JSONDecoder().raw_decode(text, lo)[1]
+    for _ in range(data.draw(st.integers(1, 3))):
+        text, hi = _edit_record(data, text, lo, hi)
     assert _outcome(_loaded, _read, text) == _outcome(_loaded, _reference, text)

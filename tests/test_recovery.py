@@ -217,6 +217,18 @@ def test_recover_pair_input_errors():
         recover_pair(_SMALL_MOVES, alphabet=(1, 2, 3, 4, 5))
 
 
+def test_alphabet_mismatch_names_the_first_step_of_a_repeated_bad_move():
+    # each bad move is one shared object at several entries; the error names
+    # the earliest entry that holds a bad move, whichever move that is
+    good, other, bad, worse = (ZorichMove(w, _fs({l}), 1, _fs({l})) for w, l in ((1, 2), (2, 3), (1, 9), (8, 2)))
+    with pytest.raises(AlphabetMismatch, match="^step 3: symbols outside the alphabet$"):
+        recover_pair([good, other, bad, good, bad, other], alphabet=(1, 2, 3))
+    with pytest.raises(AlphabetMismatch, match="^step 3: symbols outside the alphabet$"):
+        recover_pair([good, other, bad, worse, bad], alphabet=(1, 2, 3))
+    with pytest.raises(AlphabetMismatch, match="^step 2: symbols outside the alphabet$"):
+        recover_pair([good, worse, bad, worse], alphabet=(1, 2, 3))
+
+
 def test_unrealizable_winner_branch():
     with pytest.raises(Unrealizable) as exc:
         recover_pair([(1, {3}), (2, {3})])

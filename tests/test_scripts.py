@@ -31,6 +31,20 @@ def test_script_exits_zero(name, argv, capsys):
     assert out.splitlines()[0].split()[0] == "n"
 
 
+def test_phase_cost_times_each_phase_of_recover(capsys, tmp_path):
+    from ietrewind import cli
+
+    path = tmp_path / "sharp.json"
+    assert cli.main(["sharpness", "--n", "16", "--out", str(path)]) == 0
+    assert _load(_ROOT / "scripts" / "phase_cost.py").main([str(path), str(path)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["read_json_s", "load_path_file_s", "recover_report_s", "emit_s", "path"]
+    assert len(rows) == 2
+    for row in rows:
+        *times, name = row.split()
+        assert name == str(path) and len(times) == 4 and all(float(t) > 0 for t in times)
+
+
 def test_ab_cli_runs_one_command_from_both_trees(capsys, tmp_path):
     src = str(_ROOT / "src")
     ab = _load(_ROOT / "scripts" / "ab_cli.py")

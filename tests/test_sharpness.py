@@ -59,11 +59,11 @@ def test_eight_letter_construction_checkpoints():
         "pair0.0",
         "pair0.1",
     ]
-    states = dict(result.checkpoints)
-    assert states["segment"] == _P1
-    assert states["refresh0"] == _P1
-    assert states["pair0.0"] == _P2
-    assert states["pair0.1"] == _P3
+    states = dict(result.checkpoints)  # each the two rows of the state, over the fixed alphabet
+    assert states["segment"] == (_P1.q0, _P1.q1)
+    assert states["refresh0"] == (_P1.q0, _P1.q1)
+    assert states["pair0.0"] == (_P2.q0, _P2.q1)
+    assert states["pair0.1"] == (_P3.q0, _P3.q1)
     assert result.start == _P3
 
 
