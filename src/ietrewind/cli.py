@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
 import json
 import random
@@ -170,8 +171,20 @@ def _array_field(obj, key) -> list:
     return value
 
 
+def _per_object(fn, items) -> list:
+    """``[fn(j, item) for j, item in enumerate(items, 1)]``, with ``fn`` called
+    once per distinct object, at its first place, so that an error names the
+    first entry that has it.  ``items`` keeps each object alive, so no id is
+    reused."""
+    made = {}
+    for j, item in enumerate(items, 1):
+        if id(item) not in made:
+            made[id(item)] = fn(j, item)
+    return list(map(made.__getitem__, map(id, items)))
+
+
 def load_path_file(obj: dict) -> dict:
-    """Read a version-1 path file, checking and decoding each entry once.
+    """Read a version-1 path file, checking and decoding each distinct entry once.
 
     ``moves`` has one move per entry, as both recoveries read them: decoded
     from the matrices if there are any, else built from the records, one
@@ -210,19 +223,15 @@ def load_path_file(obj: dict) -> dict:
         raise InputError("a path file needs moves or matrices")
     if records and raw and len(records) != len(raw):
         raise InputError("moves and matrices must align one to one")
-    matrices = tuple(_parse_matrix(m, n) for m in raw)
+    # read from the file's bytes, the matrices and records of one text are one
+    # object each: each distinct one is checked and decoded once (_per_object)
+    matrices = _per_object(lambda j, m: _parse_matrix(m, n), raw)
     moves = [None] * len(records)
     if matrices:
-        moves = [extract_move(m, index) for m in matrices] if flavor == "pair" else decode_perm_matrices(matrices)[0]
+        moves = _per_object(lambda j, m: extract_move(m, index), matrices) if flavor == "pair" else decode_perm_matrices(matrices)[0]
     kind, units = {s: type(s) for s in index}, {}
     if type(records) is tuple and not matrices:
-        # read from the file's bytes, one dict per distinct text: each distinct one is
-        # built and checked once, at its first record, so that an error names that record
-        made = {}
-        for j, item in enumerate(records, 1):
-            if id(item) not in made:
-                made[id(item)] = _record_move(item, flavor, kind, j, None, units)
-        moves = list(map(made.__getitem__, map(id, records)))
+        moves = _per_object(lambda j, item: _record_move(item, flavor, kind, j, None, units), records)
     else:
         moves = [_record_move(item, flavor, kind, j, move, units) for j, (item, move) in enumerate(zip(records, moves), 1)] or moves
     _array_field(obj, "grouping")  # checked only: each record and matrix carries its block
@@ -255,42 +264,67 @@ def _laid_out_matrices(data, i):
     tuples, and the index past the array; ValueError where the text is not
     that layout.
 
-    A matrix's text is found by its separator from the next one, or by the
-    close of the array, and split on the separator between rows.  Each holds
-    a raw newline, which no JSON string can, so every split falls at a
-    bracket, and a row whose text holds anything but integers fails.  The
-    text of a unit row (one 1, all else 0) maps to one shared tuple; any
-    other row is read with ``json.loads`` on its own."""
-    row_break = (_ROW_TAIL + _ROW_SEP + _ROW_HEAD).encode()
-    matrix_break = (_ROW_TAIL + _MATRIX_SEP + _ROW_HEAD).encode()
-    last = (_ROW_TAIL + _MATRICES_TAIL).encode()
-    units, matrices, find = {}, [], data.find
-    get = units.get
+    A matrix the writer lays out is the identity but for one row, so each
+    is matched against the text of the n x n identity, n counted in the
+    first row: the longest run of its rows at the matrix's start (found by
+    halving over ``memoryview`` slices of that one text, so nothing is
+    copied), the one row after it up to its close, and then the identity's
+    rows after that one, up to the separator from the next matrix or the
+    array's close.  Any other matrix (a permutation type-1 power, or a text
+    such as ``-0``) is found by that separator or close and split on the
+    separator between rows.  Each separator holds a raw newline, which no
+    JSON string can, so a row whose text holds anything but integers fails.
+    Each distinct row text is read with ``json.loads`` once, into one tuple
+    that every row of that text shares, and so the matrices of one text
+    share one tuple."""
+    row_tail, sep = _ROW_TAIL.encode(), _ROW_SEP.encode()
+    next_matrix, close = (_MATRIX_SEP + _ROW_HEAD).encode(), _MATRICES_TAIL.encode()
+    n = data.count(_ENTRY_SEP.encode(), i, data.find(row_tail, i)) + 1
+    if len(_ENTRY_SEP) * n * n > len(data):  # the identity's text would be longer than the file
+        raise ValueError("the first matrix row is longer than the file lays out")
+    unit = identity(n)
+    rows = {_ENTRY_SEP.join(map(str, row)).encode(): row for row in unit}
+    text = memoryview("".join(_row_json(row) + _ROW_SEP for row in unit).encode())
+    stride, head = len(text) // n, len(_ROW_HEAD)
+    runs = [text[head:k * stride + head] for k in range(n)]  # k rows from the first's entries, to the head of row k
+    rests = [text[(k + 1) * stride - len(sep):-len(sep)] for k in range(n)]  # the rows after row k, each after its separator
+    shared, matrices, starts = {}, [], data.startswith
     while True:
-        end = find(matrix_break, i)
-        if end < 0:
-            end = find(last, i)
-            if end < 0:
-                raise ValueError("the matrices array is not closed")
-        pieces = data[i:end].split(row_break)
-        rows = tuple(map(get, pieces))
-        if None in rows:
-            rows = tuple(get(piece) or _laid_out_row(piece, units) for piece in pieces)
-        matrices.append(rows)
-        if data.startswith(last, end):
-            return matrices, end + len(last)
-        i = end + len(matrix_break)
+        lo, hi = 0, n - 1  # the longest run of identity rows at the matrix's start
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if starts(runs[mid], i) else (lo, mid - 1)
+        at, rest = i + lo * stride, rests[lo]
+        end = data.find(row_tail, at)
+        after = end + len(row_tail) + len(rest)
+        if end >= 0 and starts(rest, end + len(row_tail)) and starts((next_matrix, close), after):
+            key = lo, data[at:end]
+            m = shared.get(key)
+            if m is None:
+                m = shared[key] = unit[:lo] + (rows.get(key[1]) or _laid_out_row(key[1], rows),) + unit[lo + 1:]
+        else:
+            after = data.find(row_tail + next_matrix, i)
+            if after < 0:
+                after = data.find(row_tail + close, i)
+                if after < 0:
+                    raise ValueError("the matrices array is not closed")
+            pieces = data[i:after].split(row_tail + sep + _ROW_HEAD.encode())
+            m = tuple(rows.get(piece) or _laid_out_row(piece, rows) for piece in pieces)
+            m = shared.setdefault(tuple(map(id, m)), m)
+            after += len(row_tail)
+        matrices.append(m)
+        if starts(close, after):
+            return matrices, after + len(close)
+        i = after + len(next_matrix)
 
 
-def _laid_out_row(piece, units):
+def _laid_out_row(piece, rows):
     """The int tuple of a matrix row whose text between its brackets is
-    ``piece``, kept in ``units`` by its text if it is a unit row."""
+    ``piece``, kept in ``rows`` by that text."""
     row = json.loads("[" + piece.decode("ascii") + "]")
     if not {int}.issuperset(map(type, row)):
         raise ValueError("a matrix row holds a value other than an integer")
-    row = tuple(row)
-    if row.count(1) == 1 and row.count(0) == len(row) - 1:
-        units[piece] = row
+    row = rows[piece] = tuple(row)
     return row
 
 
@@ -384,19 +418,26 @@ def _read_json(path):
     ``json.loads`` gives it, except that a top-level ``matrices`` or
     ``moves`` array laid out as the writer lays it out is read from the
     file's bytes (:func:`_laid_out_object`): its matrices tuples of int
-    tuples, and its records a tuple in which the records of one text share
-    one dict.  Any other
-    file, and any that fails a check there, is read by ``json.loads``, with
-    its errors."""
+    tuples, one per distinct text, and its records a tuple in which the
+    records of one text share one dict.  Any other file, and any that fails
+    a check there, is read by ``json.loads``, with its errors.  Stdin is
+    read as bytes too, when it decodes UTF-8 and has a binary buffer; else
+    its text is read as ``sys.stdin.read()`` gives it."""
     try:
-        if path == "-":
+        if path != "-":
+            with open(path, "rb") as fh:
+                data = fh.read()
+        elif hasattr(sys.stdin, "buffer"):
+            data = sys.stdin.buffer.read()
+        else:
             return json.loads(sys.stdin.read())
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            return _laid_out_object(data)
-        except (ValueError, RecursionError):
-            pass
+        if path != "-" or codecs.lookup(sys.stdin.encoding).name == "utf-8":
+            try:
+                return _laid_out_object(data)
+            except (ValueError, RecursionError):
+                pass
+        if path == "-":  # decoded as sys.stdin.read() decodes it, which on POSIX leaves line ends as they are
+            return json.loads(data.decode(sys.stdin.encoding, sys.stdin.errors))
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError:

@@ -401,16 +401,19 @@ def decode_perm_matrices(matrices):
 
     A move is ``(k, p)`` for the p-th power of the type-1 matrix at position
     k, or the :class:`ZorichMove` of a type-0 product (winner n, losers by
-    position).
+    position).  A matrix object met again takes the move decoded at its
+    first place, and is kept with it, so that its id is not reused.
     """
-    moves, n = [], None
+    moves, n, decoded = [], None, {}
     for mat in matrices:
-        if n is None:
-            n = len(mat)
-        elif len(mat) != n:
-            raise ValueError("matrices must share one size")
-        t, k, p = decode_A(mat)
-        moves.append((k, p) if t == 1 else extract_move(mat))
+        if id(mat) not in decoded:
+            if n is None:
+                n = len(mat)
+            elif len(mat) != n:
+                raise ValueError("matrices must share one size")
+            t, k, p = decode_A(mat)
+            decoded[id(mat)] = mat, (k, p) if t == 1 else extract_move(mat)
+        moves.append(decoded[id(mat)][1])
     return moves, n
 
 

@@ -133,6 +133,18 @@ def test_recover_reads_stdin(tmp_path, pair_start_file):
     assert _json_out(piped)["Q0"] == [[2, 3, 4, 5], [1]]
 
 
+def test_piped_path_files_give_the_bytes_of_their_paths(tmp_path, pair_start_file):
+    # stdin is read as bytes, as a path is: a records-only file and one with matrices
+    sharp, pair = tmp_path / "sharp.json", tmp_path / "pair.json"
+    assert _run("sharpness", "--n", "9", "--out", str(sharp)).returncode == 0
+    assert _run("simulate", "--start", pair_start_file, "--seed", "3", "--length", "30", "--out", str(pair)).returncode == 0
+    for path in (sharp, pair):
+        for command in ("recover", "verify"):
+            want, piped = _run(command, str(path)), _run(command, "-", stdin_text=path.read_text())
+            assert piped.returncode == want.returncode == 0
+            assert piped.stdout == want.stdout
+
+
 def test_recover_from_grouped_matrices(tmp_path, pair_start_file):
     path_file = tmp_path / "grouped.json"
     _run("simulate", "--start", pair_start_file, "--script", "1x6,group(4,2)", "--out", str(path_file))
@@ -881,13 +893,15 @@ def test_commands_decode_each_matrix_once_and_never_multiply(tmp_path, monkeypat
             for command in (["recover", "--trace"], ["verify"], ["verify", "--oracle"]):
                 calls.update(extract_move=0, decode_A=0, parse=0, render=0, enumerate=0, record=0)
                 run(command[0], str(path_file), *command[1:])
-                assert calls["parse"] == len(data["matrices"])
+                # the matrices of one text are read as one object, and checked and decoded once
+                distinct = len({json.dumps(m) for m in data["matrices"]})
+                assert calls["parse"] == distinct
                 assert calls["render"] == calls["record"] == 0
                 assert calls["enumerate"] == 1
                 if flavor == "pair":
-                    assert calls["extract_move"] == len(data["matrices"])
+                    assert calls["extract_move"] == distinct
                 else:
-                    assert calls["decode_A"] == len(data["matrices"])
+                    assert calls["decode_A"] == distinct
         # a record without matrices is read from its records alone, and the
         # oracle replays the same moves: nothing is rendered or decoded
         if flavor == "permutation":

@@ -4,9 +4,11 @@ bytes, and must give what the text reader it replaces gave, errors
 included."""
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ietrewind import cli
 from ietrewind.core import Permutation, is_irreducible_pair, is_irreducible_perm, make_pair, pair_to_obj, perm_to_obj
+from ietrewind.matrices import identity
 
 
 def _in_file(read):
@@ -106,6 +109,26 @@ def test_written_matrices_are_read_from_their_text():
         assert units.setdefault(row, row) is row
 
 
+def test_written_matrices_are_each_matched_against_the_identity():
+    text = _simulated(True, 7, 2, [0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0], False, True)
+    finds = []
+
+    class Watched(bytes):  # the bytes of the file, recording what is looked for in them
+        def find(self, sub, *args):
+            finds.append(bytes(sub))
+            return super().find(sub, *args)
+
+    obj = cli._laid_out_object(Watched(text.encode()))
+    assert json.loads(json.dumps(obj)) == json.loads(text)
+    # each matrix is matched as an identity run, one row up to its close, and the
+    # identity's rows after it: no matrix is found by its separator and split
+    assert set(finds) <= {b'\n  "m', cli._ROW_TAIL.encode()}
+    matrices, shared = obj["matrices"], {}
+    for m in matrices:  # equal matrices are one tuple object
+        assert shared.setdefault(json.dumps(m), m) is m
+    assert len(shared) < len(matrices)
+
+
 def test_written_records_are_read_from_their_text():
     for text in (_simulated(False, 5, 2, [1, 0, 0, 1, 1, 1, 0, 0], False, False, False),
                  _simulated(True, 5, 1, [0, 0, 1, 1, 0, 1, 1, 0], True, True, False), _sharpness(9)):
@@ -194,6 +217,47 @@ def test_a_file_that_is_not_utf_8_fails_as_before():
         assert _outcome(_read, data) == _outcome(_reference, data)
 
 
+def _stdin_reference(path):
+    """What ``_read_json(path)`` gave for ``path`` "-" before it read stdin's
+    bytes: ``json.loads`` of ``sys.stdin.read()``, its JSON errors as InputError."""
+    assert path == "-"
+    try:
+        return json.loads(sys.stdin.read())
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise cli.InputError(f"not valid JSON: {exc}") from exc
+
+
+def test_stdin_reads_as_its_text_reads(monkeypatch):
+    text = _simulated(True, 5, 4, [1, 0, 0, 1, 1], False, True)
+    latin = text.replace('"version": 1', '"version": "\u00e9"')
+    for data, encoding, errors, from_bytes in (
+        (text.encode(), "utf-8", "strict", True),
+        (text.encode(), "utf-8", "surrogateescape", True),
+        (latin.encode(), "utf-8", "strict", True),
+        (latin.encode(), "latin-1", "strict", False),  # its text holds another value
+        (text.replace("\n", "\r\n").encode(), "utf-8", "strict", False),  # its line ends kept
+        (text.replace("        0\n", "        0\udcff\n", 1).encode("utf-8", "surrogateescape"), "utf-8", "strict", False),
+        (text.replace("        0\n", "        0\udcff\n", 1).encode("utf-8", "surrogateescape"), "utf-8", "surrogateescape",
+         False),
+        (text.replace('"version": 1', '"version": "\udcff"').encode("utf-8", "surrogateescape"), "utf-8", "surrogateescape",
+         False),
+    ):
+        def stdin():  # a stdin as Python opens it on POSIX: newline="\n" leaves line ends as they are
+            return io.TextIOWrapper(io.BytesIO(data), encoding=encoding, errors=errors, newline="\n")
+
+        outcomes = []
+        for read in (cli._read_json, _stdin_reference):
+            monkeypatch.setattr(sys, "stdin", stdin())
+            outcomes.append(_outcome(read, "-"))
+        got = outcomes[0]
+        matrices = got.get("matrices") if type(got) is dict else None
+        assert from_bytes is (type(matrices) is list and type(matrices[0]) is tuple), (encoding, errors)
+        assert json.dumps(got, default=repr) == json.dumps(outcomes[1], default=repr), (encoding, errors)
+    # a stdin with no binary buffer is read as text
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli._read_json("-") == json.loads(text)
+
+
 def test_laid_out_matrices_of_the_wrong_shape_fail_as_before():
     # read from bytes, each fails in load_path_file's shape checks, with their messages
     text = _simulated(True, 4, 5, [0, 0, 1], False, True)
@@ -213,9 +277,49 @@ _INSERTED = ["]", "[", ",", " ", "\n"]
 _ROW_SEP = ",\n      "
 
 
+_MATRICES_HEAD, _MATRIX_SEP, _MATRICES_TAIL = "[\n    [\n      ", "\n    ],\n    [\n      ", "\n    ]\n  ]"
+_ROW_BREAK = re.compile(r",\n      (?=\[)")  # the separator between two rows, not between two entries
+
+
+def _edit_matrix(data, text, lo, hi):
+    """``text`` with one matrix of ``text[lo:hi]`` edited by rows, and the new ``hi``."""
+    region = text[lo:hi]
+    if not (region.startswith(_MATRICES_HEAD) and region.endswith(_MATRICES_TAIL)):
+        return text, hi
+    matrices = [_ROW_BREAK.split(m) for m in region[len(_MATRICES_HEAD):-len(_MATRICES_TAIL)].split(_MATRIX_SEP)]
+    rows = data.draw(st.sampled_from(matrices))
+    n = len(rows)
+    unit = [cli._row_json(row) for row in identity(n)]
+    kind = data.draw(st.sampled_from(["identity", "swap rows", "-0", "extra row", "missing row", "first of another size"]))
+    if kind == "identity":
+        rows[:] = unit
+    elif kind == "swap rows":
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[a], rows[b] = rows[b], rows[a]
+    elif kind == "-0":  # an identity row, one of its zeros written -0
+        r = data.draw(st.sampled_from([r for r in range(n) if rows[r] == unit[r]] or [0]))
+        zeros = [m.start() for m in re.finditer(r"(?<= )0(?=[,\n])", rows[r])]
+        if zeros:
+            at = data.draw(st.sampled_from(zeros))
+            rows[r] = rows[r][:at] + "-" + rows[r][at:]
+    elif kind == "extra row":
+        rows.insert(data.draw(st.integers(0, n)), unit[data.draw(st.integers(0, n - 1))])
+    elif kind == "missing row":
+        del rows[data.draw(st.sampled_from([r for r in range(n) if rows[r] == unit[r]] or [0]))]
+    else:
+        size = data.draw(st.sampled_from([n - 1, n + 1]))
+        matrices[0] = [cli._row_json(row) for row in identity(size)]
+        at = data.draw(st.integers(0, size - 1))
+        matrices[0][at] = matrices[0][at].replace("0", "2", 1)
+    region = _MATRICES_HEAD + _MATRIX_SEP.join(_ROW_SEP.join(m) for m in matrices) + _MATRICES_TAIL
+    return text[:lo] + region + text[hi:], lo + len(region)
+
+
 def _edit(data, text, lo, hi):
     """``text`` with one edit drawn inside ``text[lo:hi]``, and the new ``hi``."""
-    kind = data.draw(st.sampled_from(["entry", "insert", "drop separator", "double separator"]))
+    kind = data.draw(st.sampled_from(["entry", "insert", "drop separator", "double separator", "matrix"]))
+    if kind == "matrix":
+        return _edit_matrix(data, text, lo, hi)
     if kind == "entry":
         entries = [m.span() for m in re.finditer(r"-?\d+", text[lo:hi])]
         a, b = data.draw(st.sampled_from(entries)) if entries else (0, 0)
@@ -251,6 +355,8 @@ def test_edited_matrices_read_as_json_loads_reads_them(pair, n, seed, types, gro
     for _ in range(data.draw(st.integers(1, 3))):
         text, hi = _edit(data, text, lo, hi)
     assert _outcome(_loaded, _read, text) == _outcome(_loaded, _reference, text)
+    got, want = (json.dumps(_outcome(_plain, read, text), default=repr) for read in (_read, _reference))
+    assert got == want
 
 
 _RECORD_SEP = "\n    },\n    {\n      "

@@ -3,6 +3,7 @@ and the benchmark's tracer still finds every name it wraps."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -34,15 +35,19 @@ def test_script_exits_zero(name, argv, capsys):
 def test_phase_cost_times_each_phase_of_recover(capsys, tmp_path):
     from ietrewind import cli
 
-    path = tmp_path / "sharp.json"
+    # a records-only sharpness file, and a simulate pair file with its matrices
+    path, pair, start = tmp_path / "sharp.json", tmp_path / "pair.json", tmp_path / "start.json"
     assert cli.main(["sharpness", "--n", "16", "--out", str(path)]) == 0
-    assert _load(_ROOT / "scripts" / "phase_cost.py").main([str(path), str(path)]) == 0
+    start.write_text(json.dumps({"alphabet": [1, 2, 3, 4, 5], "p0": [1, 2, 3, 4, 5], "p1": [5, 3, 1, 4, 2]}))
+    assert cli.main(["simulate", "--start", str(start), "--seed", "3", "--length", "40", "--out", str(pair)]) == 0
+    paths = [str(path), str(path), str(pair)]
+    assert _load(_ROOT / "scripts" / "phase_cost.py").main(paths) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["read_json_s", "load_path_file_s", "recover_report_s", "emit_s", "path"]
-    assert len(rows) == 2
-    for row in rows:
+    assert len(rows) == 3
+    for row, path in zip(rows, paths):
         *times, name = row.split()
-        assert name == str(path) and len(times) == 4 and all(float(t) > 0 for t in times)
+        assert name == path and len(times) == 4 and all(float(t) > 0 for t in times)
 
 
 def test_ab_cli_runs_one_command_from_both_trees(capsys, tmp_path):
