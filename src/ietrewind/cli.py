@@ -45,7 +45,7 @@ from .zorich import breakup  # noqa: F401
 _LAZY = {
     "recovery": ("agrees", "agrees_perm", "decode_perm_matrices", "enumerate_agreeing", "enumerate_agreeing_perms",
                  "enumerate_starting", "recover_pair", "recover_perm", "recover_perm_moves"),
-    "oracle": ("_clean_moves", "brute_force_initial_pairs", "brute_force_initial_perms", "forward_initial_pairs",
+    "oracle": ("brute_force_initial_pairs", "brute_force_initial_perms", "forward_initial_pairs",
                "forward_initial_perms", "forward_simulate"),
     "sharpness": ("build_ambiguous_path",),
     "lifting": ("relabel",),
@@ -484,14 +484,17 @@ class _Records(Frozen):
     """The ``moves`` and ``matrices`` of a path file before they are written:
     the moves (each a ZorichMove or a type-1 ``(k, p)``), one type per move,
     and each symbol's position in the index, by which a record lists its
-    losers and a matrix lays out its rows."""
+    losers and a matrix lays out its rows.  ``runs``, when the producer kept
+    them, are the same unit moves as (winner, losers in order, type) per run,
+    and the records are laid out from them."""
 
-    __slots__ = ("moves", "types", "position")
+    __slots__ = ("moves", "types", "position", "runs")
 
-    def __init__(self, moves: tuple, types: tuple, position: dict):
+    def __init__(self, moves: tuple, types: tuple, position: dict, runs=None):
         object.__setattr__(self, "moves", moves)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "position", position)
+        object.__setattr__(self, "runs", runs)
 
 
 _ARRAYS = {list, tuple}
@@ -610,7 +613,8 @@ def _records_json(records):
     A ZorichMove's record lists its losers by position, and a type-1 ``(k, p)``
     is the record of winner k, the one loser n, type 1 and power p.  Each
     symbol's text is rendered once, and so are the two halves of a unit
-    move's record around it, so a unit move costs one concatenation.
+    move's record around it, so a unit move costs one concatenation, and
+    from ``runs`` a run costs one join of its losers' heads on its tail.
     """
     if type(records) is not _Records:
         return None
@@ -618,8 +622,11 @@ def _records_json(records):
     if not moves:
         return ("[]",)
     text = {s: json.dumps(s) for s in position}
-    heads = {frozenset((s,)): _MOVE_HEAD % "null" + x for s, x in text.items()}
     tails = [{s: _MOVE_TAIL % (1, t, x) for s, x in text.items()} for t in (0, 1)]
+    if records.runs is not None:
+        heads = {s: _MOVE_HEAD % "null" + x for s, x in text.items()}
+        return _joined("[\n    ", ",\n    ", _run_records(records.runs, heads, tails), "\n  ]")
+    heads = {frozenset((s,)): _MOVE_HEAD % "null" + x for s, x in text.items()}
     last, sep = json.dumps(len(position)), ",\n        "
 
     def record(m, t):
@@ -640,6 +647,21 @@ def _records_json(records):
             ])
 
     return _joined("[\n    ", ",\n    ", laid_out(), "\n  ]")
+
+
+def _run_records(runs, heads, tails):
+    """The records of ``runs`` of unit moves, a few hundred to a piece: each
+    run is its losers' heads joined on its one tail."""
+    piece, size = [], 0
+    for winner, losers, t in runs:
+        tail = tails[t][winner]
+        piece.append((tail + ",\n    ").join(map(heads.__getitem__, losers)) + tail)
+        size += len(losers)
+        if size >= _RECORDS_PER_PIECE:
+            yield ",\n    ".join(piece)
+            piece, size = [], 0
+    if piece:
+        yield ",\n    ".join(piece)
 
 
 def _ints_json(values, pad="\n    "):
@@ -908,9 +930,10 @@ def cmd_verify(args) -> int:
 # --- sharpness -------------------------------------------------------------
 
 def _sharpness_obj(n):
-    """The output of ``sharpness --n n``; it keeps the builder's moves and
-    types, and the rest of the builder's result, its checkpoints among
-    it, is freed on return."""
+    """The output of ``sharpness --n n``; it keeps the builder's moves,
+    types and runs, and the rest of the builder's result, its checkpoints
+    among it, is freed on return.  Both alternatives replay the record one
+    run at a time, as it is written."""
     _bind("sharpness", "recovery", "oracle")
     result = build_ambiguous_path(n)
     n = result.n
@@ -923,16 +946,15 @@ def _sharpness_obj(n):
         if cand != inverse(first):
             mate = cand
             break
-    record = _clean_moves(result.moves)  # cleaned once for both replays
-    verified = forward_simulate(first, record, result.types) and (
-        mate is None or forward_simulate(mate, record, result.types)
-    )
+    runs = result.runs
+    record, types = [(w, losers) for w, losers, _ in runs], [t for _, _, t in runs]
+    verified = forward_simulate(first, record, types) and (mate is None or forward_simulate(mate, record, types))
     return {
         "version": 1,
         "flavor": "pair",
         "alphabet": list(index),
         "index": list(index),
-        "moves": _Records(result.moves, result.types, position),
+        "moves": _Records(result.moves, result.types, position, runs),
         "report": {
             "stretches": result.depth,
             "unresolved": result.unresolved,

@@ -32,21 +32,23 @@ def _unit_losers(move):
 
 
 class _Cleaned(list):
-    """A record as :func:`_clean_moves` gives it: (winner, loser set) per unit move."""
+    """A record as :func:`_clean_moves` gives it: (winner, losers) per entry,
+    a ZorichMove as one loser set per round of its block."""
 
     __slots__ = ()
 
 
-def _clean_moves(moves):
+def _clean_moves(moves, ordered: bool = False):
     # a raw move is a (winner, losers) tuple, anything else a ZorichMove; a
-    # record cleaned already is kept, so that two replays can share one
+    # record cleaned already is kept, so that two replays can share one.
+    # With ``ordered``, losers given as a tuple stay one: an ordered run
     if type(moves) is _Cleaned:
         return moves
     out = _Cleaned()
     for m in moves:
         if isinstance(m, tuple):
             w, losers = m
-            out.append((w, frozenset(losers)))
+            out.append((w, losers if ordered and type(losers) is tuple else frozenset(losers)))
         elif m.max_count == 1:  # one unit move, as every simulated or sharpness pair move is
             out.append((m.winner, frozenset(m.losers_max)))
         else:
@@ -57,10 +59,13 @@ def _clean_moves(moves):
 def forward_simulate(pair: Pair, moves, types) -> bool:
     """Replay the record from ``pair``; True iff every move plays out.
 
-    Each move is one same-winner cycle: its losers must come out exactly as
-    the recorded set (order inside the cycle is the state's business).
+    A move whose losers are a tuple is an ordered run of unit moves, one per
+    loser, each of which must lose in turn; a unit move is a run of one.
+    Any other move is one same-winner cycle: its losers must come out
+    exactly as the recorded set (order inside the cycle is the state's
+    business).  Each move takes one type.
     """
-    seq = _clean_moves(moves)
+    seq = _clean_moves(moves, ordered=True)
     types = list(types)
     if len(types) != len(seq):
         raise ValueError("one type per move required")
@@ -82,19 +87,20 @@ def _replay(pair: Pair, seq, types) -> bool:
             return False
         r = 1 - t
         nxt, prv = after[r], before[r]
-        if len(losers) == 1:  # one unit move, as every sharpness move is: no fallen set
-            if end[0] == end[1]:
-                return False
-            loser = end[r]
-            if loser not in losers:
-                return False
-            last = prv[loser]
-            if last != winner:
-                end[r] = last
-                del nxt[last]
-                follow = nxt[winner]
-                nxt[winner], nxt[loser] = loser, follow
-                prv[follow], prv[loser] = loser, winner
+        if type(losers) is tuple or len(losers) == 1:  # an ordered run, a unit move being a run of one
+            for x in losers:
+                if end[0] == end[1]:
+                    return False
+                loser = end[r]
+                if loser != x:
+                    return False
+                last = prv[loser]
+                if last != winner:
+                    end[r] = last
+                    del nxt[last]
+                    follow = nxt[winner]
+                    nxt[winner], nxt[loser] = loser, follow
+                    prv[follow], prv[loser] = loser, winner
             continue
         fallen = set()
         for _ in range(len(losers)):

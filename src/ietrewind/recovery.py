@@ -225,20 +225,18 @@ def _winner_row_rewind(part: OrderedPartition, winner, step: int):
         part._count += 1
 
 
-def _loser_row_rewind(part: OrderedPartition, winner, losers, step: int):
-    """Rewind the loser row through one move.
+def _unit_run_rewind(part: OrderedPartition, winner, losers, steps):
+    """Rewind the loser row through a run of unit moves won by ``winner``,
+    each with one loser: ``losers`` in rewind order (latest move first), and
+    ``steps`` the number of each move, which an :class:`Unrealizable` names.
 
-    After the move the losers sit immediately to the right of the winner (in
-    an order the move itself fixed); before it they formed the row's right
-    end.  Undoing that pins the winner as a new singleton and sends the
-    losers to the back, splitting whatever blocks they were drawn from.
-    Every loser must be a symbol of the partition.  A single loser, as every
-    unit pair move has, takes a short path through the same rules, with its
-    list steps inline.
+    Each move is the one-loser case of :func:`_loser_row_rewind`: the loser
+    sits in the winner's block or in the block right after it, the winner is
+    pinned as a singleton if it is not alone, and the loser goes to the back,
+    its block whole if it is alone in it.  The list steps are inline.
     """
-    where = part._where
-    if len(losers) == 1:
-        (x,) = losers
+    where, root = part._where, part._root
+    for x, step in zip(losers, steps):
         node = where.get(x)
         if node is None:
             raise Unrealizable(step, "losers outside the alphabet")
@@ -256,10 +254,24 @@ def _loser_row_rewind(part: OrderedPartition, winner, losers, step: int):
             node.items.discard(x)
             node = where[x] = _Block({x})
             part._count += 1
-        root = part._root
         node.prev, node.next = root.prev, root
         root.prev.next = root.prev = node
+
+
+def _loser_row_rewind(part: OrderedPartition, winner, losers, step: int):
+    """Rewind the loser row through one move.
+
+    After the move the losers sit immediately to the right of the winner (in
+    an order the move itself fixed); before it they formed the row's right
+    end.  Undoing that pins the winner as a new singleton and sends the
+    losers to the back, splitting whatever blocks they were drawn from.
+    Every loser must be a symbol of the partition.  A single loser, as every
+    unit pair move has, goes to :func:`_unit_run_rewind`.
+    """
+    if len(losers) == 1:
+        _unit_run_rewind(part, winner, losers, (step,))
         return
+    where = part._where
     hit: dict = {}  # block -> the losers it holds
     for x in losers:
         node = where.get(x)
@@ -331,21 +343,37 @@ def _block_runs(move: ZorichMove) -> list:
     return runs
 
 
-def _unit_moves(moves) -> list:
-    """(entry, winner, losers, repeat) per run of equal unit moves, entries numbered from 1."""
+def _unit_moves(moves, runs: bool) -> list:
+    """(entry, winner, losers, repeat) per run of equal unit moves, entries numbered from 1.
+
+    With ``runs``, consecutive entries that are each one move with one loser,
+    all won by one winner, make one item whose losers are a list in entry
+    order, so that they are rewound in one call.
+    """
     out = []
+    run = previous = None  # the open run's losers list, and its winner
     for src, m in enumerate(moves, 1):
         if isinstance(m, ZorichMove):
-            if m.max_count == 1:
-                out.append((src, m.winner, m.losers_max, 1))
-            else:
+            if m.max_count != 1:
                 out.extend((src, m.winner, losers, repeat) for losers, repeat in _block_runs(m))
-            continue
-        winner, losers = m
-        losers = frozenset(losers)
-        if not losers or winner in losers:
-            raise ValueError("a move needs losers, and its winner cannot also lose")
-        out.append((src, winner, losers, 1))
+                run = None
+                continue
+            winner, losers = m.winner, m.losers_max
+        else:
+            winner, losers = m
+            losers = frozenset(losers)
+            if not losers or winner in losers:
+                raise ValueError("a move needs losers, and its winner cannot also lose")
+        if len(losers) != 1:
+            out.append((src, winner, losers, 1))
+            run = None
+        elif run is not None and winner == previous:
+            run += losers
+        else:
+            run, previous = list(losers), winner
+            out.append((src, winner, run, 1))
+            if not runs:
+                run = None
     return out
 
 
@@ -360,7 +388,7 @@ def recover_pair(moves, alphabet=None, trace: bool = False):
     its inverse, agrees with the knowledge.  With ``trace`` a third element
     lists the knowledge after each unit move, last move first.
     """
-    seq = _unit_moves(moves)
+    seq = _unit_moves(moves, runs=not trace)
     if not seq:
         raise ValueError("empty move record")
     if alphabet is None:
@@ -370,19 +398,28 @@ def recover_pair(moves, alphabet=None, trace: bool = False):
     if len(universe) < 3:
         raise ValueError("need at least three symbols")
     for step, winner, losers, _ in seq:
-        if winner not in universe or not losers <= universe:
+        if winner not in universe or not universe.issuperset(losers):
+            if winner in universe and type(losers) is list:  # the run's entry with the first foreign loser
+                step += next(i for i, x in enumerate(losers) if x not in universe)
             raise AlphabetMismatch(f"step {step}: symbols outside the alphabet")
 
     rows = [OrderedPartition((universe,)), OrderedPartition((universe,))]
     t, previous = 1, object()  # so that the last move, rewound first, is type 0
     types, history = [], []
     for step, winner, losers, repeat in reversed(seq):
+        run = type(losers) is list  # one-loser entries step, step + 1, ..., rewound latest first
+        if run:
+            repeat = len(losers)
+            step += repeat - 1
         if winner != previous:
             # a run keeps its type and leaves its winner row alone, so past its
             # first move the winner sits alone at that row's end: no rewind left
             t, previous = 1 - t, winner
             _winner_row_rewind(rows[t], winner, step)
-        _loser_row_rewind(rows[1 - t], winner, losers, step)
+        if run:
+            _unit_run_rewind(rows[1 - t], winner, reversed(losers), range(step, step - repeat, -1))
+        else:
+            _loser_row_rewind(rows[1 - t], winner, losers, step)
         if repeat == 1:
             types.append(t)
         else:

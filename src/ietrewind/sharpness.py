@@ -23,10 +23,11 @@ from .rauzy import _unit, c_completeness
 from .recovery import (
     OrderedPartition,
     PartiallyOrderedPair,
-    _loser_row_rewind,
+    _unit_run_rewind,
     _winner_row_rewind,
     enumerate_agreeing,
 )
+from .recovery import _loser_row_rewind  # noqa: F401  (kept importable: perfbench/trace_child.py wraps it)
 
 
 class BadN(ValueError):
@@ -84,42 +85,41 @@ def pivot_form(pop: PartiallyOrderedPair):
 class _Backward:
     """Builds a path last-move-first, checking each claim as it is made.
 
-    ``push`` applies the recovery rewind for each single move of a run, so
+    ``push`` applies the recovery rewind to each single move of a run, so
     an impossible construction step raises instead of producing a bogus path.
     ``rows`` holds the two rows' :class:`OrderedPartition`, rewound in place
     from ``rows`` if given, else from one block each as recovery starts.
-    ``moves``/``types`` are in backward order: entry 0 is the final move,
-    which recovery takes as type 0.  ``moves`` holds one shared unit
-    ZorichMove per distinct (winner, loser).
+    ``runs`` holds one (winner, losers, type) per push, in backward order:
+    entry 0 is the final push, whose last move recovery takes as type 0.
+    Each run's losers are in forward order, and ``count`` is the number of
+    single moves pushed.
     """
 
     def __init__(self, alphabet, rows=None):
         self.alphabet = tuple(alphabet)
         self.rows = [OrderedPartition(r) for r in rows or ((alphabet,), (alphabet,))]
-        self.moves: list = []
-        self.types: list = []
-        self.units: dict = {}  # winner -> loser -> its ZorichMove
+        self.runs: list = []
+        self.count = 0
 
     def push(self, winner, losers, t):
         """Push, in turn, the moves of type ``t`` in which ``winner`` beats each
-        of ``losers``.  The winner row is rewound as recover_pair does it, once
-        per same-winner run."""
-        moves, types = self.moves, self.types
+        of ``losers``, as one run.  The winner row is rewound as recover_pair
+        does it, once per same-winner run, and the loser row in one call."""
+        losers = tuple(losers)
         if not losers:
             return
-        if moves:
-            assert (winner == moves[-1].winner) == (t == types[-1]), "winner change must flip the type"
-        if not moves or winner != moves[-1].winner:
-            _winner_row_rewind(self.rows[t], winner, len(moves) + 1)
-        lost = self.rows[1 - t]
-        units = self.units.setdefault(winner, {})
-        for loser in losers:
-            move = units.get(loser)
-            if move is None:
-                move = units[loser] = _unit(winner, loser)
-            _loser_row_rewind(lost, winner, move.losers, len(moves) + 1)
-            moves.append(move)
-            types.append(t)
+        runs, step = self.runs, self.count + 1
+        if runs:
+            assert (winner == runs[-1][0]) == (t == runs[-1][2]), "winner change must flip the type"
+        if not runs or winner != runs[-1][0]:
+            _winner_row_rewind(self.rows[t], winner, step)
+        _unit_run_rewind(self.rows[1 - t], winner, losers, range(step, step + len(losers)))
+        runs.append((winner, losers[::-1], t))
+        self.count += len(losers)
+
+    def forward_moves(self) -> list:
+        """The single moves pushed, as (winner, loser) in forward order."""
+        return [(w, x) for w, losers, _ in reversed(self.runs) for x in losers]
 
     def snapshot(self) -> tuple:
         return self.rows[0].snapshot(), self.rows[1].snapshot()
@@ -200,21 +200,25 @@ def _push_odd_path(builder: _Backward, r: int, b3):
 class SharpnessResult(Frozen):
     """An ambiguous path: ``depth`` complete stretches, settled start not
     recoverable; ``unresolved`` letters stay bunched per row.  ``moves``
-    are unit ZorichMoves, and ``types`` holds each one's type.
+    are unit ZorichMoves, one shared object per distinct (winner, loser),
+    and ``types`` holds each one's type.  ``runs`` are the same moves as the
+    builder pushed them, in forward order: one (winner, losers, type) per
+    push, its losers in the order they lose.
     ``checkpoints`` pairs each stage's label with the two rows of the
     knowledge after it, as :meth:`_Backward.snapshot` gives them; only
     ``start`` is a :class:`PartiallyOrderedPair`."""
 
-    __slots__ = ("n", "depth", "moves", "types", "start", "checkpoints", "unresolved", "__weakref__")
+    __slots__ = ("n", "depth", "moves", "types", "start", "checkpoints", "runs", "unresolved", "__weakref__")
 
     def __init__(self, n: int, depth: int, moves: tuple, types: tuple, start: PartiallyOrderedPair,
-                 checkpoints: tuple, unresolved: int):
+                 checkpoints: tuple, runs: tuple, unresolved: int):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "moves", moves)
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "checkpoints", checkpoints)
+        object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "unresolved", unresolved)
 
 
@@ -244,19 +248,30 @@ def build_ambiguous_path(n: int) -> SharpnessResult:
             _push_odd_path(builder, r, order[-1])
             checkpoints.append((f"odd{i}", builder.snapshot()))
     start = builder.pop_state()
-    moves = tuple(reversed(builder.moves))
-    winners = [m.winner for m in moves]
-    stretches, _ = c_completeness(winners, alphabet)
+    runs = tuple(reversed(builder.runs))
+    # counted over the runs' winners: the unit moves repeat each run's winner,
+    # which can only add stretches, and tests/test_sharpness.py checks that
+    # it adds none
+    stretches, _ = c_completeness([w for w, _, _ in runs], alphabet)
     assert stretches == depth
+    units: dict = {}  # winner -> loser -> its one unit ZorichMove
+    moves, types = [], []
+    for w, losers, t in runs:
+        row = units.setdefault(w, {})
+        for x in set(losers).difference(row):
+            row[x] = _unit(w, x)
+        moves += map(row.__getitem__, losers)
+        types += [t] * len(losers)
     unresolved = n - min(len(start.singletons(0)), len(start.singletons(1)))
     assert unresolved == n >> depth
     return SharpnessResult(
         n=n,
         depth=depth,
-        moves=moves,
-        types=tuple(reversed(builder.types)),
+        moves=tuple(moves),
+        types=tuple(types),
         start=start,
         checkpoints=tuple(checkpoints),
+        runs=runs,
         unresolved=unresolved,
     )
 
@@ -273,7 +288,7 @@ def refresh_cycle_path(witness: PivotWitness) -> list:
         raise PreconditionFailed("every letter must be settled in some row")
     builder = _Backward(pop.alphabet, rows=(pop.q0, pop.q1))
     _push_refresh(builder, 0)
-    return [(m.winner, _only(m.losers)) for m in reversed(builder.moves)]
+    return builder.forward_moves()
 
 
 def halving_path(witness: PivotWitness, r: int):
@@ -299,7 +314,7 @@ def halving_path(witness: PivotWitness, r: int):
         _push_odd_path(builder, r, order[-1])
     start = pivot_form(builder.pop_state())
     assert start is not None
-    return [(m.winner, _only(m.losers)) for m in reversed(builder.moves)], start
+    return builder.forward_moves(), start
 
 
 def has_definitive_positions(pop: PartiallyOrderedPair) -> dict:

@@ -72,7 +72,7 @@ def extract_move(matrix: Matrix, legend=None) -> ZorichMove:
     legend = tuple(legend) if legend is not None else tuple(range(1, n + 1))
     winner_row = None
     for i, (row, unit) in enumerate(zip(mat, identity(n))):
-        if row == unit:  # one C-level comparison settles all but the winner row
+        if row is unit or row == unit:  # the shared identity row, or one C-level comparison: all but the winner row
             continue
         if row[i] != 1:
             raise MalformedMatrix("diagonal entries must all be 1")

@@ -115,6 +115,61 @@ def test_forward_simulate_rejections():
         forward_simulate(_ANCHOR, [(1, {5})], [2])
 
 
+@st.composite
+def _record_cut_into_runs(draw):
+    """A pair, its unit record of random moves (one unit perhaps changed, or
+    one type flipped), the same record cut into runs of one winner and one
+    type, with a cut inside a run now and then, and a candidate start: the
+    pair itself, the pair with two symbols of a row swapped, or any pair."""
+    n = draw(st.integers(3, 7))
+    alphabet = tuple(range(1, n + 1))
+    start = make_pair(draw(st.permutations(alphabet)), draw(st.permutations(alphabet)), alphabet)
+    assume(is_irreducible_pair(start))
+    types = draw(st.lists(st.integers(0, 1), min_size=1, max_size=30))
+    units = [(m.winner, *m.losers) for m in simulate_pair(start, types).moves]
+    edit = draw(st.sampled_from(("none", "loser", "type")))
+    j = draw(st.integers(0, len(units) - 1))
+    if edit == "loser":
+        units[j] = (units[j][0], draw(st.sampled_from(alphabet)))
+    elif edit == "type":
+        types[j] = 1 - types[j]
+    runs, run_types = [], []
+    for (winner, loser), t in zip(units, types):
+        if runs and runs[-1][0] == winner and run_types[-1] == t and draw(st.integers(0, 3)):
+            runs[-1] = (winner, runs[-1][1] + (loser,))
+        else:
+            runs.append((winner, (loser,)))
+            run_types.append(t)
+    pick = draw(st.sampled_from(("start", "swapped", "any")))
+    rows = [list(start.row0), list(start.row1)]
+    if pick == "swapped":
+        row = rows[draw(st.integers(0, 1))]
+        a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        row[a], row[b] = row[b], row[a]
+    elif pick == "any":
+        rows = [draw(st.permutations(alphabet)), draw(st.permutations(alphabet))]
+    cand = make_pair(rows[0], rows[1], alphabet)
+    return cand, units, types, runs, run_types
+
+
+@given(_record_cut_into_runs())
+@settings(deadline=None, max_examples=300)
+def test_ordered_runs_replay_as_their_unit_moves(case):
+    cand, units, types, runs, run_types = case
+    unit_moves = [(winner, {loser}) for winner, loser in units]
+    assert forward_simulate(cand, runs, run_types) == forward_simulate(cand, unit_moves, types)
+
+
+def test_an_ordered_run_checks_the_order_a_cycle_leaves_open():
+    # from _ANCHOR, winner 1 beats 5, 4, 3 and 2 in that order
+    assert forward_simulate(_ANCHOR, [(1, (5, 4, 3, 2))], [1])
+    assert forward_simulate(_ANCHOR, [(1, {5}), (1, {4}), (1, {3}), (1, {2})], [1] * 4)
+    swapped = (4, 5, 3, 2)
+    assert not forward_simulate(_ANCHOR, [(1, swapped)], [1])
+    assert forward_simulate(_ANCHOR, [(1, frozenset(swapped))], [1])  # the cycle rule takes the same block
+    assert forward_simulate(_ANCHOR, [(1, (5, 4)), (1, (3, 2))], [1, 1])
+
+
 def test_letter_record_brute_force_matches_enumeration():
     alphabet = ("A", "B", "C", "D", "E")
     report = brute_force_initial_pairs(_LETTER_MOVES, alphabet)

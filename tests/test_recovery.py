@@ -20,8 +20,10 @@ from ietrewind.recovery import (
     OrderedPartition,
     PartiallyOrderedPair,
     Unrealizable,
+    _Block,
     _check_bounds,
     _loser_row_rewind,
+    _unit_run_rewind,
     _winner_row_rewind,
     agrees,
     agrees_perm,
@@ -227,6 +229,14 @@ def test_alphabet_mismatch_names_the_first_step_of_a_repeated_bad_move():
         recover_pair([good, other, bad, worse, bad], alphabet=(1, 2, 3))
     with pytest.raises(AlphabetMismatch, match="^step 2: symbols outside the alphabet$"):
         recover_pair([good, worse, bad, worse], alphabet=(1, 2, 3))
+
+
+def test_alphabet_mismatch_inside_a_run_names_the_entry_of_its_loser():
+    # entries 2 to 4 are one run of winner 1, rewound in one call
+    unit = [ZorichMove(w, _fs({l}), 1, _fs({l})) for w, l in ((2, 3), (1, 2), (1, 9), (1, 3))]
+    for moves in (unit, [(m.winner, set(m.losers)) for m in unit]):
+        with pytest.raises(AlphabetMismatch, match="^step 3: symbols outside the alphabet$"):
+            recover_pair(moves, alphabet=(1, 2, 3))
 
 
 def test_unrealizable_winner_branch():
@@ -509,6 +519,77 @@ def test_one_loser_short_path_matches_the_general_branch(case):
         assert short.snapshot() == general.snapshot()
         assert len(short) == len(general)
         assert all(short.block_of(s) == general.block_of(s) for s in range(1, len(short._where) + 1))
+
+
+def _one_loser_rewind(part: OrderedPartition, winner, x, step: int):
+    """The one-loser path of ``_loser_row_rewind`` as it was before the
+    unit-run kernel took it over, kept here as that kernel's reference."""
+    where = part._where
+    node = where.get(x)
+    if node is None:
+        raise Unrealizable(step, "losers outside the alphabet")
+    winner_node = where.get(winner)
+    if winner_node is not node:
+        if winner_node is not node.prev:
+            raise Unrealizable(step, "winner not adjacent to the loser run")
+        if len(winner_node.items) > 1:  # pin the winner between its block and the loser's
+            winner_node.items.discard(winner)
+            winner_node.next = node.prev = where[winner] = _Block({winner}, winner_node, node)
+            part._count += 1
+    if len(node.items) == 1:  # the loser's block moves to the back whole
+        node.prev.next, node.next.prev = node.next, node.prev
+    else:
+        node.items.discard(x)
+        node = where[x] = _Block({x})
+        part._count += 1
+    root = part._root
+    node.prev, node.next = root.prev, root
+    root.prev.next = root.prev = node
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_unit_run_kernel_matches_one_reference_call_per_loser(data):
+    # A random ordered partition of 1..n, a winner over 1..n+1, and a run of
+    # single losers, numbered up or down from a random step.  Most losers sit
+    # where the rule accepts them, in the winner's block or the next one, so
+    # runs get long; the others, and a foreign symbol, meet its rejections.
+    n = data.draw(st.integers(3, 9))
+    symbols = data.draw(st.permutations(range(1, n + 1)))
+    bounds = [0, *sorted(data.draw(st.sets(st.integers(1, n - 1)))), n]
+    blocks = tuple(_fs(symbols[a:b]) for a, b in zip(bounds, bounds[1:]))
+    winner = data.draw(st.integers(1, n + 1))
+    guide, losers = OrderedPartition(blocks), []
+    for _ in range(data.draw(st.integers(1, 12))):
+        near = []
+        if winner in guide._where:
+            node = guide._where[winner]
+            near = sorted(node.items | (node.next.items if node.next is not guide._root else set()))
+        pick = st.sampled_from(near) if near and data.draw(st.integers(0, 4)) else st.integers(1, n + 1)
+        losers.append(data.draw(pick))
+        try:
+            _one_loser_rewind(guide, winner, losers[-1], 0)
+        except Unrealizable:
+            break
+    first, stride = data.draw(st.integers(1, 99)), data.draw(st.sampled_from((1, -1)))
+    steps = range(first, first + stride * len(losers), stride)
+
+    ref, part = OrderedPartition(blocks), OrderedPartition(blocks)
+    want = None
+    try:
+        for x, step in zip(losers, steps):
+            _one_loser_rewind(ref, winner, x, step)
+    except Unrealizable as exc:
+        want = exc
+    if want is None:
+        _unit_run_rewind(part, winner, losers, steps)
+    else:
+        with pytest.raises(Unrealizable) as got:
+            _unit_run_rewind(part, winner, losers, steps)
+        assert (got.value.step, got.value.reason) == (want.step, want.reason)
+    assert part.snapshot() == ref.snapshot()
+    assert len(part) == len(ref)
+    assert all(part.block_of(s) == ref.block_of(s) for s in range(1, n + 1))
 
 
 def test_partition_validation():

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from ietrewind import cli
 from ietrewind.core import inverse
 from ietrewind.oracle import forward_simulate
 from ietrewind.rauzy import c_completeness
@@ -196,6 +197,22 @@ def test_a_path_holds_one_move_object_per_distinct_move():
     for moves in (refresh_cycle_path(pivot_form(_P3)), halving_path(pivot_form(_P1), 0)[0]):
         assert {type(m) for m in moves} == {tuple} and {len(m) for m in moves} == {2}
         assert {type(s) for m in moves for s in m} == {int}
+
+
+def test_the_runs_are_the_moves_as_written_and_replayed():
+    # sharpness replays and writes the runs; they must be the unit moves
+    # and types the result carries, and lay out the same records
+    for n in range(8, 65):
+        result = build_ambiguous_path(n)
+        units = [(winner, loser, t) for winner, losers, t in result.runs for loser in losers]
+        assert {(m.max_count, len(m.losers)) for m in result.moves} == {(1, 1)}, n
+        assert units == [(m.winner, *m.losers, t) for m, t in zip(result.moves, result.types)], n
+        assert len(units) == len(result.moves) == len(result.types), n
+        assert c_completeness([m.winner for m in result.moves], result.start.alphabet)[0] == result.depth, n
+        position = {s: i for i, s in enumerate(result.start.alphabet)}
+        from_runs = cli._Records(result.moves, result.types, position, result.runs)
+        from_moves = cli._Records(result.moves, result.types, position)
+        assert "".join(cli._records_json(from_runs)) == "".join(cli._records_json(from_moves)), n
 
 
 def test_halving_needs_enough_private_letters():
