@@ -8,8 +8,10 @@ import json
 import random
 import re
 import sys
+from functools import cached_property
 from importlib import import_module
 from itertools import chain, repeat
+from operator import itemgetter
 
 from .core import (
     BoundExceeded,
@@ -166,9 +168,84 @@ def _array_field(obj, key) -> list:
     value = obj.get(key)
     if value is None:
         return []
-    if type(value) not in (list, tuple):
+    if type(value) not in (list, tuple, _RecordTexts):
         raise InputError(f"{key} must be a JSON array")
     return value
+
+
+def _record_head(head, kind):
+    """``(k, losers as a frozenset, losers named)`` of the fields before a
+    record's losers close, checked as :func:`_record_move` checks them, or
+    None where a check fails.  Its other fields are the tail's to override
+    (:func:`_record_tail`), or no record field."""
+    k, losers = head.get("k"), head.get("losers")
+    if type(losers) is not list or not losers or (k is not None and type(k) is not int):
+        return None
+    try:
+        for s in losers:
+            if kind.get(s) is not type(s):
+                return None
+    except TypeError:  # an array or object where a symbol belongs
+        return None
+    named = frozenset(losers)
+    return (k, named, len(losers)) if len(named) == len(losers) else None
+
+
+def _record_tail(tail, kind):
+    """``(power, type, winner)`` of the fields after a record's losers close,
+    checked as :func:`_record_move` checks them, or None where a check fails
+    or the fields are not exactly these three, which the record then takes
+    from its tail whatever its head holds."""
+    power, t, winner = tail.get("power"), tail.get("type"), tail.get("winner")
+    if (tail.keys() != {"power", "type", "winner"} or type(power) is not int
+            or (t is not None and (type(t) is not int or t not in (0, 1)))):
+        return None
+    try:
+        return (power, t, winner) if kind.get(winner) is type(winner) else None
+    except TypeError:
+        return None
+
+
+def _moves_by_halves(records, flavor, kind):
+    """The moves and types of :class:`_RecordTexts` without matrices, as
+    :func:`_record_move` reads them, or None where one of its checks fails.
+
+    Each distinct head and tail is checked once (:func:`_record_head`,
+    :func:`_record_tail`), each distinct text's move and type are made from
+    its two checked halves, and each record is mapped to its text's: no
+    record is read as a dict."""
+    if records.whole:
+        return None
+    heads, tails, units = {}, {}, {}  # units: each loser set -> winner -> its one ZorichMove
+    for text, fields in records.heads.items():
+        head = _record_head(fields, kind)
+        if head is None:
+            return None
+        heads[text] = *head, units.setdefault(head[1], {})
+    for text, fields in records.tails.items():
+        tails[text] = _record_tail(fields, kind)
+        if tails[text] is None:
+            return None
+    perm, n, made = flavor == "permutation", len(kind), {}
+    for text, (head, _, tail) in zip(records.texts, records.cut):
+        k, losers, named, row = heads[head]
+        power, t, winner = tails[tail]
+        if perm and t == 1:
+            if k is None or not 1 <= k < n or power < 1 or winner != k or losers != {n}:
+                return None
+            made[text] = (k, power), t
+            continue
+        if k is not None or power != named or (perm and (t != 0 or winner != n)):
+            return None
+        if winner in row:
+            made[text] = row[winner], t
+        elif winner in losers:
+            return None
+        else:
+            row[winner] = move = ZorichMove(winner, losers, 1, losers)
+            made[text] = move, t
+    made = list(map(made.__getitem__, records.pieces))
+    return list(map(itemgetter(0), made)), list(map(itemgetter(1), made))
 
 
 def _per_object(fn, items) -> list:
@@ -190,8 +267,10 @@ def load_path_file(obj: dict) -> dict:
     from the matrices if there are any, else built from the records, one
     shared object per distinct move; a :class:`ZorichMove`, or ``(k, p)``
     for a type-1 power.  One rule reads every record, with or without its
-    matrix (:func:`_record_move`).  ``types`` has the type each record
-    names, or None; the records themselves are not kept.
+    matrix (:func:`_record_move`); records read from the file's bytes
+    without matrices are read by their halves under the same checks
+    (:func:`_moves_by_halves`).  ``types`` has the type each record names,
+    or None; the records themselves are not kept.
     """
     _bind("recovery")  # its decoder, and the recovery of what is read
     if not isinstance(obj, dict) or obj.get("version") != 1 or type(obj["version"]) is not int:
@@ -229,9 +308,11 @@ def load_path_file(obj: dict) -> dict:
     moves = [None] * len(records)
     if matrices:
         moves = _per_object(lambda j, m: extract_move(m, index), matrices) if flavor == "pair" else decode_perm_matrices(matrices)[0]
-    kind, units = {s: type(s) for s in index}, {}
-    if type(records) is tuple and not matrices:
-        moves = _per_object(lambda j, item: _record_move(item, flavor, kind, j, None, units), records)
+    kind, units, types = {s: type(s) for s in index}, {}, None
+    if type(records) is _RecordTexts and not matrices:
+        # by their halves; where that declines, as dicts, each distinct one once, as before: the same errors
+        moves, types = _moves_by_halves(records, flavor, kind) or (
+            _per_object(lambda j, item: _record_move(item, flavor, kind, j, None, units), records), None)
     else:
         moves = [_record_move(item, flavor, kind, j, move, units) for j, (item, move) in enumerate(zip(records, moves), 1)] or moves
     _array_field(obj, "grouping")  # checked only: each record and matrix carries its block
@@ -252,7 +333,7 @@ def load_path_file(obj: dict) -> dict:
         "flavor": flavor,
         "alphabet": alphabet,
         "index": index,
-        "types": list(map(dict.get, records, repeat("type"))),  # each record is a dict by now
+        "types": types if types is not None else list(map(dict.get, records, repeat("type"))),  # records as dicts
         "moves": moves,
         "start": start,
     }
@@ -330,50 +411,88 @@ def _laid_out_row(piece, rows):
 
 def _laid_out_records(data, i):
     """The moves array laid out as the writer lays it out (:func:`_records_json`),
-    whose first record's fields open at ``data[i]``: a tuple of its records
-    as dicts, and the index past the array; ValueError where the text is not
-    that layout.
+    whose first record's fields open at ``data[i]``: its records as
+    :class:`_RecordTexts`, and the index past the array; ValueError where
+    the text is not that layout.
 
     The rest of the file is split on the separator between records, and the
     array's close is found in the last piece.  The separator holds raw
     newlines, which no JSON string can, so a piece that reads as the fields
-    of one object is one record.  Each distinct piece is read once, into one
-    dict that every record of that text shares (:func:`_laid_out_record`)."""
-    pieces = data[i:].split(_RECORD_BREAK)
+    of one object is one record."""
+    pieces = data.split(_RECORD_BREAK)  # data[i:].split(), without copying the file, when no separator starts before i
+    if len(pieces[0]) < i:
+        pieces = data[i:].split(_RECORD_BREAK)
+    else:
+        pieces[0] = pieces[0][i:]
     last = pieces[-1]
     close = last.find(_RECORDS_CLOSE)
     if close < 0:
         raise ValueError("the moves array is not closed")
     end = len(data) - len(last) + close + len(_RECORDS_CLOSE)
     pieces[-1] = last[:close]
-    texts, heads, tails = dict.fromkeys(pieces), {}, {}
-    for piece in texts:
-        texts[piece] = _laid_out_record(piece, heads, tails)
-    return tuple(map(texts.__getitem__, pieces)), end
+    return _RecordTexts(pieces), end
 
 
-def _laid_out_record(piece, heads, tails):
-    """The dict of a record whose text between its braces is ``piece``.
+def _json_fields(text):
+    """The dict of a JSON object whose text between its braces is ``text``."""
+    return json.loads("{" + text.decode("utf-8") + "}")
 
-    A record is split where its losers array closes, and each half is read
-    with ``json.loads`` once per distinct text, kept in ``heads`` and
-    ``tails``: a file has a few hundred of each however many records it has.
-    The head read with that close, and the tail as an object of its own,
-    make the record's fields in order, a later key winning as ``json.loads``
-    lets it; a tail with no field would leave a trailing comma."""
-    head, cut, tail = piece.partition(_LOSERS_CLOSE)
-    if not cut:
-        return json.loads("{" + piece.decode("utf-8") + "}")
-    first = heads.get(head)
-    if first is None:
-        first = heads[head] = json.loads("{" + head.decode("utf-8") + "]}")
-    rest = tails.get(tail)
-    if rest is None:
-        rest = tails[tail] = json.loads("{" + tail.decode("utf-8") + "}")
-        if not rest:
+
+class _RecordTexts(tuple):
+    """The records of a moves array read from the file's bytes, by their text.
+
+    ``pieces`` holds each record's text between its braces.  Each distinct
+    text is split where its losers array closes (``cut``, in the order of
+    ``texts``), and each distinct head and tail is read with ``json.loads``
+    once (``heads``, ``tails``): a file has a few hundred of each however
+    many records it has.  A head is read with that close, and a tail as an
+    object of its own; a tail with no field would leave a trailing comma.
+    A text whose losers never close is read whole (``whole``).
+
+    Read by ``len``, index or iteration, it is the records as ``json.loads``
+    reads them: the head's fields and then the tail's, a later key winning,
+    in one dict per distinct text that the records of that text share.
+    Those dicts are built on first use; :func:`load_path_file` reads the
+    halves and builds none.  It is a tuple only so that ``json.dumps``
+    writes it as an array, which it does through ``__iter__``: it holds no
+    items of its own, so the tuple methods it does not override see none."""
+
+    def __new__(cls, pieces):
+        return super().__new__(cls)
+
+    def __init__(self, pieces):
+        texts = self.texts = {}  # each distinct text, kept by itself: each record's text becomes that object
+        self.pieces = list(map(texts.setdefault, pieces, pieces))
+        cut = list(map(bytes.partition, texts, repeat(_LOSERS_CLOSE)))
+        self.whole = {}
+        tails = set(map(itemgetter(2), cut))
+        if b"" in tails:  # a text whose losers never close, or close at its end
+            self.whole = {text: _json_fields(text) for text, (_, sep, _) in zip(texts, cut) if not sep}
+            cut = [halves if halves[1] else None for halves in cut]
+            tails = {halves[2] for halves in cut if halves}
+        self.cut = cut
+        heads = {halves[0] for halves in cut if halves} if self.whole else set(map(itemgetter(0), cut))
+        self.heads = {head: json.loads("{" + head.decode("utf-8") + "]}") for head in heads}
+        self.tails = {tail: _json_fields(tail) for tail in tails}
+        if not all(self.tails.values()):
             raise ValueError("a record's losers close before a trailing comma")
-    return {**first, **rest}
 
+    @cached_property
+    def records(self) -> tuple:
+        """The records as dicts, built on first use."""
+        heads, tails, whole = self.heads, self.tails, self.whole
+        merged = [whole[text] if halves is None else {**heads[halves[0]], **tails[halves[2]]}
+                  for text, halves in zip(self.texts, self.cut)]
+        return tuple(map(dict(zip(self.texts, merged)).__getitem__, self.pieces))
+
+    def __len__(self):
+        return len(self.pieces)
+
+    def __getitem__(self, j):
+        return self.records[j]
+
+    def __iter__(self):
+        return iter(self.records)
 
 
 def _laid_out_object(data):
@@ -484,9 +603,10 @@ class _Records(Frozen):
     """The ``moves`` and ``matrices`` of a path file before they are written:
     the moves (each a ZorichMove or a type-1 ``(k, p)``), one type per move,
     and each symbol's position in the index, by which a record lists its
-    losers and a matrix lays out its rows.  ``runs``, when the producer kept
-    them, are the same unit moves as (winner, losers in order, type) per run,
-    and the records are laid out from them."""
+    losers and a matrix lays out its rows.  ``runs``, when the producer
+    hands them over, are unit moves as (winner, losers in order, type) per
+    run, and the records are laid out from them; the moves and types may
+    then be None, as ``sharpness`` hands them, which writes no matrices."""
 
     __slots__ = ("moves", "types", "position", "runs")
 
@@ -619,7 +739,7 @@ def _records_json(records):
     if type(records) is not _Records:
         return None
     moves, types, position = records.moves, records.types, records.position
-    if not moves:
+    if not (moves if records.runs is None else records.runs):
         return ("[]",)
     text = {s: json.dumps(s) for s in position}
     tails = [{s: _MOVE_TAIL % (1, t, x) for s, x in text.items()} for t in (0, 1)]
@@ -929,32 +1049,42 @@ def cmd_verify(args) -> int:
 
 # --- sharpness -------------------------------------------------------------
 
-def _sharpness_obj(n):
-    """The output of ``sharpness --n n``; it keeps the builder's moves,
-    types and runs, and the rest of the builder's result, its checkpoints
-    among it, is freed on return.  Both alternatives replay the record one
-    run at a time, as it is written."""
-    _bind("sharpness", "recovery", "oracle")
-    result = build_ambiguous_path(n)
-    n = result.n
-    index = tuple(range(1, n + 1))
-    position = {s: i for i, s in enumerate(index)}
-    agreeing = enumerate_agreeing(result.start)
+def _alternatives(start):
+    """The starts that agree with the knowledge ``start``, the first of them,
+    and the first other one that is not its inverse (or None)."""
+    agreeing = enumerate_agreeing(start)
     first = agreeing[0]
     mate = None
     for cand in agreeing[1:]:
         if cand != inverse(first):
             mate = cand
             break
-    runs = result.runs
+    return agreeing, first, mate
+
+
+def _replays(runs, first, mate) -> bool:
+    """Whether the record of ``runs`` plays out from ``first`` and from
+    ``mate`` if there is one, replayed one run at a time, as it is written."""
     record, types = [(w, losers) for w, losers, _ in runs], [t for _, _, t in runs]
-    verified = forward_simulate(first, record, types) and (mate is None or forward_simulate(mate, record, types))
+    return forward_simulate(first, record, types) and (mate is None or forward_simulate(mate, record, types))
+
+
+def _sharpness_obj(n):
+    """The output of ``sharpness --n n``, written from the builder's runs;
+    the rest of the builder's result, its checkpoints among it, is freed on
+    return."""
+    _bind("sharpness", "recovery", "oracle")
+    result = build_ambiguous_path(n)
+    n = result.n
+    index = tuple(range(1, n + 1))
+    position = {s: i for i, s in enumerate(index)}
+    agreeing, first, mate = _alternatives(result.start)
     return {
         "version": 1,
         "flavor": "pair",
         "alphabet": list(index),
         "index": list(index),
-        "moves": _Records(result.moves, result.types, position, runs),
+        "moves": _Records(None, None, position, result.runs),
         "report": {
             "stretches": result.depth,
             "unresolved": result.unresolved,
@@ -962,7 +1092,7 @@ def _sharpness_obj(n):
             "Q1": _blocks_obj(result.start.q1, position),
             "agreeing_count": len(agreeing),
             "alternatives": [pair_to_obj(first)] + ([pair_to_obj(mate)] if mate else []),
-            "alternatives_verified": verified,
+            "alternatives_verified": _replays(result.runs, first, mate),
         },
     }
 

@@ -31,20 +31,12 @@ def _unit_losers(move):
     return [move.losers] * (move.max_count - 1) + [move.losers_max]
 
 
-class _Cleaned(list):
-    """A record as :func:`_clean_moves` gives it: (winner, losers) per entry,
-    a ZorichMove as one loser set per round of its block."""
-
-    __slots__ = ()
-
-
 def _clean_moves(moves, ordered: bool = False):
-    # a raw move is a (winner, losers) tuple, anything else a ZorichMove; a
-    # record cleaned already is kept, so that two replays can share one.
-    # With ``ordered``, losers given as a tuple stay one: an ordered run
-    if type(moves) is _Cleaned:
-        return moves
-    out = _Cleaned()
+    # (winner, losers) per entry, a ZorichMove as one loser set per round of
+    # its block; a raw move is a (winner, losers) tuple, anything else a
+    # ZorichMove.  With ``ordered``, losers given as a tuple stay one: an
+    # ordered run
+    out = []
     for m in moves:
         if isinstance(m, tuple):
             w, losers = m

@@ -199,27 +199,40 @@ def _push_odd_path(builder: _Backward, r: int, b3):
 
 class SharpnessResult(Frozen):
     """An ambiguous path: ``depth`` complete stretches, settled start not
-    recoverable; ``unresolved`` letters stay bunched per row.  ``moves``
-    are unit ZorichMoves, one shared object per distinct (winner, loser),
-    and ``types`` holds each one's type.  ``runs`` are the same moves as the
-    builder pushed them, in forward order: one (winner, losers, type) per
-    push, its losers in the order they lose.
+    recoverable; ``unresolved`` letters stay bunched per row.  ``runs`` are
+    the moves as the builder pushed them, in forward order: one (winner,
+    losers, type) per push, its losers in the order they lose.  ``moves``
+    and ``types`` expand them into unit ZorichMoves, one shared object per
+    distinct (winner, loser), and each one's type.
     ``checkpoints`` pairs each stage's label with the two rows of the
     knowledge after it, as :meth:`_Backward.snapshot` gives them; only
     ``start`` is a :class:`PartiallyOrderedPair`."""
 
-    __slots__ = ("n", "depth", "moves", "types", "start", "checkpoints", "runs", "unresolved", "__weakref__")
+    __slots__ = ("n", "depth", "start", "checkpoints", "runs", "unresolved", "__weakref__")
 
-    def __init__(self, n: int, depth: int, moves: tuple, types: tuple, start: PartiallyOrderedPair,
-                 checkpoints: tuple, runs: tuple, unresolved: int):
+    def __init__(self, n: int, depth: int, start: PartiallyOrderedPair, checkpoints: tuple, runs: tuple,
+                 unresolved: int):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "moves", moves)
-        object.__setattr__(self, "types", types)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "checkpoints", checkpoints)
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "unresolved", unresolved)
+
+    @property
+    def moves(self) -> tuple:
+        units: dict = {}  # winner -> loser -> its one unit ZorichMove
+        moves = []
+        for w, losers, _ in self.runs:
+            row = units.setdefault(w, {})
+            for x in set(losers).difference(row):
+                row[x] = _unit(w, x)
+            moves += map(row.__getitem__, losers)
+        return tuple(moves)
+
+    @property
+    def types(self) -> tuple:
+        return tuple(t for _, losers, t in self.runs for _ in losers)
 
 
 def build_ambiguous_path(n: int) -> SharpnessResult:
@@ -254,21 +267,11 @@ def build_ambiguous_path(n: int) -> SharpnessResult:
     # it adds none
     stretches, _ = c_completeness([w for w, _, _ in runs], alphabet)
     assert stretches == depth
-    units: dict = {}  # winner -> loser -> its one unit ZorichMove
-    moves, types = [], []
-    for w, losers, t in runs:
-        row = units.setdefault(w, {})
-        for x in set(losers).difference(row):
-            row[x] = _unit(w, x)
-        moves += map(row.__getitem__, losers)
-        types += [t] * len(losers)
     unresolved = n - min(len(start.singletons(0)), len(start.singletons(1)))
     assert unresolved == n >> depth
     return SharpnessResult(
         n=n,
         depth=depth,
-        moves=tuple(moves),
-        types=tuple(types),
         start=start,
         checkpoints=tuple(checkpoints),
         runs=runs,

@@ -922,18 +922,31 @@ def test_commands_build_each_distinct_record_once(tmp_path, monkeypatch):
     obj = json.loads(path_file.read_text())
     distinct = {json.dumps(item, sort_keys=True) for item in obj["moves"]}
     assert len(obj["moves"]) > 2 * len(distinct)
-    built = []
+    # the checks of a record's two halves, and of a record read as a dict, each call's fields kept
+    checked = {"_record_head": [], "_record_move": [], "_record_tail": []}
 
-    def record_move(item, *args):
-        built.append(json.dumps(item, sort_keys=True))
-        return real(item, *args)
+    def spy(name):
+        real = getattr(cli, name)
 
-    real = cli._record_move
-    monkeypatch.setattr(cli, "_record_move", record_move)
+        def called(fields, *args):
+            checked[name].append(json.dumps(fields, sort_keys=True))
+            return real(fields, *args)
+
+        monkeypatch.setattr(cli, name, called)
+
+    for name in checked:
+        spy(name)
+    built = checked["_record_move"]
+    halves = {name: {json.dumps({key: item[key] for key in keys}, sort_keys=True) for item in obj["moves"]}
+              for name, keys in (("_record_head", ("k", "losers")), ("_record_tail", ("power", "type", "winner")))}
+    assert len(distinct) > len(halves["_record_head"]) + len(halves["_record_tail"])
     for command in ("recover", "verify"):
-        built.clear()
+        for calls in checked.values():
+            calls.clear()
         assert cli.main([command, str(path_file), "--out", str(out)]) == 0
-        assert sorted(built) == sorted(distinct)  # once per distinct record text
+        assert not built  # no record is read as a dict
+        for name, texts in halves.items():
+            assert sorted(checked[name]) == sorted(texts), name  # once per distinct head and tail text
     # a bad record at entries 3 and 7, one text read once: the error names the first
     obj["moves"][2] = obj["moves"][6] = dict(obj["moves"][2], winner=99)
     path_file.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")

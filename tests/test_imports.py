@@ -206,7 +206,7 @@ def test_value_classes_keep_the_field_repr():
     path = RauzyPath("pair", (1, 2), None, (), ())
     assert repr(path) == "RauzyPath(flavor='pair', index=(1, 2), start=None, moves=(), types=(), grouping=None)"
     result = build_ambiguous_path(8)
-    assert repr(result).startswith("SharpnessResult(n=8, depth=2, moves=(ZorichMove(winner=")
+    assert repr(result).startswith("SharpnessResult(n=8, depth=2, start=PartiallyOrderedPair(alphabet=(1, 2,")
     assert repr(result).endswith(f"unresolved={result.unresolved})")
 
 

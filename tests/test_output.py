@@ -11,6 +11,7 @@ library's renderer.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -55,7 +56,11 @@ def _plain(obj):
     plain = dict(obj)
     if type(obj.get("moves")) is cli._Records:
         records = obj["moves"]
-        plain["moves"] = _serialize_moves(records.moves, records.types, records.position)
+        if records.moves is None:  # runs alone, as sharpness hands them: one unit move per loser
+            plain["moves"] = [{"winner": w, "losers": [x], "type": t, "k": None, "power": 1}
+                              for w, losers, t in records.runs for x in losers]
+        else:
+            plain["moves"] = _serialize_moves(records.moves, records.types, records.position)
     if type(obj.get("matrices")) is cli._Records:
         records = obj["matrices"]
         plain["matrices"] = [record_matrix(m, tuple(records.position)) for m in records.moves]
@@ -424,9 +429,24 @@ def test_a_late_fallback_is_decided_before_the_first_byte(monkeypatch):
         assert "".join(sink.pieces) == real(obj, sort_keys=True, indent=2) + "\n"
 
 
+def test_sharpness_writes_from_the_builder_runs_alone(monkeypatch, tmp_path):
+    # the unit moves and types that the result expands its runs into are never read
+    from ietrewind.sharpness import SharpnessResult
+
+    def unread(result):
+        raise AssertionError("sharpness read the expanded unit moves")
+
+    monkeypatch.setattr(SharpnessResult, "moves", property(unread))
+    monkeypatch.setattr(SharpnessResult, "types", property(unread))
+    out = tmp_path / "sharp.json"
+    assert cli.main(["sharpness", "--n", "16", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "699b0887e040af6b2b6ae2e53b62e5e700b515ed589b179b3525a92f1ad7d8e1")
+
+
 def test_sharpness_frees_the_builder_result_before_writing(monkeypatch):
     # the builder's result and its checkpoints are not alive while the output
-    # is written: the output keeps only its moves and types
+    # is written: the output keeps only its runs
     real, refs, alive = cli.build_ambiguous_path, [], []
 
     def build(n):

@@ -134,7 +134,7 @@ def test_written_records_are_read_from_their_text():
                  _simulated(True, 5, 1, [0, 0, 1, 1, 0, 1, 1, 0], True, True, False), _sharpness(9)):
         obj = cli._laid_out_object(text.encode())  # takes no other path: it raises where the layout fails
         assert json.loads(json.dumps(obj)) == json.loads(text)
-        assert type(obj["moves"]) is tuple
+        assert type(obj["moves"]) is cli._RecordTexts
         shared = {}  # each record's text is read once, into one dict that its records share
         for record in obj["moves"]:
             assert shared.setdefault(json.dumps(record, sort_keys=True), record) is record
@@ -144,6 +144,54 @@ def test_written_records_are_read_from_their_text():
     obj = cli._laid_out_object(text.encode())
     assert json.loads(json.dumps(obj)) == json.loads(text)
     assert type(obj["matrices"][0]) is tuple and type(obj["moves"]) is list
+
+
+def test_written_records_load_by_their_halves_as_their_dicts_load(monkeypatch):
+    # from bytes, no record of a valid file is read as a dict, and the moves,
+    # types and start are those of the records json.loads reads
+    texts = (_simulated(False, 5, 2, [1, 0, 0, 1, 1, 1, 0, 0], False, False, False),  # type-1 powers among them
+             _simulated(True, 6, 3, [0, 0, 1, 1, 0, 1, 1, 0], False, True, False), _sharpness(9))
+    wants = [_loaded(_reference, text) for text in texts]
+
+    def read_as_a_dict(*args):
+        raise AssertionError("a record was read as a dict")
+
+    monkeypatch.setattr(cli, "_record_move", read_as_a_dict)
+    for text, want in zip(texts, wants):
+        assert _loaded(_read, text) == want
+
+
+def _with_first_record(text, k="null", losers=("2",), power="1", t="0", winner="1", extra=""):
+    """``text`` with its first record replaced by one of these fields' texts, laid out as written."""
+    at = text.index('"moves": [\n    {\n      ') + len('"moves": [\n    {\n      ')
+    end = text.index("\n    }", at)
+    record = (f'"k": {k},\n      "losers": [\n        ' + ",\n        ".join(losers)
+              + f'\n      ],\n      "power": {power},\n      "type": {t},\n      "winner": {winner}{extra}')
+    return text[:at] + record + text[end:]
+
+
+def test_each_check_of_a_record_read_by_halves_fails_as_its_dict_fails():
+    # records laid out as written, each failing one check of _record_move, or
+    # passing them with a field the halves do not hold: the bytes reader takes
+    # the file, and load_path_file gives what the records json.loads reads give
+    pair, perm = _sharpness(8), _simulated(False, 5, 2, [1, 0, 0, 1, 1, 1, 0, 0], False, False, False)
+    power1 = {"k": "2", "losers": ("5",), "t": "1", "winner": "2"}  # a permutation type-1 record at k=2, n=5
+    pair_cases = (
+        {}, {"winner": "2"}, {"power": "2"}, {"losers": ("2", "2"), "power": "2"}, {"losers": ("2", "3"), "power": "2"},
+        {"winner": "9"}, {"losers": ("9",)}, {"winner": '"1"'}, {"winner": "true"}, {"losers": ("1.0",)},
+        {"losers": ()}, {"losers": (), "power": "0"}, {"losers": ("[2]",)}, {"t": "2"}, {"t": "null"}, {"t": "true"},
+        {"k": "3"}, {"power": "true"}, {"extra": ',\n      "x": 1'}, {"extra": ',\n      "k": null'},
+    )
+    perm_cases = (
+        power1, {**power1, "power": "3"}, {**power1, "winner": "3"}, {**power1, "k": "5", "winner": "5"},
+        {**power1, "losers": ("4",)}, {**power1, "power": "0"}, {**power1, "k": "null"}, {**power1, "k": "2.0"},
+        {"losers": ("2",), "winner": "5"}, {"losers": ("2",), "winner": "4"}, {"k": "2", "losers": ("2",), "winner": "5"},
+        {"losers": ("2",), "t": "null", "winner": "5"},
+    )
+    for text, fields in [(pair, case) for case in pair_cases] + [(perm, case) for case in perm_cases]:
+        other = _with_first_record(text, **fields)
+        assert type(_read(other)["moves"]) is cli._RecordTexts, fields
+        assert _outcome(_loaded, _read, other) == _outcome(_loaded, _reference, other), fields
 
 
 def test_other_record_layouts_read_as_json_loads_reads_them():
@@ -168,11 +216,13 @@ def test_other_record_layouts_read_as_json_loads_reads_them():
         (text.replace(record, record[:record.index("],\n") + len("],\n      ")] + "\n    }", 1),
          False),  # a trailing comma after the losers' close
         (text.replace(record + ",", record + ",,", 1), False),
+        (text.replace('"flavor": "pair"', '"a": [\n    {\n      "x": 1\n    },\n    {\n      "y": 2\n    }\n  ],\n'
+                      '  "flavor": "pair"'), True),  # the separator between records, before the array
     ):
         assert other != text
         got = _outcome(_read, other)
         moves = got.get("moves") if type(got) is dict else None
-        assert from_bytes is (type(moves) is tuple), other[:80]
+        assert from_bytes is (type(moves) is cli._RecordTexts), other[:80]
         got, want = (json.dumps(_outcome(_plain, read, other), default=repr) for read in (_read, _reference))
         assert got == want, other[:80]
         assert _outcome(_loaded, _read, other) == _outcome(_loaded, _reference, other)

@@ -50,6 +50,15 @@ def test_phase_cost_times_each_phase_of_recover(capsys, tmp_path):
         assert name == path and len(times) == 4 and all(float(t) > 0 for t in times)
 
 
+def test_phase_cost_times_each_phase_of_sharpness(capsys):
+    assert _load(_ROOT / "scripts" / "phase_cost.py").main(["--sharpness", "9", "16"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["build_s", "alternatives_s", "replays_s", "emit_s", "n"]
+    assert [row.split()[-1] for row in rows] == ["9", "16"]
+    for row in rows:
+        assert all(float(t) > 0 for t in row.split()[:-1])
+
+
 def test_ab_cli_runs_one_command_from_both_trees(capsys, tmp_path):
     src = str(_ROOT / "src")
     ab = _load(_ROOT / "scripts" / "ab_cli.py")
